@@ -9,6 +9,7 @@ One clause is marked as an expected failure rather than weakened: see
 ``test_criterion_4_expected_entropy_clause``.
 """
 
+import hashlib
 import math
 import time
 
@@ -190,8 +191,8 @@ def _bench_cfg(seed, **kw):
 
 @pytest.fixture(scope="module")
 def benchmark_runs():
-    """Shared grid for criteria 5, 6 and 8: five variants x three seeds on
-    the standard desk-scale blob benchmark."""
+    """Shared grid for criteria 5, 6 and 8 and the golden bytes: five
+    variants x three seeds on the standard desk-scale blob benchmark."""
     variants = {
         "coarse_to_fine": ("coarse_to_fine", {}),
         "random": ("random", {}),
@@ -317,3 +318,25 @@ def test_criterion_8_determinism_and_accounting(benchmark_runs, tmp_path):
         f"counts conserved: {conserved}, rerun metrics equal: {identical_objects}, "
         f"CSV byte-identical: {byte_identical}",
     )
+
+
+# sha256 of the seed-0 metrics CSV of each variant; equal to the
+# ``desk/<variant>/s0`` digests in perfbench/golden.json.  The variants
+# between them exercise all four losses and the coarse-to-fine selector,
+# so a refactor of any of them that changes a single bit fails here.
+GOLDEN_SEED0 = {
+    "coarse_to_fine": "f12930113d06984552efb8d185899a7e6b7e8f08afd25c8a0c867096a19c56fc",
+    "random": "1d8237ea5c796ca1b89e4a22bfdb867401a0b4f5174be057a0b264f5cf0086be",
+    "entropy": "5035ad55695ff0f5014b9e0a9d499bae9317fe1d26156f96931b3d4342aa044a",
+    "no_discrepancy": "8ed689779975485cd52e9ef8183e71a687884605978261955c59b183c9dc70df",
+    "cross_entropy": "47b755f78c4a608b775cbfa98cbb99b0d008c86417f722fcac79a09f1ec54f0e",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_SEED0))
+def test_golden_metrics_bytes(benchmark_runs, variant, tmp_path):
+    """The seed-0 metrics CSV of each benchmark variant keeps its bytes."""
+    strategy = "coarse_to_fine" if variant in ("no_discrepancy", "cross_entropy") else variant
+    path = tmp_path / f"{variant}.csv"
+    write_metrics_csv(path, benchmark_runs[variant][0], strategy, BENCH_SEEDS[0], BENCH_R)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SEED0[variant]
