@@ -6,7 +6,7 @@ information, scores head disagreement, and runs multi-cycle pool-based
 query experiments against classical baselines, entirely in numpy/scipy.
 """
 
-from .datasets import BlobSpec, DatasetSplit, IdxFormatError, export_csv, load_idx, make_blobs
+from .datasets import BlobSpec, DatasetSplit, IdxFormatError, load_idx, make_blobs
 from .evidential import (
     data_uncertainty,
     digamma,
@@ -81,7 +81,6 @@ __all__ = [
     "evaluate_accuracy",
     "evidence_from_logits",
     "expected_probs",
-    "export_csv",
     "fine_select",
     "forward",
     "gmm_fit",

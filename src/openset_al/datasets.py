@@ -16,7 +16,6 @@ the same split structure from real data.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +29,6 @@ __all__ = [
     "make_blobs",
     "blob_class_means",
     "load_idx",
-    "export_csv",
 ]
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -300,23 +298,3 @@ def load_idx(
     return _assemble_split(
         features, labels, known, r, init_labeled_fraction, test_fraction, rng
     )
-
-
-def export_csv(split: DatasetSplit, path) -> None:
-    """Write every example as (id, pool, label, features...)."""
-    pools = [
-        ("labeled", split.labeled_ids),
-        ("unlabeled", split.unlabeled_ids),
-        ("test", split.test_ids),
-        ("discarded", split.discarded_ids),
-    ]
-    dim = split.features.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "split", "label"] + [f"f{i}" for i in range(dim)])
-        for pool_name, ids in pools:
-            for i in ids:
-                writer.writerow(
-                    [int(i), pool_name, int(split.true_labels[i])]
-                    + [repr(v) for v in split.features[i]]
-                )

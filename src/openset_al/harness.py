@@ -131,7 +131,6 @@ def _select(
             beta_coef=cfg.beta_coef,
             threshold=cfg.coarse_threshold,
             use_discrepancy=cfg.use_discrepancy,
-            seed=seed,
         )
     if strategy in BASELINE_STRATEGIES:
         probs = averaged_probs(model, x_pool)

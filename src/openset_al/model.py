@@ -37,6 +37,7 @@ from .evidential import (
     data_uncertainty,
     distribution_uncertainty,
     jsd,
+    kl_dirichlet_to_uniform,
 )
 
 __all__ = [
@@ -240,21 +241,30 @@ def forward(model: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return alphas[0], alphas[1]
 
 
-def _zero_grads(model: ModelParams) -> list[np.ndarray]:
-    return [np.zeros_like(p) for p in model.flat_params()]
+def _backward(model: ModelParams, acts, preacts, dzs, heads=True, backbone=True):
+    """Flat gradient list given the two heads' logit gradients ``dzs``.
 
-
-def _backbone_backward(
-    model: ModelParams, acts, preacts, d_hidden: np.ndarray, grads: list[np.ndarray]
-) -> None:
-    """Accumulate backbone gradients given the gradient at the last hidden
-    activation; fills grads[0 : num_backbone_arrays] in place."""
-    dh = d_hidden
-    for i in reversed(range(len(model.backbone))):
-        da = dh * (preacts[i] > 0)
-        grads[2 * i] += acts[i].T @ da
-        grads[2 * i + 1] += da.sum(axis=0)
-        dh = da @ model.backbone[i][0].T
+    ``heads`` fills the head weight/bias gradients; ``backbone`` backprops
+    d_hidden = sum_h dz_h W_h^T through the ReLU layers.  Entries outside
+    the requested subset stay exactly zero.
+    """
+    grads = [np.zeros_like(p) for p in model.flat_params()]
+    nb = model.num_backbone_arrays
+    d_hidden = np.zeros_like(acts[-1])
+    for h_idx, ((w_h, _), dz) in enumerate(zip(model.heads, dzs)):
+        if heads:
+            grads[nb + 2 * h_idx] += acts[-1].T @ dz
+            grads[nb + 2 * h_idx + 1] += dz.sum(axis=0)
+        if backbone:
+            d_hidden += dz @ w_h.T
+    if backbone:
+        dh = d_hidden
+        for i in reversed(range(len(model.backbone))):
+            da = dh * (preacts[i] > 0)
+            grads[2 * i] += acts[i].T @ da
+            grads[2 * i + 1] += da.sum(axis=0)
+            dh = da @ model.backbone[i][0].T
+    return grads
 
 
 def _one_hot(y: np.ndarray, num_classes: int) -> np.ndarray:
@@ -280,34 +290,21 @@ def edl_loss(
     acts, preacts, _, alphas, clip_masks = _forward_cached(model, x)
     n, c = acts[0].shape[0], model.num_classes
     yy = _one_hot(y, c)
-    grads = _zero_grads(model)
-    nb = model.num_backbone_arrays
     total = 0.0
-    d_hidden = np.zeros_like(acts[-1])
-    for h_idx, (alpha, mask) in enumerate(zip(alphas, clip_masks)):
+    dzs = []
+    for alpha, mask in zip(alphas, clip_masks):
         s = alpha.sum(axis=1, keepdims=True)
         nll = (yy * (np.log(s) - np.log(alpha))).sum(axis=1)
         a_t = yy + (1.0 - yy) * alpha
         s_t = a_t.sum(axis=1, keepdims=True)
-        kl = (
-            special.gammaln(s_t[:, 0])
-            - special.gammaln(c)
-            - special.gammaln(a_t).sum(axis=1)
-            + ((a_t - 1.0) * (special.digamma(a_t) - special.digamma(s_t))).sum(axis=1)
-        )
-        total += float(np.mean(nll + kl))
+        total += float(np.mean(nll + kl_dirichlet_to_uniform(a_t)))
         # d/d alpha~ of the KL term, then chain through the label mask.
         dkl_dat = (a_t - 1.0) * special.polygamma(1, a_t) - special.polygamma(
             1, s_t
         ) * (s_t - c)
         dl_dalpha = (1.0 / s) - yy / alpha + dkl_dat * (1.0 - yy)
-        dz = dl_dalpha * alpha * mask / (2.0 * n)
-        w_h, _ = model.heads[h_idx]
-        grads[nb + 2 * h_idx] += acts[-1].T @ dz
-        grads[nb + 2 * h_idx + 1] += dz.sum(axis=0)
-        d_hidden += dz @ w_h.T
-    _backbone_backward(model, acts, preacts, d_hidden, grads)
-    return total / 2.0, grads
+        dzs.append(dl_dalpha * alpha * mask / (2.0 * n))
+    return total / 2.0, _backward(model, acts, preacts, dzs)
 
 
 def cross_entropy_loss(
@@ -318,62 +315,50 @@ def cross_entropy_loss(
     acts, preacts, logits, _, _ = _forward_cached(model, x)
     n, c = acts[0].shape[0], model.num_classes
     yy = _one_hot(y, c)
-    grads = _zero_grads(model)
-    nb = model.num_backbone_arrays
     total = 0.0
-    d_hidden = np.zeros_like(acts[-1])
-    for h_idx, z in enumerate(logits):
+    dzs = []
+    for z in logits:
         zmax = z.max(axis=1, keepdims=True)
         logp = z - zmax - np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
         total += float(-np.mean((yy * logp).sum(axis=1)))
-        dz = (np.exp(logp) - yy) / (2.0 * n)
-        w_h, _ = model.heads[h_idx]
-        grads[nb + 2 * h_idx] += acts[-1].T @ dz
-        grads[nb + 2 * h_idx + 1] += dz.sum(axis=0)
-        d_hidden += dz @ w_h.T
-    _backbone_backward(model, acts, preacts, d_hidden, grads)
-    return total / 2.0, grads
+        dzs.append((np.exp(logp) - yy) / (2.0 * n))
+    return total / 2.0, _backward(model, acts, preacts, dzs)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def close_weights(model: ModelParams, x: np.ndarray, tau1: float) -> np.ndarray:
+def close_weights(alphas, tau1: float) -> np.ndarray:
     """Constant per-example weights (1/N)(1 - sigmoid(u_data - tau1))
-    computed from the averaged evidence of the two heads."""
-    a1, a2 = forward(model, x)
+    computed from the averaged evidence of the two heads ``alphas``."""
+    a1, a2 = alphas
     u = data_uncertainty(0.5 * (a1 + a2))
     n = a1.shape[0]
-    return (1.0 - _sigmoid(np.atleast_1d(u) - tau1)) / n
+    return (1.0 - special.expit(np.atleast_1d(u) - tau1)) / n
 
 
-def dis_weights(model: ModelParams, x: np.ndarray, tau2: float) -> np.ndarray:
+def dis_weights(alphas, tau2: float) -> np.ndarray:
     """Constant per-example weights (1/N) sigmoid(u_dist - tau2)."""
-    a1, a2 = forward(model, x)
+    a1, a2 = alphas
     u = distribution_uncertainty(0.5 * (a1 + a2))
     n = a1.shape[0]
-    return _sigmoid(np.atleast_1d(u) - tau2) / n
+    return special.expit(np.atleast_1d(u) - tau2) / n
 
 
-def _jsd_dz(alphas, clip_masks):
-    """Per-head logit gradients of JSD(p1, p2) where p_h normalizes the
-    head's evidence.  Returns (jsd values, dz1, dz2) without weights."""
-    a1, a2 = alphas
-    p = a1 / a1.sum(axis=1, keepdims=True)
-    q = a2 / a2.sum(axis=1, keepdims=True)
+def _weighted_jsd(model: ModelParams, x: np.ndarray, weights, weight_fn, tau, name):
+    """One forward pass over an unlabeled batch.  Returns the backprop
+    cache, the per-example weights (``weights`` if given, else
+    ``weight_fn(alphas, tau)``), JSD(p1, p2) of the heads' normalized
+    evidence and each head's weighted logit gradient of that JSD."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[0] == 0:
+        raise ValueError(f"{name} requires a non-empty batch")
+    acts, preacts, _, alphas, clip_masks = _forward_cached(model, x)
+    w = weight_fn(alphas, tau) if weights is None else np.asarray(weights)
+    p, q = (a / a.sum(axis=1, keepdims=True) for a in alphas)
     m = 0.5 * (p + q)
-    vals = jsd(p, q)
-    gp = np.log(p / m) / (2.0 * LN2)
-    gq = np.log(q / m) / (2.0 * LN2)
-    dz1 = p * (gp - (p * gp).sum(axis=1, keepdims=True)) * clip_masks[0]
-    dz2 = q * (gq - (q * gq).sum(axis=1, keepdims=True)) * clip_masks[1]
-    return np.atleast_1d(vals), dz1, dz2
+    dzs = []
+    for r, mask in zip((p, q), clip_masks):
+        g = np.log(r / m) / (2.0 * LN2)
+        dzs.append(w[:, None] * (r * (g - (r * g).sum(axis=1, keepdims=True)) * mask))
+    return acts, preacts, w, np.atleast_1d(jsd(p, q)), dzs
 
 
 def close_loss(
@@ -388,18 +373,11 @@ def close_loss(
     ``weights`` overrides the internally computed constants (useful for
     numerical gradient checking, where they must stay frozen).
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[0] == 0:
-        raise ValueError("close_loss requires a non-empty batch")
-    w = close_weights(model, x, tau1) if weights is None else np.asarray(weights)
-    acts, preacts, _, alphas, clip_masks = _forward_cached(model, x)
-    vals, dz1, dz2 = _jsd_dz(alphas, clip_masks)
+    acts, preacts, w, vals, dzs = _weighted_jsd(
+        model, x, weights, close_weights, tau1, "close_loss"
+    )
     loss = float((w * vals).sum())
-    grads = _zero_grads(model)
-    d_hidden = (w[:, None] * dz1) @ model.heads[0][0].T
-    d_hidden += (w[:, None] * dz2) @ model.heads[1][0].T
-    _backbone_backward(model, acts, preacts, d_hidden, grads)
-    return loss, grads
+    return loss, _backward(model, acts, preacts, dzs, heads=False)
 
 
 def dis_loss(
@@ -410,20 +388,11 @@ def dis_loss(
 ) -> tuple[float, list[np.ndarray]]:
     """Weighted (1 - JSD) between the heads, differentiated through the
     two heads only; backbone gradient entries are exactly zero."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[0] == 0:
-        raise ValueError("dis_loss requires a non-empty batch")
-    w = dis_weights(model, x, tau2) if weights is None else np.asarray(weights)
-    acts, _, _, alphas, clip_masks = _forward_cached(model, x)
-    vals, dz1, dz2 = _jsd_dz(alphas, clip_masks)
+    acts, preacts, w, vals, dzs = _weighted_jsd(
+        model, x, weights, dis_weights, tau2, "dis_loss"
+    )
     loss = float((w * (1.0 - vals)).sum())
-    grads = _zero_grads(model)
-    nb = model.num_backbone_arrays
-    for h_idx, dz in enumerate((dz1, dz2)):
-        dzw = -w[:, None] * dz
-        grads[nb + 2 * h_idx] += acts[-1].T @ dzw
-        grads[nb + 2 * h_idx + 1] += dzw.sum(axis=0)
-    return loss, grads
+    return loss, _backward(model, acts, preacts, [-dz for dz in dzs], backbone=False)
 
 
 def learning_rate_at(epoch: int, cfg: TrainConfig) -> float:

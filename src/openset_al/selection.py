@@ -91,27 +91,34 @@ class GmmModel:
     weights: np.ndarray  # shape (2,), sums to 1
     log_likelihoods: list[float]  # per-iteration mean log-likelihood
 
-    def responsibilities(self, x: np.ndarray) -> np.ndarray:
-        """Posterior component probabilities, shape (n, 2)."""
+    def _e_step(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """Responsibilities, shape (n, 2), and the mean log-likelihood of
+        x, both from one max-shifted logsumexp of the log-joint, so a
+        point far from both components cannot underflow to log(0)."""
         x = np.asarray(x, dtype=float)[:, None]
         log_pdf = (
             -0.5 * np.log(2.0 * np.pi * self.variances)
             - 0.5 * (x - self.means) ** 2 / self.variances
         )
         log_joint = np.log(self.weights) + log_pdf
-        log_joint -= log_joint.max(axis=1, keepdims=True)
-        joint = np.exp(log_joint)
-        return joint / joint.sum(axis=1, keepdims=True)
+        shift = log_joint.max(axis=1, keepdims=True)
+        joint = np.exp(log_joint - shift)
+        total = joint.sum(axis=1, keepdims=True)
+        return joint / total, float((shift + np.log(total)).mean())
+
+    def responsibilities(self, x: np.ndarray) -> np.ndarray:
+        """Posterior component probabilities, shape (n, 2)."""
+        return self._e_step(x)[0]
 
 
-def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6, seed=None) -> GmmModel:
+def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
     """EM fit of a two-mode Gaussian mixture to 1-D data.
 
     Initialization splits the data at its median (equal weights, pooled
-    variance), which makes the fit deterministic; ``seed`` is accepted
-    for interface symmetry with the stochastic selectors but unused.
-    The per-point mean log-likelihood is non-decreasing across iterations
-    and the fit stops when it improves by less than ``tol``.
+    variance), which makes the fit deterministic.  Each iteration takes
+    the responsibilities and the per-point mean log-likelihood from one
+    logsumexp pass; the log-likelihood is non-decreasing across
+    iterations and the fit stops when it improves by less than ``tol``.
     """
     x = np.asarray(scores, dtype=float)
     if x.ndim != 1:
@@ -136,14 +143,7 @@ def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6, seed=None) -> GmmMod
     model = GmmModel(means, variances, weights, [])
     prev = -np.inf
     for _ in range(max_iter):
-        resp = model.responsibilities(x)
-        # mean log-likelihood under the current parameters
-        log_pdf = (
-            -0.5 * np.log(2.0 * np.pi * model.variances)
-            - 0.5 * (x[:, None] - model.means) ** 2 / model.variances
-        )
-        point_ll = np.log(np.exp(log_pdf + np.log(model.weights)).sum(axis=1))
-        ll = float(point_ll.mean())
+        resp, ll = model._e_step(x)
         model.log_likelihoods.append(ll)
         if ll - prev < tol and np.isfinite(prev):
             break
@@ -169,7 +169,6 @@ def coarse_select(
     ids: np.ndarray,
     alpha_coef: float = 1.0,
     threshold: float = 0.5,
-    seed=None,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Coarse filter: keep ids whose combined score falls in the low mode.
 
@@ -186,7 +185,7 @@ def coarse_select(
     combined = scores.s_dis + alpha_coef * scores.u_data
     fallback = False
     try:
-        model = gmm_fit(combined, seed=seed)
+        model = gmm_fit(combined)
         posterior = gmm_posterior_low(model, combined)
     except DegenerateDataError:
         logger.warning(
@@ -228,7 +227,6 @@ def coarse_to_fine_select(
     beta_coef: float = 0.5,
     threshold: float = 0.5,
     use_discrepancy: bool = True,
-    seed=None,
 ) -> np.ndarray:
     """Full two-stage query: coarse mixture filter, fine ranking, top-up.
 
@@ -243,7 +241,7 @@ def coarse_to_fine_select(
         s_dis=np.zeros_like(scores.s_dis)
     )
     selected, posterior, _ = coarse_select(
-        eff, ids, alpha_coef=alpha_coef, threshold=threshold, seed=seed
+        eff, ids, alpha_coef=alpha_coef, threshold=threshold
     )
     sub_mask = posterior > threshold
     budget = min(budget, ids.size)

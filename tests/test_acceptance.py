@@ -33,6 +33,7 @@ from openset_al.model import (
     dis_loss,
     dis_weights,
     edl_loss,
+    forward,
     init_model,
 )
 from openset_al.selection import gmm_fit
@@ -106,7 +107,7 @@ def test_criterion_3_gradient_verification():
     numeric = finite_difference_grads(lambda: edl_loss(model, x, y)[0], params)
     errors["edl"] = max_rel_err(grads, numeric)
 
-    w_close = close_weights(model, x, tau1=0.5)
+    w_close = close_weights(forward(model, x), tau1=0.5)
     _, grads = close_loss(model, x, weights=w_close)
     numeric = finite_difference_grads(
         lambda: close_loss(model, x, weights=w_close)[0], params[:nb]
@@ -114,7 +115,7 @@ def test_criterion_3_gradient_verification():
     errors["close"] = max_rel_err(grads[:nb], numeric)
     assert all(np.all(g == 0) for g in grads[nb:])
 
-    w_dis = dis_weights(model, x, tau2=0.2)
+    w_dis = dis_weights(forward(model, x), tau2=0.2)
     _, grads = dis_loss(model, x, weights=w_dis)
     numeric = finite_difference_grads(
         lambda: dis_loss(model, x, weights=w_dis)[0], params[nb:]

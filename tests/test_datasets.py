@@ -10,7 +10,6 @@ from openset_al.datasets import (
     BlobSpec,
     IdxFormatError,
     blob_class_means,
-    export_csv,
     load_idx,
     make_blobs,
 )
@@ -89,17 +88,6 @@ class TestMakeBlobs:
     def test_feature_values_finite(self):
         split = make_blobs(BlobSpec(seed=6), r=0.2)
         assert np.all(np.isfinite(split.features))
-
-
-class TestExportCsv:
-    def test_row_count_and_header(self, tmp_path):
-        spec = BlobSpec(num_known=2, num_unknown=2, dim=3, per_class=20, seed=0)
-        split = make_blobs(spec, r=0.5)
-        path = tmp_path / "data.csv"
-        export_csv(split, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("id,split,label,f0")
-        assert len(lines) == 1 + split.total_examples()
 
 
 class TestLoadIdx:

@@ -150,7 +150,7 @@ class TestCloseLoss:
         """tau1 far above the entropy range makes every weight ~ 1/N."""
         m = tiny_model()
         x, _ = random_batch()
-        w = close_weights(m, x, tau1=7.0)
+        w = close_weights(forward(m, x), tau1=7.0)
         np.testing.assert_allclose(w, 1.0 / len(x), rtol=1e-2)
         assert np.all(w > 0) and np.all(w < 1.0 / len(x))
 
@@ -158,13 +158,13 @@ class TestCloseLoss:
         """The sigmoid gate closes as u_data - tau1 grows large."""
         m = tiny_model()
         x, _ = random_batch()
-        w = close_weights(m, x, tau1=-50.0)
+        w = close_weights(forward(m, x), tau1=-50.0)
         np.testing.assert_allclose(w, 0.0, atol=1e-12)
 
     def test_backbone_gradients_match_finite_differences(self):
         m = tiny_model(seed=11)
         x, _ = random_batch(seed=12)
-        w = close_weights(m, x, tau1=0.5)
+        w = close_weights(forward(m, x), tau1=0.5)
         _, grads = close_loss(m, x, weights=w)
         nb = m.num_backbone_arrays
         backbone_arrays = flat(m)[:nb]
@@ -189,7 +189,7 @@ class TestDisLoss:
     def test_weights_in_range(self):
         m = tiny_model()
         x, _ = random_batch()
-        w = dis_weights(m, x, tau2=-5.0)
+        w = dis_weights(forward(m, x), tau2=-5.0)
         assert np.all(w > 0) and np.all(w <= 1.0 / len(x))
 
     def test_loss_zero_at_maximal_divergence(self):
@@ -208,7 +208,7 @@ class TestDisLoss:
     def test_head_gradients_match_finite_differences(self):
         m = tiny_model(seed=13)
         x, _ = random_batch(seed=14)
-        w = dis_weights(m, x, tau2=0.1)
+        w = dis_weights(forward(m, x), tau2=0.1)
         _, grads = dis_loss(m, x, weights=w)
         nb = m.num_backbone_arrays
         head_arrays = flat(m)[nb:]

@@ -1,8 +1,12 @@
 """Selection tests: EM fit against synthetic mixture oracles, the
 coarse/fine stages against brute-force sorting, and baseline strategies."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from openset_al.evidential import entropy
 from openset_al.model import init_model
@@ -68,6 +72,56 @@ class TestGmmFit:
     def test_two_values_fit(self):
         model = gmm_fit(np.array([0.0, 0.0, 1.0, 1.0]))
         assert np.isfinite(model.log_likelihoods[-1])
+
+    def test_heavy_tailed_scores_keep_finite_log_likelihood(self):
+        """Log-normal scores with sigma 4 put points so far out that both
+        component densities underflow; the mean log-likelihood must stay
+        finite and no floating-point warning may be raised."""
+        x = np.exp(np.random.default_rng(1).normal(0.0, 4.0, 2000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = gmm_fit(x)
+        assert np.all(np.isfinite(model.log_likelihoods))
+
+
+# Finite 1-D samples that can support a two-mode fit.
+finite_samples = st.lists(
+    st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=50
+).filter(lambda v: len(set(v)) >= 2)
+
+# Both properties held on 2000 generated samples bounded by 1e100 in
+# magnitude; they fail above about 1.3e154, where a squared deviation
+# overflows float64.  Each test pins one such sample as an explicit
+# example, so the expected failure occurs on every run.
+OVERFLOW_XFAIL = pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "gmm_fit squares raw deviations from the component means, so finite "
+        "scores with |x| above ~1.3e154 overflow to inf (an overflow "
+        "RuntimeWarning, then nan log-likelihoods); scores are not rescaled "
+        "before the fit"
+    ),
+)
+
+
+class TestGmmProperties:
+    @OVERFLOW_XFAIL
+    @given(finite_samples.flatmap(lambda v: st.tuples(st.just(v), st.permutations(v))))
+    @example(([0.0, 1.0, -2.7e154], [-2.7e154, 0.0, 1.0]))
+    def test_permutation_invariant(self, pair):
+        a = gmm_fit(np.array(pair[0]))
+        b = gmm_fit(np.array(pair[1]))
+        # a nan fit does not count as unchanged
+        np.testing.assert_allclose(a.means, b.means, equal_nan=False)
+        np.testing.assert_allclose(a.variances, b.variances, equal_nan=False)
+        np.testing.assert_allclose(a.weights, b.weights, equal_nan=False)
+
+    @OVERFLOW_XFAIL
+    @given(finite_samples)
+    @example([0.0, 1.3407807929942597e154])
+    def test_log_likelihoods_finite(self, values):
+        model = gmm_fit(np.array(values))
+        assert np.all(np.isfinite(model.log_likelihoods))
 
 
 class TestCoarseSelect:
