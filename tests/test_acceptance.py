@@ -190,20 +190,23 @@ def _bench_cfg(seed, **kw):
     return TrainConfig(query_size=60, num_cycles=5, seed=seed, **kw)
 
 
+# variant name -> (strategy, TrainConfig overrides)
+BENCH_VARIANTS = {
+    "coarse_to_fine": ("coarse_to_fine", {}),
+    "random": ("random", {}),
+    "entropy": ("entropy", {}),
+    "no_discrepancy": ("coarse_to_fine", dict(use_discrepancy=False)),
+    "cross_entropy": ("coarse_to_fine", dict(train_loss="cross_entropy")),
+}
+
+
 @pytest.fixture(scope="module")
 def benchmark_runs():
     """Shared grid for criteria 5, 6 and 8 and the golden bytes: five
     variants x three seeds on the standard desk-scale blob benchmark."""
-    variants = {
-        "coarse_to_fine": ("coarse_to_fine", {}),
-        "random": ("random", {}),
-        "entropy": ("entropy", {}),
-        "no_discrepancy": ("coarse_to_fine", dict(use_discrepancy=False)),
-        "cross_entropy": ("coarse_to_fine", dict(train_loss="cross_entropy")),
-    }
     out = {}
     timings = {}
-    for name, (strategy, kw) in variants.items():
+    for name, (strategy, kw) in BENCH_VARIANTS.items():
         t0 = time.perf_counter()
         out[name] = [
             run_experiment(_bench_split(seed), _bench_cfg(seed, **kw), strategy)
@@ -337,7 +340,7 @@ GOLDEN_SEED0 = {
 @pytest.mark.parametrize("variant", sorted(GOLDEN_SEED0))
 def test_golden_metrics_bytes(benchmark_runs, variant, tmp_path):
     """The seed-0 metrics CSV of each benchmark variant keeps its bytes."""
-    strategy = "coarse_to_fine" if variant in ("no_discrepancy", "cross_entropy") else variant
+    strategy = BENCH_VARIANTS[variant][0]
     path = tmp_path / f"{variant}.csv"
     write_metrics_csv(path, benchmark_runs[variant][0], strategy, BENCH_SEEDS[0], BENCH_R)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SEED0[variant]
