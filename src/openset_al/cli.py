@@ -25,6 +25,8 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -43,36 +45,20 @@ __all__ = ["main", "resolve_config", "ConfigError"]
 
 SEED_ENV_VAR = "OPENSET_AL_SEED"
 
+# The run grid owns the seed; query_size and num_cycles are top-level.
+BLOB_FIELDS = tuple(f.name for f in dataclasses.fields(BlobSpec) if f.name != "seed")
+TRAIN_FIELDS = tuple(
+    f.name
+    for f in dataclasses.fields(TrainConfig)
+    if f.name not in ("seed", "query_size", "num_cycles")
+)
+
 DATA_DEFAULTS = {
-    "num_known": 4,
-    "num_unknown": 4,
-    "dim": 16,
-    "per_class": 250,
-    "radius": 6.0,
-    "cluster_std": 1.0,
+    **{name: getattr(BlobSpec, name) for name in BLOB_FIELDS},
     "init_labeled_fraction": 0.05,
     "test_fraction": 0.2,
     "idx": None,
 }
-
-TRAIN_FIELDS = (
-    "lr",
-    "momentum",
-    "weight_decay",
-    "batch_size",
-    "epochs",
-    "lr_milestones",
-    "tau1",
-    "tau2",
-    "coarse_threshold",
-    "alpha_coef",
-    "beta_coef",
-    "discrepancy_epochs",
-    "hidden_widths",
-    "head_init_scale",
-    "train_loss",
-    "use_discrepancy",
-)
 
 REQUIRED_FIELDS = ("strategies", "openness_ratios", "seeds", "output_dir")
 
@@ -124,22 +110,20 @@ def resolve_config(raw: dict) -> dict:
             raise ConfigError(f"unknown field 'data.{key}'")
         data[key] = value
 
-    train_defaults = dataclasses.asdict(TrainConfig())
-    train = {k: train_defaults[k] for k in TRAIN_FIELDS}
+    train = {name: getattr(TrainConfig, name) for name in TRAIN_FIELDS}
     for key, value in raw.get("train", {}).items():
         if key not in TRAIN_FIELDS:
             raise ConfigError(f"unknown field 'train.{key}'")
-        train[key] = value
-    train["lr_milestones"] = tuple(train["lr_milestones"])
-    train["hidden_widths"] = tuple(train["hidden_widths"])
+        # JSON arrays arrive as lists; tuple-valued fields stay tuples
+        train[key] = tuple(value) if isinstance(train[key], tuple) else value
 
     resolved = {
         "strategies": strategies,
         "openness_ratios": ratios,
         "seeds": seeds,
         "output_dir": str(raw["output_dir"]),
-        "query_size": int(raw.get("query_size", 60)),
-        "num_cycles": int(raw.get("num_cycles", 5)),
+        "query_size": int(raw.get("query_size", TrainConfig.query_size)),
+        "num_cycles": int(raw.get("num_cycles", TrainConfig.num_cycles)),
         "data": data,
         "train": train,
     }
@@ -175,15 +159,7 @@ def _build_split(resolved: dict, r: float, seed: int):
             init_labeled_fraction=data["init_labeled_fraction"],
             test_fraction=data["test_fraction"],
         )
-    spec = BlobSpec(
-        num_known=data["num_known"],
-        num_unknown=data["num_unknown"],
-        dim=data["dim"],
-        per_class=data["per_class"],
-        radius=data["radius"],
-        cluster_std=data["cluster_std"],
-        seed=seed,
-    )
+    spec = BlobSpec(**{name: data[name] for name in BLOB_FIELDS}, seed=seed)
     return make_blobs(
         spec,
         r,
@@ -229,18 +205,12 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
     cells = list(
         product(resolved["strategies"], resolved["openness_ratios"], resolved["seeds"])
     )
+    # One job runs the cells in-process, in order, so they can be traced.
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [
-                    pool.submit(_execute_run, resolved, s, r, seed)
-                    for s, r, seed in cells
-                ]
-                for f in futures:
-                    print(f"completed {f.result()}")
-        else:
-            for s, r, seed in cells:
-                print(f"completed {_execute_run(resolved, s, r, seed)}")
+        with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+            run_map = pool.map if jobs > 1 else map
+            for tag in run_map(partial(_execute_run, resolved), *zip(*cells)):
+                print(f"completed {tag}")
     except Exception as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
@@ -285,6 +255,16 @@ def _read_run_csv(path: Path):
     return rows
 
 
+def _write_summary(path: Path, key_names, value_name: str, groups: dict) -> None:
+    """One row per group in key order (the ratio sorts as a number): the
+    key fields, the run count, and the mean and population std."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*key_names, "n_runs", f"mean_{value_name}", f"std_{value_name}"])
+        for key, vals in sorted(groups.items()):
+            writer.writerow([*key, len(vals), sum(vals) / len(vals), _population_std(vals)])
+
+
 def cmd_report(results_dir: str) -> int:
     dirpath = Path(results_dir)
     csv_files = sorted(dirpath.glob("*.csv"))
@@ -304,15 +284,12 @@ def cmd_report(results_dir: str) -> int:
     for (strategy, r, _seed), rows in runs.items():
         last = max(rows, key=lambda row: row["cycle"])
         final.setdefault((strategy, r), []).append(last["test_accuracy"])
-    with open(dirpath / "summary_accuracy.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["strategy", "openness_ratio", "n_runs", "mean_final_accuracy", "std_final_accuracy"]
-        )
-        for (strategy, r), accs in sorted(final.items()):
-            writer.writerow(
-                [strategy, repr(r), len(accs), repr(sum(accs) / len(accs)), repr(_population_std(accs))]
-            )
+    _write_summary(
+        dirpath / "summary_accuracy.csv",
+        ("strategy", "openness_ratio"),
+        "final_accuracy",
+        final,
+    )
 
     # per-cycle query-precision series
     series = {}
@@ -322,15 +299,12 @@ def cmd_report(results_dir: str) -> int:
                 series.setdefault((strategy, r, row["cycle"]), []).append(
                     row["query_precision"]
                 )
-    with open(dirpath / "query_precision_series.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["strategy", "openness_ratio", "cycle", "n_runs", "mean_query_precision", "std_query_precision"]
-        )
-        for (strategy, r, cycle), vals in sorted(series.items()):
-            writer.writerow(
-                [strategy, repr(r), cycle, len(vals), repr(sum(vals) / len(vals)), repr(_population_std(vals))]
-            )
+    _write_summary(
+        dirpath / "query_precision_series.csv",
+        ("strategy", "openness_ratio", "cycle"),
+        "query_precision",
+        series,
+    )
     print(f"aggregated {len(runs)} runs into summary_accuracy.csv and query_precision_series.csv")
     return 0
 

@@ -132,10 +132,8 @@ def _select(
             threshold=cfg.coarse_threshold,
             use_discrepancy=cfg.use_discrepancy,
         )
-    if strategy in BASELINE_STRATEGIES:
-        probs = averaged_probs(model, x_pool)
-        return baseline_select(strategy, probs, ids, budget, seed=seed)
-    raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    probs = averaged_probs(model, x_pool)
+    return baseline_select(strategy, probs, ids, budget, seed=seed)
 
 
 def run_experiment(
@@ -146,75 +144,56 @@ def run_experiment(
     cfg.validate()
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    master = np.random.SeedSequence(cfg.seed)
-    cycle_seeds = master.spawn(cfg.num_cycles + 1)
+    cycle_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.num_cycles + 1)
     x_test, y_test = split.test_arrays()
-    num_classes = split.num_classes
-
-    def train_fresh(cur_split: DatasetSplit, cycle: int) -> ModelParams:
-        init_seq, shuffle_seq = cycle_seeds[cycle].spawn(2)
+    metrics = []
+    for cycle, cycle_seed in enumerate(cycle_seeds):
+        if cycle and len(split.unlabeled_ids) == 0:
+            break
+        t0 = time.perf_counter()
+        query_precision, truncated = None, False
+        if cycle:
+            budget = min(cfg.query_size, len(split.unlabeled_ids))
+            # SeedSequence.spawn is stateful: the select seed is child 2 of
+            # this spawn, so the init and shuffle seeds below are children
+            # 3 and 4 (0 and 1 in cycle 0, which makes no query).
+            select_seed = cycle_seed.spawn(3)[2]
+            query = _select(strategy, model, split, cfg, budget, select_seed)
+            known_in_query = int(split.is_known(split.true_labels[query]).sum())
+            query_precision = known_in_query / len(query)
+            truncated = len(query) < cfg.query_size
+            split = oracle_label(query, split)
+            split.validate(check_openness=False)
+        init_seq, shuffle_seq = cycle_seed.spawn(2)
         model = init_model(
-            cur_split.features.shape[1],
-            num_classes,
+            split.features.shape[1],
+            split.num_classes,
             hidden_widths=cfg.hidden_widths,
             seed=init_seq,
             head_init_scale=cfg.head_init_scale,
         )
-        x_lab, y_lab = cur_split.labeled_arrays()
-        return train_cycle(
+        x_lab, y_lab = split.labeled_arrays()
+        model = train_cycle(
             model,
             x_lab,
             y_lab,
-            cur_split.unlabeled_features(),
+            split.unlabeled_features(),
             cfg,
             rng=np.random.default_rng(shuffle_seq),
         )
-
-    t0 = time.perf_counter()
-    model = train_fresh(split, 0)
-    metrics = [
-        CycleMetrics(
-            cycle=0,
-            query_precision=None,
-            test_accuracy=evaluate_accuracy(model, x_test, y_test),
-            labeled_size=len(split.labeled_ids),
-            unlabeled_size=len(split.unlabeled_ids),
-            discarded_unknown=len(split.discarded_ids),
-            wall_time=time.perf_counter() - t0,
-        )
-    ]
-    for cycle in range(1, cfg.num_cycles + 1):
-        if len(split.unlabeled_ids) == 0:
-            break
-        t0 = time.perf_counter()
-        budget = min(cfg.query_size, len(split.unlabeled_ids))
-        select_seed = cycle_seeds[cycle].spawn(3)[2]
-        query = _select(strategy, model, split, cfg, budget, select_seed)
-        known_in_query = int(split.is_known(split.true_labels[query]).sum())
-        split = oracle_label(query, split)
-        split.validate(check_openness=False)
-        model = train_fresh(split, cycle)
         metrics.append(
             CycleMetrics(
                 cycle=cycle,
-                query_precision=known_in_query / len(query),
+                query_precision=query_precision,
                 test_accuracy=evaluate_accuracy(model, x_test, y_test),
                 labeled_size=len(split.labeled_ids),
                 unlabeled_size=len(split.unlabeled_ids),
                 discarded_unknown=len(split.discarded_ids),
-                truncated=len(query) < cfg.query_size,
+                truncated=truncated,
                 wall_time=time.perf_counter() - t0,
             )
         )
     return metrics
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def write_metrics_csv(path, metrics, strategy: str, seed: int, r: float) -> None:
@@ -230,9 +209,9 @@ def write_metrics_csv(path, metrics, strategy: str, seed: int, r: float) -> None
                     m.cycle,
                     strategy,
                     seed,
-                    _fmt(float(r)),
-                    _fmt(m.query_precision),
-                    _fmt(m.test_accuracy),
+                    float(r),
+                    m.query_precision,
+                    m.test_accuracy,
                     m.labeled_size,
                     m.unlabeled_size,
                     m.discarded_unknown,

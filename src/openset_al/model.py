@@ -160,13 +160,6 @@ class ModelParams:
             return range(nb, total)
         raise ValueError(f"unknown parameter subset {subset!r}")
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            backbone=[[w.copy(), b.copy()] for w, b in self.backbone],
-            heads=[[w.copy(), b.copy()] for w, b in self.heads],
-            velocity=[v.copy() for v in self.velocity],
-        )
-
 
 def init_model(
     input_dim: int,
@@ -263,7 +256,8 @@ def _backward(model: ModelParams, acts, preacts, dzs, heads=True, backbone=True)
             da = dh * (preacts[i] > 0)
             grads[2 * i] += acts[i].T @ da
             grads[2 * i + 1] += da.sum(axis=0)
-            dh = da @ model.backbone[i][0].T
+            if i:  # nothing reads the gradient for the network input
+                dh = da @ model.backbone[i][0].T
     return grads
 
 

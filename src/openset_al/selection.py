@@ -240,16 +240,16 @@ def coarse_to_fine_select(
     eff = scores if use_discrepancy else scores._replace(
         s_dis=np.zeros_like(scores.s_dis)
     )
-    selected, posterior, _ = coarse_select(
+    _, posterior, _ = coarse_select(
         eff, ids, alpha_coef=alpha_coef, threshold=threshold
     )
+    # the comparison coarse_select makes; a mask over the pool avoids an
+    # isin against the ids it returns
     sub_mask = posterior > threshold
     budget = min(budget, ids.size)
-    if not sub_mask.any():
-        # empty coarse stage: spend the budget on the best posteriors
-        order = np.lexsort((ids, -posterior))
-        return ids[order[:budget]]
-    query = fine_select(eff, ids, sub_mask, beta_coef=beta_coef, budget=budget)
+    query = ids[:0]
+    if sub_mask.any():
+        query = fine_select(eff, ids, sub_mask, beta_coef=beta_coef, budget=budget)
     if query.size < budget:
         rest_mask = ~np.isin(ids, query)
         rest_ids = ids[rest_mask]

@@ -1,6 +1,7 @@
 """CLI tests: exit codes, config validation messages, deterministic
 outputs, aggregation arithmetic, and fault injection into the checker."""
 
+import dataclasses
 import json
 import time
 
@@ -9,6 +10,8 @@ import pytest
 
 from openset_al import cli, evidential
 from openset_al.checks import run_checks
+from openset_al.datasets import BlobSpec
+from openset_al.model import TrainConfig
 
 
 def minimal_config(tmp_path, **overrides):
@@ -145,6 +148,30 @@ class TestCmdReport:
         assert float(mean) == pytest.approx(0.9, abs=1e-12)
         assert float(std) == pytest.approx((0.02 / 3) ** 0.5, abs=1e-12)
 
+    def test_hand_computed_precision_series(self, tmp_path):
+        """Three runs with doctored query precisions {0.25, 0.5, 1.0}: every
+        cycle of the series must report mean 7/12 and population std
+        sqrt(14) / 12."""
+        results = self.run_grid(tmp_path, [0, 1, 2])
+        for seed, prec in zip([0, 1, 2], [0.25, 0.5, 1.0]):
+            p = results / f"metrics_random_r0.5_s{seed}.csv"
+            lines = p.read_text().splitlines()
+            doctored = [lines[0]]
+            for line in lines[1:]:
+                parts = line.split(",")
+                if parts[4]:  # cycle 0 has no query
+                    parts[4] = repr(prec)
+                doctored.append(",".join(parts))
+            p.write_text("\n".join(doctored) + "\n")
+        assert cli.main(["report", "--dir", str(results)]) == 0
+        rows = (results / "query_precision_series.csv").read_text().strip().splitlines()
+        assert [row.split(",")[2] for row in rows[1:]] == ["1", "2"]
+        for row in rows[1:]:
+            _, _, _, n, mean, std = row.split(",")
+            assert n == "3"
+            assert float(mean) == pytest.approx(7 / 12, abs=1e-12)
+            assert float(std) == pytest.approx(14 ** 0.5 / 12, abs=1e-12)
+
     def test_malformed_row_skipped_with_warning(self, tmp_path, capsys):
         results = self.run_grid(tmp_path, [0])
         p = results / "metrics_random_r0.5_s0.csv"
@@ -254,3 +281,81 @@ class TestResolveConfig:
                     "output_dir": "x",
                 }
             )
+
+
+def grid_fields(**extra):
+    return {
+        "strategies": ["random"],
+        "openness_ratios": [0.5],
+        "seeds": [3],
+        "output_dir": "x",
+        **extra,
+    }
+
+
+# A valid non-default value for every TrainConfig field the ``train``
+# section accepts (seed, query_size and num_cycles live elsewhere).
+TRAIN_OVERRIDES = {
+    "lr": 0.05,
+    "momentum": 0.5,
+    "weight_decay": 1e-3,
+    "batch_size": 64,
+    "epochs": 90,
+    "lr_milestones": [30, 70],
+    "tau1": 3.0,
+    "tau2": -2.0,
+    "coarse_threshold": 0.3,
+    "alpha_coef": 2.0,
+    "beta_coef": 0.25,
+    "discrepancy_epochs": 3,
+    "hidden_widths": [32],
+    "head_init_scale": 1e-3,
+    "train_loss": "cross_entropy",
+    "use_discrepancy": False,
+}
+TRAIN_SECTION_FIELDS = [
+    f.name
+    for f in dataclasses.fields(TrainConfig)
+    if f.name not in ("seed", "query_size", "num_cycles")
+]
+
+# A non-default value for every BlobSpec field except the grid-owned seed.
+DATA_OVERRIDES = {
+    "num_known": 3,
+    "num_unknown": 2,
+    "dim": 8,
+    "per_class": 100,
+    "radius": 4.0,
+    "cluster_std": 0.5,
+}
+DATA_SECTION_FIELDS = [f.name for f in dataclasses.fields(BlobSpec) if f.name != "seed"]
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("name", TRAIN_SECTION_FIELDS)
+    def test_train_field_reaches_train_config(self, name):
+        value = TRAIN_OVERRIDES[name]
+        assert value != getattr(TrainConfig, name)
+        expected = tuple(value) if isinstance(value, list) else value
+        resolved = cli.resolve_config(grid_fields(train={name: value}))
+        assert resolved["train"][name] == expected
+        cfg = cli._train_config(resolved, seed=3)
+        assert getattr(cfg, name) == expected
+        assert cfg.seed == 3
+
+    @pytest.mark.parametrize("name", DATA_SECTION_FIELDS)
+    def test_data_field_reaches_blob_spec(self, name, monkeypatch):
+        value = DATA_OVERRIDES[name]
+        assert value != getattr(BlobSpec, name)
+        resolved = cli.resolve_config(grid_fields(data={name: value}))
+        assert resolved["data"][name] == value
+        specs = []
+        monkeypatch.setattr(cli, "make_blobs", lambda spec, r, **kw: specs.append(spec))
+        cli._build_split(resolved, 0.5, seed=3)
+        assert getattr(specs[0], name) == value
+        assert specs[0].seed == 3
+
+    def test_top_level_cycle_defaults_come_from_train_config(self):
+        resolved = cli.resolve_config(grid_fields())
+        assert resolved["query_size"] == TrainConfig.query_size
+        assert resolved["num_cycles"] == TrainConfig.num_cycles

@@ -1,6 +1,7 @@
 """Harness tests: oracle bookkeeping on a toy split, accuracy evaluation,
 pool conservation, budget accounting, and run-level determinism."""
 
+import csv
 import dataclasses
 
 import numpy as np
@@ -201,3 +202,18 @@ class TestMetricsCsv:
         first = lines[1].split(",")
         assert first[4] == ""
         assert all(line.endswith(",") for line in lines[1:])
+
+    def test_numpy_floats_written_as_plain_numbers(self, tmp_path):
+        """NumPy scalars in a metrics row read back as plain decimals, so
+        ``openset-al report`` can parse them."""
+        metrics = [
+            CycleMetrics(0, None, np.float64(0.9), 10, 40, 0),
+            CycleMetrics(1, np.float64(0.5), np.float64(0.9), 15, 30, 5),
+        ]
+        path = tmp_path / "m.csv"
+        write_metrics_csv(path, metrics, "random", 0, np.float64(0.5))
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["test_accuracy"] for row in rows] == ["0.9", "0.9"]
+        assert [row["query_precision"] for row in rows] == ["", "0.5"]
+        assert [row["r"] for row in rows] == ["0.5", "0.5"]

@@ -241,6 +241,20 @@ class TestCoarseToFine:
         direct = fine_select(scores, ids, np.ones(150, bool), 0.5, budget=12)
         np.testing.assert_array_equal(query, direct)
 
+    def test_empty_coarse_stage_spends_budget_on_best_posteriors(self):
+        """A threshold that no posterior exceeds leaves no coarse survivors;
+        the whole budget then goes to the highest known-mode posteriors,
+        ties broken by ascending id."""
+        scores = make_scores(80, seed=7)
+        ids = np.random.default_rng(8).permutation(np.arange(100, 180))
+        _, posterior, _ = coarse_select(scores, ids)
+        threshold = posterior.max()
+        sub_mask = posterior > threshold
+        assert not sub_mask.any()
+        query = coarse_to_fine_select(scores, ids, budget=10, threshold=threshold)
+        expected = ids[np.lexsort((ids, -posterior))[:10]]
+        np.testing.assert_array_equal(query, expected)
+
     def test_discrepancy_toggle_changes_combination(self):
         scores = make_scores(200, seed=6, s_dis_scale=5.0)
         with_dis = coarse_to_fine_select(scores, np.arange(200), 20)
