@@ -85,28 +85,46 @@ def _check_kl(rng):
 
 
 def _check_gradients(rng):
-    m = model.init_model(4, 3, hidden_widths=(6,), seed=int(rng.integers(1 << 31)))
+    """Spot-check each public loss's gradient against central differences.
+
+    ``close_loss`` and ``dis_loss`` run with frozen weights and are checked
+    on the parameters they train (backbone and heads respectively)."""
+    m = model.init_model(
+        4, 3, hidden_widths=(6,), seed=int(rng.integers(1 << 31)), head_init_scale=1.0
+    )
     x = rng.normal(size=(3, 4))
     y = rng.integers(0, 3, size=3)
-    _, grads = model.edl_loss(m, x, y)
-    params = m.flat_params()
+    alphas = model.forward(m, x)
+    w_close = model.close_weights(alphas, tau1=0.5)
+    w_dis = model.dis_weights(alphas, tau2=0.2)
+    nb = m.num_backbone_arrays
+    losses = {
+        "edl": (lambda: model.edl_loss(m, x, y), slice(None)),
+        "cross_entropy": (lambda: model.cross_entropy_loss(m, x, y), slice(None)),
+        "close": (lambda: model.close_loss(m, x, weights=w_close), slice(nb)),
+        "dis": (lambda: model.dis_loss(m, x, weights=w_dis), slice(nb, None)),
+    }
     h = 1e-5
-    worst = 0.0
-    # spot-check a handful of coordinates per array
-    for arr, g in zip(params, grads):
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for idx in rng.choice(flat.size, size=min(4, flat.size), replace=False):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            fp, _ = model.edl_loss(m, x, y)
-            flat[idx] = orig - h
-            fm, _ = model.edl_loss(m, x, y)
-            flat[idx] = orig
-            num = (fp - fm) / (2 * h)
-            denom = max(abs(num), abs(gflat[idx]), 1e-6)
-            worst = max(worst, abs(num - gflat[idx]) / denom)
-    return worst < 1e-4, f"max relative gradient error = {worst:.3e}"
+    worst = {}
+    for name, (loss, part) in losses.items():
+        _, grads = loss()
+        worst[name] = 0.0
+        # spot-check a handful of coordinates per array
+        for arr, g in zip(m.flat_params()[part], grads[part]):
+            flat = arr.reshape(-1)
+            gflat = g.reshape(-1)
+            for idx in rng.choice(flat.size, size=min(4, flat.size), replace=False):
+                orig = flat[idx]
+                flat[idx] = orig + h
+                fp, _ = loss()
+                flat[idx] = orig - h
+                fm, _ = loss()
+                flat[idx] = orig
+                num = (fp - fm) / (2 * h)
+                denom = max(abs(num), abs(gflat[idx]), 1e-6)
+                worst[name] = max(worst[name], abs(num - gflat[idx]) / denom)
+    detail = ", ".join(f"{name} {err:.3e}" for name, err in worst.items())
+    return max(worst.values()) < 1e-4, f"max relative gradient error: {detail}"
 
 
 def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:

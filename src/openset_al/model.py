@@ -116,15 +116,53 @@ class ModelParams:
     between; ``heads`` holds exactly two [weight, bias] pairs with equal
     shapes mapping the last hidden width to the class count.  ``velocity``
     mirrors ``flat_params()`` and starts at zero.
+
+    Construction copies the given arrays into two contiguous float64
+    buffers with one layout: ``param_buffer`` holds every parameter in
+    ``flat_params()`` order and ``velocity_buffer`` the matching momentum
+    state, and ``offsets[i]:offsets[i + 1]`` is array i's slice of either.
+    The ``backbone``, ``heads`` and ``velocity`` lists then hold views on
+    the buffers, so a parameter subset is one slice that ``sgd_step``
+    updates in a single pass.  Write through the views in place
+    (``w[:] = ...``); rebinding a list entry detaches it from the buffer.
     """
 
     backbone: list[list[np.ndarray]]
     heads: list[list[np.ndarray]]
     velocity: list[np.ndarray] = field(default_factory=list)
+    param_buffer: np.ndarray = field(init=False, repr=False, compare=False)
+    velocity_buffer: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.velocity:
-            self.velocity = [np.zeros_like(p) for p in self.flat_params()]
+        arrays = [np.asarray(a, dtype=float) for a in self.flat_params()]
+        if self.velocity and [np.shape(v) for v in self.velocity] != [
+            a.shape for a in arrays
+        ]:
+            raise ValueError("velocity must mirror flat_params() array by array")
+        self.offsets = tuple(np.cumsum([0] + [a.size for a in arrays]).tolist())
+        self.param_buffer = np.zeros(self.offsets[-1])
+        self.velocity_buffer = np.zeros(self.offsets[-1])
+        params = self._views(self.param_buffer, arrays)
+        velocity = self._views(self.velocity_buffer, arrays)
+        for view, a in zip(params, arrays):
+            view[...] = a
+        for view, v in zip(velocity, self.velocity):
+            view[...] = v
+        pairs = [params[i : i + 2] for i in range(0, len(params), 2)]
+        self.backbone, self.heads = pairs[: len(self.backbone)], pairs[len(self.backbone) :]
+        self.velocity = velocity
+
+    def __reduce__(self):
+        # Copies and pickles rebuild the buffers: copied views would no
+        # longer share storage with the buffers ``sgd_step`` updates.
+        return type(self), (self.backbone, self.heads, self.velocity)
+
+    def _views(self, buffer: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+        return [
+            buffer[lo:hi].reshape(a.shape)
+            for lo, hi, a in zip(self.offsets, self.offsets[1:], like)
+        ]
 
     def flat_params(self) -> list[np.ndarray]:
         out = []
@@ -206,9 +244,13 @@ def init_model(
     return ModelParams(backbone=backbone, heads=heads)
 
 
+def _as_batch(x) -> np.ndarray:
+    return np.atleast_2d(np.asarray(x, dtype=float))
+
+
 def _forward_cached(model: ModelParams, x: np.ndarray):
     """Forward pass keeping every intermediate needed by backprop."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    x = _as_batch(x)
     if x.shape[1] != model.input_dim:
         raise ValueError(
             f"input dim {x.shape[1]} does not match model dim {model.input_dim}"
@@ -237,39 +279,60 @@ def forward(model: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _backward(model: ModelParams, acts, preacts, dzs, heads=True, backbone=True):
     """Flat gradient list given the two heads' logit gradients ``dzs``.
 
-    ``heads`` fills the head weight/bias gradients; ``backbone`` backprops
-    d_hidden = sum_h dz_h W_h^T through the ReLU layers.  Entries outside
-    the requested subset stay exactly zero.
+    ``heads`` computes the head weight/bias gradients; ``backbone``
+    backprops d_hidden = sum_h dz_h W_h^T through the ReLU layers.  Only
+    the entries outside the requested subset are allocated as zeros.
     """
-    grads = [np.zeros_like(p) for p in model.flat_params()]
+    params = model.flat_params()
     nb = model.num_backbone_arrays
-    d_hidden = np.zeros_like(acts[-1])
-    for h_idx, ((w_h, _), dz) in enumerate(zip(model.heads, dzs)):
-        if heads:
-            grads[nb + 2 * h_idx] += acts[-1].T @ dz
-            grads[nb + 2 * h_idx + 1] += dz.sum(axis=0)
-        if backbone:
-            d_hidden += dz @ w_h.T
+    grads = [None] * len(params)
+    if heads:
+        for h_idx, dz in enumerate(dzs):
+            grads[nb + 2 * h_idx] = acts[-1].T @ dz
+            grads[nb + 2 * h_idx + 1] = dz.sum(axis=0)
     if backbone:
-        dh = d_hidden
+        (w1, _), (w2, _) = model.heads
+        dh = dzs[0] @ w1.T
+        dh += dzs[1] @ w2.T
         for i in reversed(range(len(model.backbone))):
             da = dh * (preacts[i] > 0)
-            grads[2 * i] += acts[i].T @ da
-            grads[2 * i + 1] += da.sum(axis=0)
+            grads[2 * i] = acts[i].T @ da
+            grads[2 * i + 1] = da.sum(axis=0)
             if i:  # nothing reads the gradient for the network input
                 dh = da @ model.backbone[i][0].T
-    return grads
+    return [np.zeros_like(p) if g is None else g for g, p in zip(grads, params)]
 
 
-def _one_hot(y: np.ndarray, num_classes: int) -> np.ndarray:
+def _one_hot(y: np.ndarray, num_classes: int, rows: int) -> np.ndarray:
+    """One-hot encoding of ``rows`` known-class labels; raises on anything
+    else."""
     y = np.asarray(y)
-    if y.ndim != 1:
-        raise ValueError("labels must be a 1-D integer array")
+    if y.ndim != 1 or y.shape[0] != rows:
+        raise ValueError(f"labels must be a 1-D integer array of length {rows}")
     if np.any((y < 0) | (y >= num_classes)):
         raise ValueError(
             f"labels must be known-class indices in [0, {num_classes}); got {y!r}"
         )
     return np.eye(num_classes)[y]
+
+
+def _edl_grads(model: ModelParams, x: np.ndarray, yy: np.ndarray):
+    """One forward pass and the flat gradient of ``edl_loss`` on one-hot
+    labels ``yy``; returns (the heads' evidence, gradients)."""
+    acts, preacts, _, alphas, clip_masks = _forward_cached(model, x)
+    n, c = acts[0].shape[0], model.num_classes
+    off_label = 1.0 - yy
+    dzs = []
+    for alpha, mask in zip(alphas, clip_masks):
+        s = alpha.sum(axis=1, keepdims=True)
+        a_t = yy + off_label * alpha
+        s_t = a_t.sum(axis=1, keepdims=True)
+        # d/d alpha~ of the KL term, then chain through the label mask.
+        # zeta(2, .) is the trigamma function polygamma(1, .), bit for bit.
+        dkl_dat = (a_t - 1.0) * special.zeta(2, a_t) - special.zeta(2, s_t) * (s_t - c)
+        dl_dalpha = (1.0 / s) - yy / alpha + dkl_dat * off_label
+        dzs.append(dl_dalpha * alpha * mask / (2.0 * n))
+    return alphas, _backward(model, acts, preacts, dzs)
 
 
 def edl_loss(
@@ -281,24 +344,30 @@ def edl_loss(
     label-masked evidence alpha~ = Y + (1 - Y) * alpha to the flat
     Dirichlet.  Returns (loss, flat gradient list over all parameters).
     """
-    acts, preacts, _, alphas, clip_masks = _forward_cached(model, x)
-    n, c = acts[0].shape[0], model.num_classes
-    yy = _one_hot(y, c)
+    x = _as_batch(x)
+    yy = _one_hot(y, model.num_classes, x.shape[0])
+    alphas, grads = _edl_grads(model, x, yy)
     total = 0.0
-    dzs = []
-    for alpha, mask in zip(alphas, clip_masks):
+    for alpha in alphas:
         s = alpha.sum(axis=1, keepdims=True)
         nll = (yy * (np.log(s) - np.log(alpha))).sum(axis=1)
         a_t = yy + (1.0 - yy) * alpha
-        s_t = a_t.sum(axis=1, keepdims=True)
         total += float(np.mean(nll + kl_dirichlet_to_uniform(a_t)))
-        # d/d alpha~ of the KL term, then chain through the label mask.
-        dkl_dat = (a_t - 1.0) * special.polygamma(1, a_t) - special.polygamma(
-            1, s_t
-        ) * (s_t - c)
-        dl_dalpha = (1.0 / s) - yy / alpha + dkl_dat * (1.0 - yy)
-        dzs.append(dl_dalpha * alpha * mask / (2.0 * n))
-    return total / 2.0, _backward(model, acts, preacts, dzs)
+    return total / 2.0, grads
+
+
+def _cross_entropy_grads(model: ModelParams, x: np.ndarray, yy: np.ndarray):
+    """One forward pass and the flat gradient of ``cross_entropy_loss``;
+    returns (each head's log-softmax, gradients)."""
+    acts, preacts, logits, _, _ = _forward_cached(model, x)
+    n = acts[0].shape[0]
+    logps, dzs = [], []
+    for z in logits:
+        zmax = z.max(axis=1, keepdims=True)
+        logp = z - zmax - np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
+        logps.append(logp)
+        dzs.append((np.exp(logp) - yy) / (2.0 * n))
+    return logps, _backward(model, acts, preacts, dzs)
 
 
 def cross_entropy_loss(
@@ -306,17 +375,13 @@ def cross_entropy_loss(
 ) -> tuple[float, list[np.ndarray]]:
     """Plain softmax cross-entropy on both heads; the training-time
     substitute used by the ablation that drops the evidential objective."""
-    acts, preacts, logits, _, _ = _forward_cached(model, x)
-    n, c = acts[0].shape[0], model.num_classes
-    yy = _one_hot(y, c)
+    x = _as_batch(x)
+    yy = _one_hot(y, model.num_classes, x.shape[0])
+    logps, grads = _cross_entropy_grads(model, x, yy)
     total = 0.0
-    dzs = []
-    for z in logits:
-        zmax = z.max(axis=1, keepdims=True)
-        logp = z - zmax - np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
+    for logp in logps:
         total += float(-np.mean((yy * logp).sum(axis=1)))
-        dzs.append((np.exp(logp) - yy) / (2.0 * n))
-    return total / 2.0, _backward(model, acts, preacts, dzs)
+    return total / 2.0, grads
 
 
 def close_weights(alphas, tau1: float) -> np.ndarray:
@@ -339,9 +404,9 @@ def dis_weights(alphas, tau2: float) -> np.ndarray:
 def _weighted_jsd(model: ModelParams, x: np.ndarray, weights, weight_fn, tau, name):
     """One forward pass over an unlabeled batch.  Returns the backprop
     cache, the per-example weights (``weights`` if given, else
-    ``weight_fn(alphas, tau)``), JSD(p1, p2) of the heads' normalized
-    evidence and each head's weighted logit gradient of that JSD."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    ``weight_fn(alphas, tau)``), the heads' normalized evidence (p, q)
+    and each head's weighted logit gradient of JSD(p, q)."""
+    x = _as_batch(x)
     if x.shape[0] == 0:
         raise ValueError(f"{name} requires a non-empty batch")
     acts, preacts, _, alphas, clip_masks = _forward_cached(model, x)
@@ -352,7 +417,23 @@ def _weighted_jsd(model: ModelParams, x: np.ndarray, weights, weight_fn, tau, na
     for r, mask in zip((p, q), clip_masks):
         g = np.log(r / m) / (2.0 * LN2)
         dzs.append(w[:, None] * (r * (g - (r * g).sum(axis=1, keepdims=True)) * mask))
-    return acts, preacts, w, np.atleast_1d(jsd(p, q)), dzs
+    return acts, preacts, w, (p, q), dzs
+
+
+def _close_grads(model: ModelParams, x: np.ndarray, tau1: float, weights=None):
+    """Flat gradient of ``close_loss``; returns ((weights, (p, q)), gradients)."""
+    acts, preacts, w, pq, dzs = _weighted_jsd(
+        model, x, weights, close_weights, tau1, "close_loss"
+    )
+    return (w, pq), _backward(model, acts, preacts, dzs, heads=False)
+
+
+def _dis_grads(model: ModelParams, x: np.ndarray, tau2: float, weights=None):
+    """Flat gradient of ``dis_loss``; returns ((weights, (p, q)), gradients)."""
+    acts, preacts, w, pq, dzs = _weighted_jsd(
+        model, x, weights, dis_weights, tau2, "dis_loss"
+    )
+    return (w, pq), _backward(model, acts, preacts, [-dz for dz in dzs], backbone=False)
 
 
 def close_loss(
@@ -367,11 +448,8 @@ def close_loss(
     ``weights`` overrides the internally computed constants (useful for
     numerical gradient checking, where they must stay frozen).
     """
-    acts, preacts, w, vals, dzs = _weighted_jsd(
-        model, x, weights, close_weights, tau1, "close_loss"
-    )
-    loss = float((w * vals).sum())
-    return loss, _backward(model, acts, preacts, dzs, heads=False)
+    (w, (p, q)), grads = _close_grads(model, x, tau1, weights)
+    return float((w * np.atleast_1d(jsd(p, q))).sum()), grads
 
 
 def dis_loss(
@@ -382,11 +460,8 @@ def dis_loss(
 ) -> tuple[float, list[np.ndarray]]:
     """Weighted (1 - JSD) between the heads, differentiated through the
     two heads only; backbone gradient entries are exactly zero."""
-    acts, preacts, w, vals, dzs = _weighted_jsd(
-        model, x, weights, dis_weights, tau2, "dis_loss"
-    )
-    loss = float((w * (1.0 - vals)).sum())
-    return loss, _backward(model, acts, preacts, [-dz for dz in dzs], backbone=False)
+    (w, (p, q)), grads = _dis_grads(model, x, tau2, weights)
+    return float((w * (1.0 - np.atleast_1d(jsd(p, q)))).sum()), grads
 
 
 def learning_rate_at(epoch: int, cfg: TrainConfig) -> float:
@@ -407,23 +482,30 @@ def sgd_step(
     v <- momentum * v + grad + weight_decay * param
     param <- param - lr(epoch) * v
 
-    Parameters and velocities outside the subset are untouched (bitwise).
-    Raises on non-finite gradients, naming the offending array.
+    The subset is one contiguous slice of the model's parameter and
+    velocity buffers, updated in one pass; parameters and velocities
+    outside it are untouched (bitwise).  Raises on non-finite gradients
+    in the subset, naming the first offending array.
     """
     params = model.flat_params()
-    if len(grads) != len(params):
+    if [np.shape(g) for g in grads] != [p.shape for p in params]:
         raise ValueError("gradient list does not match parameter list")
     lr = learning_rate_at(epoch, cfg)
-    for i in model.trainable_indices(trainable):
-        g = grads[i]
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(
-                f"non-finite gradient in parameter {i} (shape {g.shape}) at epoch {epoch}"
-            )
-        v = model.velocity[i]
-        v *= cfg.momentum
-        v += g + cfg.weight_decay * params[i]
-        params[i] -= lr * v
+    idx = model.trainable_indices(trainable)
+    g = np.concatenate(grads[idx.start : idx.stop], axis=None)
+    if not np.isfinite(g).all():
+        i = next(i for i in idx if not np.isfinite(grads[i]).all())
+        raise FloatingPointError(
+            f"non-finite gradient in parameter {i} (shape {params[i].shape}) at epoch {epoch}"
+        )
+    lo, hi = model.offsets[idx.start], model.offsets[idx.stop]
+    p, v = model.param_buffer[lo:hi], model.velocity_buffer[lo:hi]
+    v *= cfg.momentum
+    step = cfg.weight_decay * p
+    step += g
+    v += step
+    np.multiply(v, lr, out=step)
+    p -= step
     return model
 
 
@@ -448,34 +530,37 @@ def train_cycle(
     epochs over the unlabeled pool alternating a backbone-only agreement
     epoch with a heads-only disagreement epoch.  The epoch counter keeps
     running through the second phase so the lr schedule carries over.
+
+    Each step computes only the gradient its update reads: the loss
+    values are never evaluated.  Labels are validated and one-hot encoded
+    once, before any parameter changes.
     """
-    x_labeled = np.atleast_2d(np.asarray(x_labeled, dtype=float))
+    x_labeled = _as_batch(x_labeled)
     if x_labeled.shape[0] == 0:
         raise ValueError("train_cycle requires a non-empty labeled pool")
+    yy = _one_hot(y_labeled, model.num_classes, x_labeled.shape[0])
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    loss_fn = edl_loss if cfg.train_loss == "edl" else cross_entropy_loss
+    grad_fn = _edl_grads if cfg.train_loss == "edl" else _cross_entropy_grads
     batch = min(cfg.batch_size, x_labeled.shape[0])
     for epoch in range(cfg.epochs):
         for idx in _epoch_batches(x_labeled.shape[0], batch, rng):
-            _, grads = loss_fn(model, x_labeled[idx], y_labeled[idx])
+            _, grads = grad_fn(model, x_labeled[idx], yy[idx])
             sgd_step(model, grads, epoch, cfg, trainable="all")
 
-    x_unlabeled = np.atleast_2d(np.asarray(x_unlabeled, dtype=float))
+    x_unlabeled = _as_batch(x_unlabeled)
     discrepancy_epochs = cfg.discrepancy_epochs if cfg.use_discrepancy else 0
     if x_unlabeled.shape[0] == 0:
         discrepancy_epochs = 0
     ubatch = min(cfg.batch_size, max(x_unlabeled.shape[0], 1))
     for k in range(discrepancy_epochs):
-        epoch = cfg.epochs + k
         if k % 2 == 0:
-            for idx in _epoch_batches(x_unlabeled.shape[0], ubatch, rng):
-                _, grads = close_loss(model, x_unlabeled[idx], tau1=cfg.tau1)
-                sgd_step(model, grads, epoch, cfg, trainable="backbone")
+            grad_fn, tau, trainable = _close_grads, cfg.tau1, "backbone"
         else:
-            for idx in _epoch_batches(x_unlabeled.shape[0], ubatch, rng):
-                _, grads = dis_loss(model, x_unlabeled[idx], tau2=cfg.tau2)
-                sgd_step(model, grads, epoch, cfg, trainable="heads")
+            grad_fn, tau, trainable = _dis_grads, cfg.tau2, "heads"
+        for idx in _epoch_batches(x_unlabeled.shape[0], ubatch, rng):
+            _, grads = grad_fn(model, x_unlabeled[idx], tau)
+            sgd_step(model, grads, cfg.epochs + k, cfg, trainable=trainable)
     return model
 
 

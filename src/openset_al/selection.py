@@ -119,6 +119,12 @@ def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
     the responsibilities and the per-point mean log-likelihood from one
     logsumexp pass; the log-likelihood is non-decreasing across
     iterations and the fit stops when it improves by less than ``tol``.
+
+    Data large enough in magnitude for the summed squared deviations to
+    overflow is fitted divided by a power of two 2^e, which is exact; the
+    means, variances and log-likelihoods are then scaled back by 2^e,
+    4^e and -e ln 2.  On that path the variance floor scales by 4^e as
+    well, and a variance beyond the float64 range reads inf.
     """
     x = np.asarray(scores, dtype=float)
     if x.ndim != 1:
@@ -127,6 +133,19 @@ def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
         raise DegenerateDataError(
             "need at least 2 distinct values to fit a two-mode mixture"
         )
+    peak = np.abs(x).max()
+    if peak <= np.sqrt(np.finfo(float).max / (4.0 * x.size)):
+        return _fit_em(x, max_iter, tol)
+    _, e = np.frexp(peak)
+    model = _fit_em(np.ldexp(x, -e), max_iter, tol)
+    model.means = np.ldexp(model.means, e)
+    with np.errstate(over="ignore"):  # a variance beyond float64 reads inf
+        model.variances = np.ldexp(model.variances, 2 * e)
+    model.log_likelihoods = [ll - e * np.log(2.0) for ll in model.log_likelihoods]
+    return model
+
+
+def _fit_em(x: np.ndarray, max_iter: int, tol: float) -> GmmModel:
     med = np.median(x)
     low, high = x[x <= med], x[x > med]
     if high.size == 0:

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from openset_al import cli, evidential
+from openset_al import cli, evidential, model
 from openset_al.checks import run_checks
 from openset_al.datasets import BlobSpec
 from openset_al.model import TrainConfig
@@ -227,6 +227,22 @@ class TestCmdCheck:
         results = run_checks()
         failed = {name for name, ok, _ in results if not ok}
         assert "jsd_properties" in failed
+
+    @pytest.mark.parametrize(
+        "helper", ["_edl_grads", "_cross_entropy_grads", "_close_grads", "_dis_grads"]
+    )
+    def test_wrong_loss_gradient_fails_spot_check(self, monkeypatch, helper):
+        """Fault injection: doubling one loss's gradient (its value is
+        unchanged) must fail the gradient spot check and nothing else."""
+        real = getattr(model, helper)
+
+        def mutated(*args, **kwargs):
+            aux, grads = real(*args, **kwargs)
+            return aux, [2.0 * g for g in grads]
+
+        monkeypatch.setattr(model, helper, mutated)
+        failed = {name for name, ok, _ in run_checks() if not ok}
+        assert failed == {"gradient_spot_check"}
 
     def test_config_seed_used(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -1,7 +1,9 @@
 """Trainer tests: analytic gradients against finite differences, freezing
 contracts, optimizer arithmetic, determinism, and checkpoint round-trips."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -260,11 +262,59 @@ class TestSgdStep:
         np.testing.assert_allclose(m.heads[0][0], p_expected, atol=1e-12)
         np.testing.assert_allclose(m.velocity[0], v_expected, atol=1e-12)
 
-    def test_nonfinite_gradient_rejected(self):
+    @pytest.mark.parametrize("trainable", ["all", "backbone", "heads"])
+    def test_matches_per_array_reference_bitwise(self, trainable):
+        """The fused update over the buffer slice equals the per-array loop
+        v *= m; v += g + wd * p; p -= lr * v on the subset, bit for bit,
+        and leaves every other array untouched."""
+        cfg = TrainConfig(lr=0.03, momentum=0.9, weight_decay=1e-3)
+        m = tiny_model(seed=3)
+        rng = np.random.default_rng(0)
+        for v in m.velocity:
+            v[:] = rng.normal(size=v.shape)
+        grads = [rng.normal(size=p.shape) for p in flat(m)]
+        params = [p.copy() for p in flat(m)]
+        velocity = [v.copy() for v in m.velocity]
+        lr = learning_rate_at(0, cfg)
+        for i in m.trainable_indices(trainable):
+            velocity[i] *= cfg.momentum
+            velocity[i] += grads[i] + cfg.weight_decay * params[i]
+            params[i] -= lr * velocity[i]
+        sgd_step(m, grads, 0, cfg, trainable=trainable)
+        for got, want in zip(flat(m) + m.velocity, params + velocity):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "trainable, bad, raises",
+        [("all", 2, True), ("backbone", 2, True), ("heads", 5, True), ("heads", 2, False),
+         ("backbone", 5, False)],
+    )
+    def test_nonfinite_gradient_rejected(self, trainable, bad, raises):
+        """Only the trainable subset's gradients are read: a nan inside it
+        names its array, a nan outside it is ignored."""
         m = tiny_model()
         grads = [np.zeros_like(p) for p in flat(m)]
-        grads[2][0] = np.nan
-        with pytest.raises(FloatingPointError, match="parameter 2"):
+        grads[bad][0] = np.nan
+        if raises:
+            with pytest.raises(FloatingPointError, match=f"parameter {bad} "):
+                sgd_step(m, grads, 0, TrainConfig(), trainable=trainable)
+        else:
+            sgd_step(m, grads, 0, TrainConfig(), trainable=trainable)
+            assert all(np.all(np.isfinite(p)) for p in flat(m))
+
+    def test_nan_reports_first_offending_array(self):
+        m = tiny_model()
+        grads = [np.zeros_like(p) for p in flat(m)]
+        grads[3][1] = np.inf
+        grads[1][0] = np.nan
+        with pytest.raises(FloatingPointError, match="parameter 1 "):
+            sgd_step(m, grads, 0, TrainConfig())
+
+    def test_mismatched_gradient_shapes_rejected(self):
+        m = tiny_model()
+        grads = [np.zeros_like(p) for p in flat(m)]
+        grads[0] = grads[0].T
+        with pytest.raises(ValueError, match="does not match"):
             sgd_step(m, grads, 0, TrainConfig())
 
     def test_subset_masking_is_bitwise(self):
@@ -289,6 +339,23 @@ def quick_cfg(**kw):
     return TrainConfig(**base)
 
 
+def plain_epochs(model, x, y, cfg, rng, epochs):
+    """Labeled-data epochs written out with the public loss and sgd_step."""
+    loss_fn = edl_loss if cfg.train_loss == "edl" else cross_entropy_loss
+    batch = min(cfg.batch_size, len(x))
+    for epoch in epochs:
+        order = rng.permutation(len(x))
+        for s in range(0, len(x), batch):
+            idx = order[s : s + batch]
+            _, grads = loss_fn(model, x[idx], y[idx])
+            sgd_step(model, grads, epoch, cfg)
+
+
+def state_bytes(model):
+    """Every parameter and velocity byte, read through the array views."""
+    return b"".join(a.tobytes() for a in flat(model) + model.velocity)
+
+
 class TestTrainCycle:
     def test_empty_labeled_pool_rejected(self):
         with pytest.raises(ValueError):
@@ -308,25 +375,65 @@ class TestTrainCycle:
             runs.append(b"".join(p.tobytes() for p in flat(m)))
         assert runs[0] == runs[1]
 
-    def test_no_discrepancy_phase_equals_plain_training(self, small_split):
-        """discrepancy_epochs = 0 reproduces a bare labeled-data loop."""
+    @pytest.mark.parametrize("train_loss", ["edl", "cross_entropy"])
+    def test_no_discrepancy_phase_equals_plain_training(self, small_split, train_loss):
+        """discrepancy_epochs = 0 reproduces a bare labeled-data loop built
+        from the public loss and ``sgd_step``."""
         xl, yl = small_split.labeled_arrays()
         xu = small_split.unlabeled_features()
-        cfg = quick_cfg(epochs=4, discrepancy_epochs=0)
+        cfg = quick_cfg(epochs=4, discrepancy_epochs=0, train_loss=train_loss)
         m1 = init_model(xl.shape[1], 3, hidden_widths=(16,), seed=2)
         train_cycle(m1, xl, yl, xu, cfg, rng=np.random.default_rng(0))
 
         m2 = init_model(xl.shape[1], 3, hidden_widths=(16,), seed=2)
-        rng = np.random.default_rng(0)
-        batch = min(cfg.batch_size, len(xl))
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(len(xl))
-            for s in range(0, len(xl), batch):
+        plain_epochs(m2, xl, yl, cfg, np.random.default_rng(0), range(cfg.epochs))
+        assert state_bytes(m1) == state_bytes(m2)
+
+    def test_discrepancy_phase_equals_plain_training(self, small_split):
+        """The alternating agreement/disagreement epochs reproduce a bare
+        loop over ``close_loss``/``dis_loss`` and ``sgd_step``."""
+        xl, yl = small_split.labeled_arrays()
+        xu = small_split.unlabeled_features()
+        cfg = quick_cfg(epochs=2, discrepancy_epochs=4)
+        m1 = init_model(xl.shape[1], 3, hidden_widths=(16, 16), seed=4)
+        train_cycle(m1, xl, yl, xu, cfg, rng=np.random.default_rng(3))
+
+        m2 = init_model(xl.shape[1], 3, hidden_widths=(16, 16), seed=4)
+        rng = np.random.default_rng(3)
+        plain_epochs(m2, xl, yl, cfg, rng, range(cfg.epochs))
+        batch = min(cfg.batch_size, len(xu))
+        for k in range(cfg.discrepancy_epochs):
+            order = rng.permutation(len(xu))
+            for s in range(0, len(xu), batch):
                 idx = order[s : s + batch]
-                _, grads = edl_loss(m2, xl[idx], yl[idx])
-                sgd_step(m2, grads, epoch, cfg)
-        for p, q in zip(flat(m1), flat(m2)):
-            assert p.tobytes() == q.tobytes()
+                if k % 2 == 0:
+                    _, grads = close_loss(m2, xu[idx], tau1=cfg.tau1)
+                    subset = "backbone"
+                else:
+                    _, grads = dis_loss(m2, xu[idx], tau2=cfg.tau2)
+                    subset = "heads"
+                sgd_step(m2, grads, cfg.epochs + k, cfg, trainable=subset)
+        assert state_bytes(m1) == state_bytes(m2)
+
+    def test_out_of_range_label_rejected_before_training(self, small_split):
+        """Labels are checked once at entry: a bad label anywhere in the
+        pool raises before any step has changed a parameter."""
+        xl, yl = small_split.labeled_arrays()
+        xu = small_split.unlabeled_features()
+        bad = yl.copy()
+        bad[-1] = 3
+        m = init_model(xl.shape[1], 3, hidden_widths=(16,), seed=2)
+        before = state_bytes(m)
+        cfg = quick_cfg(epochs=2, batch_size=1, discrepancy_epochs=0)
+        with pytest.raises(ValueError, match="known-class"):
+            train_cycle(m, xl, bad, xu, cfg, rng=np.random.default_rng(0))
+        assert state_bytes(m) == before
+
+    def test_label_count_must_match_examples(self, small_split):
+        xl, yl = small_split.labeled_arrays()
+        m = init_model(xl.shape[1], 3, hidden_widths=(16,), seed=2)
+        with pytest.raises(ValueError, match="length"):
+            train_cycle(m, xl, yl[:-1], xl[:0], quick_cfg(epochs=1))
 
     def test_losses_stay_finite_and_nonnegative(self, small_split):
         xl, yl = small_split.labeled_arrays()
@@ -386,7 +493,54 @@ class TestTrainCycle:
         assert wins >= 2
 
 
+class TestModelParams:
+    def test_arrays_are_views_on_the_buffers(self):
+        m = tiny_model()
+        assert np.concatenate([p.ravel() for p in flat(m)]).tobytes() == (
+            m.param_buffer.tobytes()
+        )
+        assert all(np.shares_memory(p, m.param_buffer) for p in flat(m))
+        assert all(np.shares_memory(v, m.velocity_buffer) for v in m.velocity)
+        assert [v.shape for v in m.velocity] == [p.shape for p in flat(m)]
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))]
+    )
+    def test_copies_get_their_own_buffers(self, clone):
+        """A copy's update reaches its own views and leaves the original."""
+        m = tiny_model()
+        before = state_bytes(m)
+        c = clone(m)
+        sgd_step(c, [np.ones_like(p) for p in flat(c)], 0, TrainConfig())
+        assert state_bytes(m) == before
+        assert np.concatenate([p.ravel() for p in flat(c)]).tobytes() == (
+            c.param_buffer.tobytes()
+        )
+        assert state_bytes(c) != before
+
+    def test_velocity_must_mirror_parameters(self):
+        m = tiny_model()
+        with pytest.raises(ValueError, match="mirror"):
+            ModelParams(backbone=m.backbone, heads=m.heads, velocity=[np.zeros(3)])
+
+
 class TestCheckpoint:
+    def test_resume_matches_uninterrupted_training(self, tmp_path, small_split):
+        """k epochs, save, load, continue: the same parameter and velocity
+        bytes as training straight through, across an lr milestone."""
+        xl, yl = small_split.labeled_arrays()
+        cfg = quick_cfg(epochs=6, lr_milestones=(4,))
+        m1 = init_model(xl.shape[1], 3, hidden_widths=(16,), seed=8)
+        plain_epochs(m1, xl, yl, cfg, np.random.default_rng(5), range(cfg.epochs))
+
+        m2 = init_model(xl.shape[1], 3, hidden_widths=(16,), seed=8)
+        rng = np.random.default_rng(5)
+        plain_epochs(m2, xl, yl, cfg, rng, range(3))
+        save_checkpoint(tmp_path / "mid.npz", m2, epoch=3, rng=rng)
+        m3, epoch, rng3 = load_checkpoint(tmp_path / "mid.npz")
+        plain_epochs(m3, xl, yl, cfg, rng3, range(epoch, cfg.epochs))
+        assert state_bytes(m3) == state_bytes(m1)
+
     def test_roundtrip_bitwise(self, tmp_path):
         m = tiny_model(seed=21)
         m.velocity[0][:] = 0.25

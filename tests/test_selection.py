@@ -89,25 +89,26 @@ finite_samples = st.lists(
     st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=50
 ).filter(lambda v: len(set(v)) >= 2)
 
-# Both properties held on 2000 generated samples bounded by 1e100 in
-# magnitude; they fail above about 1.3e154, where a squared deviation
-# overflows float64.  Each test pins one such sample as an explicit
-# example, so the expected failure occurs on every run.
-OVERFLOW_XFAIL = pytest.mark.xfail(
+# Sums over a component are taken in pool order, so a component holding
+# +M and -M cancels to a rounding residue whose value depends on that
+# order: the lower mean of [0, 0, 0, 1, M, -M, 0] reads 0.0 or 5.9e-11
+# (M = 1e10) under two orderings.  The test pins one such pair, so the
+# expected failure occurs on every run.
+CANCELLATION_XFAIL = pytest.mark.xfail(
     strict=True,
     reason=(
-        "gmm_fit squares raw deviations from the component means, so finite "
-        "scores with |x| above ~1.3e154 overflow to inf (an overflow "
-        "RuntimeWarning, then nan log-likelihoods); scores are not rescaled "
-        "before the fit"
+        "gmm_fit's weighted sums cancel +M against -M in pool order, so a "
+        "component mean near 0 differs between permutations by its rounding "
+        "residue"
     ),
 )
 
 
 class TestGmmProperties:
-    @OVERFLOW_XFAIL
+    @CANCELLATION_XFAIL
     @given(finite_samples.flatmap(lambda v: st.tuples(st.just(v), st.permutations(v))))
     @example(([0.0, 1.0, -2.7e154], [-2.7e154, 0.0, 1.0]))
+    @example(([0.0, 0.0, 0.0, 1.0, 1e10, -1e10, 0.0], [0.0, 0.0, 0.0, 1e10, -1e10, 1.0, 0.0]))
     def test_permutation_invariant(self, pair):
         a = gmm_fit(np.array(pair[0]))
         b = gmm_fit(np.array(pair[1]))
@@ -116,12 +117,28 @@ class TestGmmProperties:
         np.testing.assert_allclose(a.variances, b.variances, equal_nan=False)
         np.testing.assert_allclose(a.weights, b.weights, equal_nan=False)
 
-    @OVERFLOW_XFAIL
     @given(finite_samples)
     @example([0.0, 1.3407807929942597e154])
     def test_log_likelihoods_finite(self, values):
         model = gmm_fit(np.array(values))
         assert np.all(np.isfinite(model.log_likelihoods))
+
+    def test_fit_past_squared_overflow_is_scale_equivariant(self):
+        """Scores times 2^510 lie past the point where squared deviations
+        overflow float64; their fit is the unscaled fit with means times
+        2^510, variances times 2^1020 and log-likelihoods minus 510 ln 2."""
+        rng = np.random.default_rng(42)
+        x = np.concatenate([rng.normal(0.0, 0.1, 250), rng.normal(5.0, 0.1, 250)])
+        base = gmm_fit(x)
+        big = gmm_fit(x * 2.0**510)
+        np.testing.assert_allclose(big.means, base.means * 2.0**510, rtol=1e-9)
+        np.testing.assert_allclose(big.variances, base.variances * 2.0**1020, rtol=1e-9)
+        np.testing.assert_allclose(big.weights, base.weights, rtol=1e-9)
+        np.testing.assert_allclose(
+            big.log_likelihoods,
+            np.array(base.log_likelihoods) - 510 * np.log(2.0),
+            rtol=1e-9,
+        )
 
 
 class TestCoarseSelect:
