@@ -120,8 +120,9 @@ def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
     logsumexp pass; the log-likelihood is non-decreasing across
     iterations and the fit stops when it improves by less than ``tol``.
 
-    Data large enough in magnitude for the summed squared deviations to
-    overflow is fitted divided by a power of two 2^e, which is exact; the
+    Data large enough in magnitude for a squared deviation divided by the
+    variance floor, or the summed squared deviations, to overflow is
+    fitted divided by a power of two 2^e, which is exact; the
     means, variances and log-likelihoods are then scaled back by 2^e,
     4^e and -e ln 2.  On that path the variance floor scales by 4^e as
     well, and a variance beyond the float64 range reads inf.
@@ -134,11 +135,15 @@ def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
             "need at least 2 distinct values to fit a two-mode mixture"
         )
     peak = np.abs(x).max()
-    if peak <= np.sqrt(np.finfo(float).max / (4.0 * x.size)):
+    # a deviation from a mean is at most 2 * peak in magnitude
+    if peak <= np.sqrt(np.finfo(float).max * VARIANCE_FLOOR / (4.0 * x.size)):
         return _fit_em(x, max_iter, tol)
     _, e = np.frexp(peak)
-    model = _fit_em(np.ldexp(x, -e), max_iter, tol)
-    model.means = np.ldexp(model.means, e)
+    scaled = np.ldexp(x, -e)
+    model = _fit_em(scaled, max_iter, tol)
+    # a rounded mean can land past the data's range and overflow when
+    # scaled back, though a mean of the data lies within it
+    model.means = np.ldexp(np.clip(model.means, scaled.min(), scaled.max()), e)
     with np.errstate(over="ignore"):  # a variance beyond float64 reads inf
         model.variances = np.ldexp(model.variances, 2 * e)
     model.log_likelihoods = [ll - e * np.log(2.0) for ll in model.log_likelihoods]

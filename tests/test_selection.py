@@ -119,6 +119,8 @@ class TestGmmProperties:
 
     @given(finite_samples)
     @example([0.0, 1.3407807929942597e154])
+    @example([0.0, 1.8961503816218353e151])
+    @example([0.0, 1.797693134859768e308, -1.7976931348623157e308, -1.7976931348623155e308])
     def test_log_likelihoods_finite(self, values):
         model = gmm_fit(np.array(values))
         assert np.all(np.isfinite(model.log_likelihoods))
