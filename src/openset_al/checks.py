@@ -35,14 +35,19 @@ def _random_alphas(rng, count, classes):
 
 
 def _check_decomposition(rng):
+    # distribution_uncertainty is computed from data_uncertainty, so the
+    # identity holds even when data_uncertainty is wrong; data_uncertainty
+    # is also held against psi(S + 1) - sum_c p_c psi(alpha_c + 1), its
+    # closed form rearranged with sum_c p_c = 1
     worst = 0.0
     for alpha in _random_alphas(rng, 200, [2, 3, 10]):
-        total = evidential.data_uncertainty(alpha) + evidential.distribution_uncertainty(
-            alpha
-        )
+        p = alpha / alpha.sum()
+        u_data = evidential.data_uncertainty(alpha)
+        direct = evidential.digamma(alpha.sum() + 1.0) - p @ evidential.digamma(alpha + 1.0)
+        total = u_data + evidential.distribution_uncertainty(alpha)
         target = evidential.entropy(evidential.expected_probs(alpha))
-        worst = max(worst, abs(total - target))
-    return worst < 1e-9, f"max |u_data + u_dist - H| = {worst:.3e}"
+        worst = max(worst, abs(u_data - direct), abs(total - target))
+    return worst < 1e-9, f"max |u_data - psi form|, |u_data + u_dist - H| = {worst:.3e}"
 
 
 def _check_digamma(rng):

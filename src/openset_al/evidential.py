@@ -127,15 +127,13 @@ def distribution_uncertainty(alpha) -> np.ndarray | float:
     """Mutual information between the label and the probability vector.
 
     Closed form: sum_c p_c * (psi(alpha_c + 1) - psi(S + 1)) - sum_c p_c ln p_c,
-    which equals entropy(expected_probs) - data_uncertainty.  Vanishes as
-    evidence grows, so it measures how little evidence has been collected.
+    which is computed as entropy(expected_probs) - data_uncertainty.  The
+    first sum is exactly -data_uncertainty, so both forms round the same.
+    Vanishes as evidence grows, so it measures how little evidence has
+    been collected.
     """
     a = _validate_alpha(alpha)
-    s = a.sum(axis=-1, keepdims=True)
-    p = a / s
-    expected_term = (p * (special.digamma(a + 1.0) - special.digamma(s + 1.0))).sum(axis=-1)
-    out = expected_term - special.xlogy(p, p).sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return entropy(expected_probs(a)) - data_uncertainty(a)
 
 
 def jsd(p, q) -> np.ndarray | float:

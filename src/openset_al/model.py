@@ -248,13 +248,19 @@ def _as_batch(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=float))
 
 
-def _forward_cached(model: ModelParams, x: np.ndarray):
-    """Forward pass keeping every intermediate needed by backprop."""
+def _model_batch(model: ModelParams, x) -> np.ndarray:
+    """x as a float64 batch, checked against the model's input dim."""
     x = _as_batch(x)
     if x.shape[1] != model.input_dim:
         raise ValueError(
             f"input dim {x.shape[1]} does not match model dim {model.input_dim}"
         )
+    return x
+
+
+def _forward_cached(model: ModelParams, x: np.ndarray):
+    """Forward pass keeping every intermediate needed by backprop."""
+    x = _model_batch(model, x)
     acts = [x]
     preacts = []
     h = x
@@ -271,8 +277,25 @@ def _forward_cached(model: ModelParams, x: np.ndarray):
 
 
 def forward(model: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evidence vectors (alpha1, alpha2) for a batch of inputs."""
-    _, _, _, alphas, _ = _forward_cached(model, x)
+    """Evidence vectors (alpha1, alpha2) for a batch of inputs.
+
+    Inference only: each layer's output is updated in place and nothing is
+    kept for backprop, so a pool-sized batch allocates one array per
+    matmul.  The arithmetic is ``_forward_cached``'s, so the evidence is
+    bitwise the same.  The batch is not split into row blocks, since
+    BLAS may pick a different kernel for a smaller matmul.
+    """
+    h = _model_batch(model, x)
+    for w, b in model.backbone:
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
+    alphas = []
+    for w, b in model.heads:
+        z = h @ w
+        z += b
+        np.clip(z, -LOGIT_CLIP, LOGIT_CLIP, out=z)
+        alphas.append(np.exp(z, out=z))
     return alphas[0], alphas[1]
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .evidential import (
     data_uncertainty,
     discrepancy_score,
-    distribution_uncertainty,
+    distribution_uncertainty,  # noqa: F401  perfbench/spans.py wraps this name
     entropy,
     expected_probs,
 )
@@ -70,15 +70,19 @@ def score_pool(model: ModelParams, x: np.ndarray) -> PoolScores:
     """Evaluate the three selection scores for every example in x.
 
     Uncertainties come from the element-wise average of the two heads'
-    evidence; the discrepancy is the L2 distance between them.  Tiny
+    evidence; the discrepancy is the L2 distance between them.  ``u_dist``
+    is ``distribution_uncertainty`` of that average, derived from the
+    same ``u_data`` so the digamma terms are evaluated once.  Tiny
     negative values from floating-point cancellation are clipped to 0.
     """
     a1, a2 = forward(model, x)
     avg = 0.5 * (a1 + a2)
+    u_data = data_uncertainty(avg)
+    u_dist = entropy(expected_probs(avg)) - u_data
     return PoolScores(
-        u_data=np.maximum(np.atleast_1d(data_uncertainty(avg)), 0.0),
-        u_dist=np.maximum(np.atleast_1d(distribution_uncertainty(avg)), 0.0),
-        s_dis=np.atleast_1d(discrepancy_score(a1, a2)),
+        u_data=np.maximum(u_data, 0.0),
+        u_dist=np.maximum(u_dist, 0.0),
+        s_dis=discrepancy_score(a1, a2),
     )
 
 
@@ -91,24 +95,69 @@ class GmmModel:
     weights: np.ndarray  # shape (2,), sums to 1
     log_likelihoods: list[float]  # per-iteration mean log-likelihood
 
-    def _e_step(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Responsibilities, shape (n, 2), and the mean log-likelihood of
-        x, both from one max-shifted logsumexp of the log-joint, so a
-        point far from both components cannot underflow to log(0)."""
-        x = np.asarray(x, dtype=float)[:, None]
-        log_pdf = (
-            -0.5 * np.log(2.0 * np.pi * self.variances)
-            - 0.5 * (x - self.means) ** 2 / self.variances
+    def _e_step(self, x: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+        """Both responsibility columns of 1-D x and its mean
+        log-likelihood, from one max-shifted logsumexp of the two
+        components' log-joints, so a point far from both components cannot
+        underflow to log(0).
+
+        Each component's log-joint is one contiguous column; the shift is
+        the columns' element-wise maximum and the total their sum, which is
+        what a max and a sum along a length-2 row give.  ``_fit_em`` then
+        sums each column sequentially, in pool order, which is the order a
+        sum over axis 0 of an (n, 2) array takes.  That order is kept on
+        purpose: a 1-D ``sum`` adds pairwise, which rounds the component
+        totals, and so the fitted means and the selections, differently.
+        """
+        log_norm = -0.5 * np.log(2.0 * np.pi * self.variances)
+        c0, c1 = (
+            log_w + (log_n - 0.5 * (x - m) ** 2 / v)
+            for log_w, log_n, m, v in zip(
+                np.log(self.weights), log_norm, self.means, self.variances
+            )
         )
-        log_joint = np.log(self.weights) + log_pdf
-        shift = log_joint.max(axis=1, keepdims=True)
-        joint = np.exp(log_joint - shift)
-        total = joint.sum(axis=1, keepdims=True)
-        return joint / total, float((shift + np.log(total)).mean())
+        shift = np.maximum(c0, c1)
+        j0 = np.exp(c0 - shift)
+        j1 = np.exp(c1 - shift)
+        total = j0 + j1
+        return (j0 / total, j1 / total), float((shift + np.log(total)).mean())
+
+    def _posterior_columns(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Responsibility columns of x.  Values large enough for a squared
+        deviation to overflow are evaluated divided by the power of two
+        ``gmm_fit`` would fit them with, the means and variances by the
+        same power and its square."""
+        x = np.asarray(x, dtype=float)
+        peak = max(np.abs(x).max(initial=0.0), np.abs(self.means).max())
+        e = _rescale_exponent(peak, x.size)
+        if not e:
+            return self._e_step(x)[0]
+        scaled = GmmModel(
+            np.ldexp(self.means, -e), np.ldexp(self.variances, -2 * e), self.weights, []
+        )
+        return scaled._e_step(np.ldexp(x, -e))[0]
 
     def responsibilities(self, x: np.ndarray) -> np.ndarray:
         """Posterior component probabilities, shape (n, 2)."""
-        return self._e_step(x)[0]
+        return np.column_stack(self._posterior_columns(x))
+
+
+def _rescale_exponent(peak: float, n: int) -> int:
+    """0 when n values at most ``peak`` in magnitude can be fitted and
+    evaluated as they are; otherwise the exponent e with
+    peak = f * 2^e, 0.5 <= f < 1, so the values divided by 2^e lie
+    within (-1, 1).  A squared deviation divided by the variance floor,
+    or n of them summed, would overflow past the threshold."""
+    # a deviation from a mean is at most 2 * peak in magnitude
+    if peak <= np.sqrt(np.finfo(float).max * VARIANCE_FLOOR / (4.0 * max(n, 1))):
+        return 0
+    return int(np.frexp(peak)[1])
+
+
+def _sequential_sum(col: np.ndarray) -> float:
+    """Left-to-right sum of a column, as a row-by-row (n, 2) sum takes it;
+    that sum starts from +0.0, so an all -0.0 column sums to +0.0."""
+    return np.add.accumulate(col)[-1] + 0.0
 
 
 def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
@@ -126,6 +175,8 @@ def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
     means, variances and log-likelihoods are then scaled back by 2^e,
     4^e and -e ln 2.  On that path the variance floor scales by 4^e as
     well, and a variance beyond the float64 range reads inf.
+    ``GmmModel.responsibilities`` divides such data, the means and the
+    variances by the same powers before it evaluates them.
     """
     x = np.asarray(scores, dtype=float)
     if x.ndim != 1:
@@ -134,11 +185,9 @@ def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
         raise DegenerateDataError(
             "need at least 2 distinct values to fit a two-mode mixture"
         )
-    peak = np.abs(x).max()
-    # a deviation from a mean is at most 2 * peak in magnitude
-    if peak <= np.sqrt(np.finfo(float).max * VARIANCE_FLOOR / (4.0 * x.size)):
+    e = _rescale_exponent(np.abs(x).max(), x.size)
+    if not e:
         return _fit_em(x, max_iter, tol)
-    _, e = np.frexp(peak)
     scaled = np.ldexp(x, -e)
     model = _fit_em(scaled, max_iter, tol)
     # a rounded mean can land past the data's range and overflow when
@@ -172,11 +221,14 @@ def _fit_em(x: np.ndarray, max_iter: int, tol: float) -> GmmModel:
         if ll - prev < tol and np.isfinite(prev):
             break
         prev = ll
-        counts = resp.sum(axis=0)
+        counts = np.array([_sequential_sum(r) for r in resp])
         model.weights = counts / x.size
-        model.means = (resp * x[:, None]).sum(axis=0) / counts
+        model.means = np.array([_sequential_sum(r * x) for r in resp]) / counts
         model.variances = np.maximum(
-            (resp * (x[:, None] - model.means) ** 2).sum(axis=0) / counts,
+            np.array(
+                [_sequential_sum(r * (x - m) ** 2) for r, m in zip(resp, model.means)]
+            )
+            / counts,
             VARIANCE_FLOOR,
         )
     return model
@@ -185,7 +237,7 @@ def _fit_em(x: np.ndarray, max_iter: int, tol: float) -> GmmModel:
 def gmm_posterior_low(model: GmmModel, x: np.ndarray) -> np.ndarray:
     """Posterior probability of the lower-mean component for each value."""
     low = int(np.argmin(model.means))
-    return model.responsibilities(x)[:, low]
+    return model._posterior_columns(x)[low]
 
 
 def coarse_select(

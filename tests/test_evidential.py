@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import closed_form_distribution_uncertainty
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -210,6 +211,31 @@ class TestDistributionUncertainty:
         se = h.std(ddof=1) / math.sqrt(len(h))
         mc = entropy(samples.mean(axis=0)) - h.mean()
         assert abs(distribution_uncertainty(alpha) - mc) < 3 * se
+
+    @settings(max_examples=50)
+    @given(
+        st.sampled_from([2, 4, 10]).flatmap(
+            lambda c: st.lists(
+                st.lists(st.floats(-10.0, 10.0), min_size=c, max_size=c),
+                min_size=1,
+                max_size=40,
+            )
+        )
+    )
+    def test_bitwise_equal_to_direct_closed_form(self, logs):
+        """entropy(expected_probs) - data_uncertainty rounds exactly as the
+        direct closed form: its expected-log term is exactly
+        -data_uncertainty, and (-u) - X equals (-X) - u in IEEE
+        arithmetic.  Evidence spans [e^-10, e^10] per component."""
+        alpha = np.exp(np.array(logs))
+        assert (
+            distribution_uncertainty(alpha).tobytes()
+            == closed_form_distribution_uncertainty(alpha).tobytes()
+        )
+        single = distribution_uncertainty(alpha[0])
+        assert isinstance(single, float)
+        expected = closed_form_distribution_uncertainty(alpha[0])
+        assert np.float64(single).tobytes() == expected.tobytes()
 
     @given(alpha_vectors())
     def test_decomposition_identity(self, alpha):

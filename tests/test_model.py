@@ -10,10 +10,11 @@ import pytest
 from helpers import finite_difference_grads, max_rel_err
 
 from openset_al.datasets import BlobSpec, make_blobs
-from openset_al.evidential import data_uncertainty, discrepancy_score
+from openset_al.evidential import LOGIT_CLIP, data_uncertainty, discrepancy_score
 from openset_al.model import (
     ModelParams,
     TrainConfig,
+    _forward_cached,
     close_loss,
     close_weights,
     cross_entropy_loss,
@@ -75,6 +76,36 @@ class TestForward:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             forward(tiny_model(), np.zeros((2, 7)))
+
+
+class TestInferenceForward:
+    """``forward`` runs its own in-place loop; ``_forward_cached``, the
+    training path, is the reference for its evidence."""
+
+    @pytest.mark.parametrize("rows", [1, 128, 10_000])
+    def test_bitwise_equal_to_training_forward(self, rows):
+        # head weights large enough that inputs of scale 8 push logits
+        # past both ends of [-LOGIT_CLIP, LOGIT_CLIP]
+        m = init_model(16, 4, hidden_widths=(64, 64), seed=5, head_init_scale=3.0)
+        x = np.random.default_rng(0).normal(0.0, 8.0, size=(rows, 16))
+        _, _, logits, alphas, _ = _forward_cached(m, x)
+        z = np.concatenate(logits)
+        assert (z > LOGIT_CLIP).any() and (z < -LOGIT_CLIP).any()
+        out = forward(m, x)
+        for a, b in zip(out, alphas):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("widths", [(64, 64), ()])
+    def test_input_left_unmodified(self, widths):
+        """The in-place updates never write through to the caller's array,
+        also when the heads read the input directly."""
+        m = init_model(16, 4, hidden_widths=widths, seed=5, head_init_scale=3.0)
+        x = np.random.default_rng(4).normal(0.0, 8.0, size=(64, 16))
+        before = x.tobytes()
+        out = forward(m, x)
+        assert x.tobytes() == before
+        for a, b in zip(out, _forward_cached(m, x)[3]):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestEdlLoss:

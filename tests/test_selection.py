@@ -5,13 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from helpers import closed_form_distribution_uncertainty
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from openset_al.evidential import entropy
-from openset_al.model import init_model
+from openset_al.evidential import data_uncertainty, entropy
+from openset_al.model import forward, init_model
 from openset_al.selection import (
     DegenerateDataError,
+    GmmModel,
     PoolScores,
     baseline_select,
     coarse_select,
@@ -141,6 +143,157 @@ class TestGmmProperties:
             np.array(base.log_likelihoods) - 510 * np.log(2.0),
             rtol=1e-9,
         )
+
+
+def reference_e_step(model, x):
+    """The E-step as one (n, 2) array: (n, 1) - (2,) broadcasts, then a
+    max and a sum along axis 1; ``GmmModel._e_step`` must match it bit for
+    bit."""
+    x = np.asarray(x, dtype=float)[:, None]
+    log_pdf = (
+        -0.5 * np.log(2.0 * np.pi * model.variances)
+        - 0.5 * (x - model.means) ** 2 / model.variances
+    )
+    log_joint = np.log(model.weights) + log_pdf
+    shift = log_joint.max(axis=1, keepdims=True)
+    joint = np.exp(log_joint - shift)
+    total = joint.sum(axis=1, keepdims=True)
+    return joint / total, float((shift + np.log(total)).mean())
+
+
+def reference_gmm_fit(scores, max_iter=200, tol=1e-6):
+    """``gmm_fit`` with the (n, 2) E-step above and the M-step's sums over
+    axis 0 of (n, 2) arrays, as the fit was first written."""
+    x = np.asarray(scores, dtype=float)
+    peak = np.abs(x).max()
+    if peak <= np.sqrt(np.finfo(float).max * 1e-6 / (4.0 * x.size)):
+        return reference_fit_em(x, max_iter, tol)
+    _, e = np.frexp(peak)
+    scaled = np.ldexp(x, -e)
+    model = reference_fit_em(scaled, max_iter, tol)
+    model.means = np.ldexp(np.clip(model.means, scaled.min(), scaled.max()), e)
+    with np.errstate(over="ignore"):
+        model.variances = np.ldexp(model.variances, 2 * e)
+    model.log_likelihoods = [ll - e * np.log(2.0) for ll in model.log_likelihoods]
+    return model
+
+
+def reference_fit_em(x, max_iter, tol):
+    med = np.median(x)
+    low, high = x[x <= med], x[x > med]
+    if high.size == 0:
+        high = x[x == x.max()]
+        low = x[x < x.max()]
+    pooled = max((low.var() * low.size + high.var() * high.size) / x.size, 1e-6)
+    model = GmmModel(
+        np.array([low.mean(), high.mean()]),
+        np.array([pooled, pooled]),
+        np.array([0.5, 0.5]),
+        [],
+    )
+    prev = -np.inf
+    for _ in range(max_iter):
+        resp, ll = reference_e_step(model, x)
+        model.log_likelihoods.append(ll)
+        if ll - prev < tol and np.isfinite(prev):
+            break
+        prev = ll
+        counts = resp.sum(axis=0)
+        model.weights = counts / x.size
+        model.means = (resp * x[:, None]).sum(axis=0) / counts
+        model.variances = np.maximum(
+            (resp * (x[:, None] - model.means) ** 2).sum(axis=0) / counts, 1e-6
+        )
+    return model
+
+
+def em_sample(n, kind, seed, scaled):
+    """n scores of one shape: a two-mode normal mixture, log-normal with a
+    heavy right tail, or a few tied values.  ``scaled`` multiplies them by
+    the power of two that puts their peak in [2^509, 2^510), past the
+    point where gmm_fit rescales and short of where a fitted variance
+    overflows."""
+    rng = np.random.default_rng(seed)
+    if kind == "mixture":
+        k = rng.integers(1, n)
+        x = np.concatenate([rng.normal(0.0, 0.1, k), rng.normal(5.0, 1.0, n - k)])
+    elif kind == "lognormal":
+        x = np.exp(rng.normal(0.0, rng.uniform(0.5, 4.0), n))
+    else:
+        x = rng.integers(-2, 3, n).astype(float)
+    if not scaled:
+        return x
+    return np.ldexp(x, 510 - np.frexp(np.abs(x).max())[1])
+
+
+class TestColumnEm:
+    """The column-wise E-step and sequential M-step sums against the
+    (n, 2) reference, bit for bit, on both of gmm_fit's scale paths."""
+
+    @settings(max_examples=25, deadline=2000)
+    @given(
+        st.integers(2, 50_000),
+        st.sampled_from(["mixture", "lognormal", "ties"]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    @example(50_000, "lognormal", 0, False)
+    @example(47_700, "ties", 1, True)
+    @example(2, "mixture", 2, True)
+    def test_fit_and_responsibilities_bitwise_equal_to_reference(
+        self, n, kind, seed, scaled
+    ):
+        x = em_sample(n, kind, seed, scaled)
+        assume(np.unique(x).size >= 2)
+        # few iterations keep a 50,000-point example within the deadline;
+        # each one is compared, through the log-likelihood trace
+        model = gmm_fit(x, max_iter=8)
+        ref = reference_gmm_fit(x, max_iter=8)
+        for field in ("means", "variances", "weights", "log_likelihoods"):
+            assert (
+                np.asarray(getattr(model, field)).tobytes()
+                == np.asarray(getattr(ref, field)).tobytes()
+            ), field
+        if scaled:
+            # past the overflow point the posterior is evaluated on the
+            # values divided by 2^e, as the fit was
+            e = 510
+            small = GmmModel(
+                np.ldexp(ref.means, -e), np.ldexp(ref.variances, -2 * e), ref.weights, []
+            )
+            expected = reference_e_step(small, np.ldexp(x, -e))[0]
+        else:
+            expected = reference_e_step(ref, x)[0]
+        assert model.responsibilities(x).tobytes() == expected.tobytes()
+        low = int(np.argmin(model.means))
+        assert gmm_posterior_low(model, x).tobytes() == expected[:, low].tobytes()
+
+    @given(finite_samples)
+    @example([-0.0, -0.0, -5.0, -5.0])
+    def test_fit_on_arbitrary_floats_bitwise_equal_to_reference(self, values):
+        """Any finite floats: signed zeros, ties, and magnitudes up to the
+        float64 maximum, on either scale path."""
+        x = np.array(values)
+        model = gmm_fit(x)
+        ref = reference_gmm_fit(x)
+        for field in ("means", "variances", "weights", "log_likelihoods"):
+            assert (
+                np.asarray(getattr(model, field)).tobytes()
+                == np.asarray(getattr(ref, field)).tobytes()
+            ), field
+
+    def test_posterior_past_squared_overflow_matches_unscaled(self):
+        """100 bimodal scores times 2^515 fit to finite means and
+        variances; their posterior must not overflow either, and it is the
+        posterior of the unscaled scores."""
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.normal(0.0, 0.1, 50), rng.normal(5.0, 0.1, 50)])
+        big = x * 2.0**515
+        model = gmm_fit(big)
+        post = gmm_posterior_low(model, big)
+        assert np.all(np.isfinite(post))
+        np.testing.assert_allclose(post, gmm_posterior_low(gmm_fit(x), x), atol=1e-9)
+        np.testing.assert_allclose(model.responsibilities(big).sum(axis=1), 1.0)
 
 
 class TestCoarseSelect:
@@ -377,6 +530,21 @@ class TestScorePool:
             assert scores.s_dis[i] == pytest.approx(
                 discrepancy_score(a1[0], a2[0]), abs=1e-12
             )
+
+    @pytest.mark.parametrize("classes", [2, 4, 10])
+    def test_u_dist_bitwise_equal_to_direct_closed_form(self, classes):
+        """u_dist, derived from the pool's u_data, is the direct closed form
+        of the averaged evidence clipped at 0, bit for bit, with evidence
+        reaching both clip bounds."""
+        m = init_model(16, classes, (64, 64), seed=classes, head_init_scale=3.0)
+        x = np.random.default_rng(classes).normal(0.0, 8.0, size=(2000, 16))
+        a1, a2 = forward(m, x)
+        avg = 0.5 * (a1 + a2)
+        scores = score_pool(m, x)
+        expected = np.maximum(closed_form_distribution_uncertainty(avg), 0.0)
+        assert scores.u_dist.tobytes() == expected.tobytes()
+        expected = np.maximum(data_uncertainty(avg), 0.0)
+        assert scores.u_data.tobytes() == expected.tobytes()
 
     def test_invariants_hold(self):
         m = init_model(6, 3, hidden_widths=(8,), seed=4)
