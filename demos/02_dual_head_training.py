@@ -11,6 +11,7 @@ import numpy as np
 
 from openset_al import (
     BlobSpec,
+    Pool,
     TrainConfig,
     data_uncertainty,
     discrepancy_score,
@@ -29,7 +30,7 @@ x_unl = split.unlabeled_features()
 unknown = split.unknown_unlabeled_mask()
 
 print(f"pools: labeled={len(split.labeled_ids)}  unlabeled={len(split.unlabeled_ids)} "
-      f"({unknown.sum()} unknown)  test={len(split.test_ids)}")
+      f"({unknown.sum()} unknown)  test={len(split.ids(Pool.TEST))}")
 
 cfg = TrainConfig(seed=0)
 model = init_model(spec.dim, split.num_classes, hidden_widths=cfg.hidden_widths,

@@ -6,7 +6,7 @@ information, scores head disagreement, and runs multi-cycle pool-based
 query experiments against classical baselines, entirely in numpy/scipy.
 """
 
-from .datasets import BlobSpec, DatasetSplit, IdxFormatError, load_idx, make_blobs
+from .datasets import BlobSpec, DatasetSplit, IdxFormatError, Pool, load_idx, make_blobs
 from .evidential import (
     data_uncertainty,
     digamma,
@@ -63,6 +63,7 @@ __all__ = [
     "GmmModel",
     "IdxFormatError",
     "ModelParams",
+    "Pool",
     "PoolScores",
     "STRATEGIES",
     "TrainConfig",

@@ -16,15 +16,6 @@ from . import evidential, model
 
 __all__ = ["run_checks", "CHECK_NAMES"]
 
-CHECK_NAMES = (
-    "decomposition_identity",
-    "digamma_recurrence",
-    "log_gamma_recurrence",
-    "jsd_properties",
-    "kl_to_uniform",
-    "gradient_spot_check",
-)
-
 
 def _random_alphas(rng, count, classes):
     out = []
@@ -132,21 +123,24 @@ def _check_gradients(rng):
     return max(worst.values()) < 1e-4, f"max relative gradient error: {detail}"
 
 
+CHECKS = {
+    "decomposition_identity": _check_decomposition,
+    "digamma_recurrence": _check_digamma,
+    "log_gamma_recurrence": _check_log_gamma,
+    "jsd_properties": _check_jsd,
+    "kl_to_uniform": _check_kl,
+    "gradient_spot_check": _check_gradients,
+}
+CHECK_NAMES = tuple(CHECKS)
+
+
 def run_checks(seed: int = 0) -> list[tuple[str, bool, str]]:
     """Run every invariant check; returns (name, passed, detail) rows."""
     rng = np.random.default_rng(seed)
-    checks = {
-        "decomposition_identity": _check_decomposition,
-        "digamma_recurrence": _check_digamma,
-        "log_gamma_recurrence": _check_log_gamma,
-        "jsd_properties": _check_jsd,
-        "kl_to_uniform": _check_kl,
-        "gradient_spot_check": _check_gradients,
-    }
     results = []
-    for name in CHECK_NAMES:
+    for name, check in CHECKS.items():
         try:
-            passed, detail = checks[name](rng)
+            passed, detail = check(rng)
         except Exception as exc:  # a crash counts as a failure, not an abort
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append((name, passed, detail))

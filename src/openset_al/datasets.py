@@ -2,11 +2,11 @@
 
 A :class:`DatasetSplit` is the unit of data the whole pipeline operates
 on: a feature matrix with stable integer example ids (row indices), true
-class labels, a designated set of known classes, and four disjoint id
-pools (labeled, unlabeled, test, discarded).  The labeled and test pools
-contain known classes only; the unlabeled pool mixes known and unknown
-classes so that the unknown fraction equals the requested openness ratio
-to within one example.
+class labels, a designated set of known classes, and one :class:`Pool`
+status per example, which keeps the pools disjoint.  The labeled and test
+pools contain known classes only; the unlabeled pool mixes known and
+unknown classes so that the unknown fraction equals the requested
+openness ratio to within one example.
 
 ``make_blobs`` generates Gaussian clusters whose means sit on a
 hypersphere, giving a single separability knob (radius / cluster_std).
@@ -17,7 +17,8 @@ the same split structure from real data.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from enum import IntEnum
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "BlobSpec",
     "DatasetSplit",
     "IdxFormatError",
+    "Pool",
     "make_blobs",
     "blob_class_means",
     "load_idx",
@@ -62,22 +64,41 @@ class BlobSpec:
             raise ValueError("cluster_std and radius must be positive")
 
 
+class Pool(IntEnum):
+    """Pool membership of one example; UNUSED marks unknowns left out by subsampling."""
+
+    UNUSED = 0
+    LABELED = 1
+    UNLABELED = 2
+    TEST = 3
+    DISCARDED = 4
+
+
 @dataclass
 class DatasetSplit:
-    """Feature store plus disjoint id pools for one open-set experiment.
+    """Feature store plus an int8 :class:`Pool` status per example.
 
     Example ids are row indices into ``features`` / ``true_labels`` and
-    never change; querying only moves ids between pools.
+    never change; querying only changes the status of queried ids.
     """
 
     features: np.ndarray
     true_labels: np.ndarray
     known_classes: tuple[int, ...]
-    labeled_ids: np.ndarray
-    unlabeled_ids: np.ndarray
-    test_ids: np.ndarray
+    status: np.ndarray
     openness: float
-    discarded_ids: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
+
+    def ids(self, pool: Pool) -> np.ndarray:
+        """Ascending ids of the examples in ``pool``."""
+        return np.flatnonzero(self.status == pool)
+
+    @property
+    def labeled_ids(self) -> np.ndarray:
+        return self.ids(Pool.LABELED)
+
+    @property
+    def unlabeled_ids(self) -> np.ndarray:
+        return self.ids(Pool.UNLABELED)
 
     @property
     def num_classes(self) -> int:
@@ -98,7 +119,7 @@ class DatasetSplit:
         return self.features[self.labeled_ids], self.model_labels(self.labeled_ids)
 
     def test_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.features[self.test_ids], self.model_labels(self.test_ids)
+        return self.features[self.ids(Pool.TEST)], self.model_labels(self.ids(Pool.TEST))
 
     def unlabeled_features(self) -> np.ndarray:
         return self.features[self.unlabeled_ids]
@@ -106,24 +127,18 @@ class DatasetSplit:
     def unknown_unlabeled_mask(self) -> np.ndarray:
         return ~self.is_known(self.true_labels[self.unlabeled_ids])
 
-    def total_examples(self) -> int:
-        return (
-            len(self.labeled_ids)
-            + len(self.unlabeled_ids)
-            + len(self.test_ids)
-            + len(self.discarded_ids)
-        )
-
     def validate(self, check_openness: bool = True) -> None:
-        """Disjointness and purity always hold; the openness check only
+        """Status validity and purity always hold; the openness check only
         applies to freshly generated splits (querying skews the pool)."""
-        pools = [self.labeled_ids, self.unlabeled_ids, self.test_ids, self.discarded_ids]
-        all_ids = np.concatenate(pools)
-        if len(np.unique(all_ids)) != len(all_ids):
-            raise ValueError("id pools overlap")
-        for name, ids in (("labeled", self.labeled_ids), ("test", self.test_ids)):
-            if len(ids) and not np.all(self.is_known(self.true_labels[ids])):
-                raise ValueError(f"{name} pool contains unknown-class examples")
+        status, n = self.status, len(self.true_labels)
+        if status.shape != (n,) or status.dtype != np.int8:
+            raise ValueError(f"status must be {n} int8 values, got {status.dtype} {status.shape}")
+        invalid = np.flatnonzero((status < min(Pool)) | (status > max(Pool)))
+        if invalid.size:
+            raise ValueError(f"status of ids {invalid[:5].tolist()} is not a Pool value")
+        for pool in (Pool.LABELED, Pool.TEST):
+            if not np.all(self.is_known(self.true_labels[self.ids(pool)])):
+                raise ValueError(f"{pool.name.lower()} pool contains unknown-class examples")
         n_unl = len(self.unlabeled_ids)
         if check_openness and n_unl:
             frac = self.unknown_unlabeled_mask().sum() / n_unl
@@ -158,8 +173,6 @@ def _openness_subsample(
     """Pick the unknown ids whose count makes the unknown fraction r."""
     if not 0 <= r < 1:
         raise ValueError(f"openness ratio must lie in [0, 1), got {r}")
-    if r == 0:
-        return np.array([], dtype=int)
     target = int(round(r * n_known_unlabeled / (1.0 - r)))
     if target > len(unknown_ids):
         r_max = len(unknown_ids) / (len(unknown_ids) + n_known_unlabeled)
@@ -167,7 +180,7 @@ def _openness_subsample(
             f"openness ratio {r} infeasible: needs {target} unknown examples but only "
             f"{len(unknown_ids)} exist; achievable range is [0, {r_max:.4f}]"
         )
-    return np.sort(rng.choice(unknown_ids, size=target, replace=False))
+    return rng.choice(unknown_ids, size=target, replace=False)
 
 
 def _assemble_split(
@@ -181,27 +194,24 @@ def _assemble_split(
 ) -> DatasetSplit:
     if not 0 <= init_labeled_fraction < 1 or not 0 <= test_fraction < 1:
         raise ValueError("fractions must lie in [0, 1)")
-    labeled, test, unl_known = [], [], []
+    status = np.full(len(labels), Pool.UNUSED, dtype=np.int8)
     for cls in known_classes:
-        ids = np.flatnonzero(labels == cls)
-        ids = rng.permutation(ids)
+        ids = rng.permutation(np.flatnonzero(labels == cls))
         n_test = int(round(test_fraction * len(ids)))
         n_lab = int(round(init_labeled_fraction * len(ids)))
         if n_test + n_lab > len(ids):
             raise ValueError("test and labeled fractions exhaust a class")
-        test.append(ids[:n_test])
-        labeled.append(ids[n_test : n_test + n_lab])
-        unl_known.append(ids[n_test + n_lab :])
-    unl_known = np.concatenate(unl_known)
+        status[ids[:n_test]] = Pool.TEST
+        status[ids[n_test : n_test + n_lab]] = Pool.LABELED
+        status[ids[n_test + n_lab :]] = Pool.UNLABELED
+    n_known_unlabeled = np.count_nonzero(status == Pool.UNLABELED)
     unknown_ids = np.flatnonzero(~np.isin(labels, known_classes))
-    unl_unknown = _openness_subsample(len(unl_known), unknown_ids, r, rng)
+    status[_openness_subsample(n_known_unlabeled, unknown_ids, r, rng)] = Pool.UNLABELED
     split = DatasetSplit(
         features=features,
         true_labels=labels,
         known_classes=tuple(sorted(known_classes)),
-        labeled_ids=np.sort(np.concatenate(labeled)).astype(int),
-        unlabeled_ids=np.sort(np.concatenate([unl_known, unl_unknown])).astype(int),
-        test_ids=np.sort(np.concatenate(test)).astype(int),
+        status=status,
         openness=r,
     )
     split.validate()

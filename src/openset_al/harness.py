@@ -20,11 +20,11 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .datasets import DatasetSplit
+from .datasets import DatasetSplit, Pool
 from .model import ModelParams, TrainConfig, init_model, train_cycle
 from .selection import (
     BASELINE_STRATEGIES,
@@ -79,27 +79,22 @@ class CycleMetrics:
 def oracle_label(query_ids, split: DatasetSplit) -> DatasetSplit:
     """Resolve a query batch against the hidden true labels.
 
-    Known-class ids move to the labeled pool; unknown-class ids move to
-    the discarded pool.  Raises if any id is not currently unlabeled.
+    Known-class ids become labeled and unknown-class ids discarded in a new
+    split.  Raises if any id is out of range, repeated or not unlabeled.
     """
     query = np.asarray(query_ids, dtype=int)
+    outside = query[(query < 0) | (query >= len(split.status))]
+    if outside.size:
+        raise ValueError(f"query ids outside [0, {len(split.status)}): {outside.tolist()}")
     if np.unique(query).size != query.size:
         raise ValueError("query contains duplicate ids")
-    in_pool = np.isin(query, split.unlabeled_ids)
+    in_pool = split.status[query] == Pool.UNLABELED
     if not in_pool.all():
-        missing = query[~in_pool].tolist()
-        raise ValueError(f"query ids not in the unlabeled pool: {missing}")
+        raise ValueError(f"query ids not in the unlabeled pool: {query[~in_pool].tolist()}")
     known = split.is_known(split.true_labels[query])
-    return DatasetSplit(
-        features=split.features,
-        true_labels=split.true_labels,
-        known_classes=split.known_classes,
-        labeled_ids=np.sort(np.concatenate([split.labeled_ids, query[known]])),
-        unlabeled_ids=np.setdiff1d(split.unlabeled_ids, query),
-        test_ids=split.test_ids,
-        openness=split.openness,
-        discarded_ids=np.sort(np.concatenate([split.discarded_ids, query[~known]])),
-    )
+    status = split.status.copy()
+    status[query] = np.where(known, Pool.LABELED, Pool.DISCARDED)
+    return replace(split, status=status)
 
 
 def evaluate_accuracy(model: ModelParams, x_test: np.ndarray, y_test: np.ndarray) -> float:
@@ -188,7 +183,7 @@ def run_experiment(
                 test_accuracy=evaluate_accuracy(model, x_test, y_test),
                 labeled_size=len(split.labeled_ids),
                 unlabeled_size=len(split.unlabeled_ids),
-                discarded_unknown=len(split.discarded_ids),
+                discarded_unknown=len(split.ids(Pool.DISCARDED)),
                 truncated=truncated,
                 wall_time=time.perf_counter() - t0,
             )

@@ -327,9 +327,9 @@ def coarse_to_fine_select(
     if sub_mask.any():
         query = fine_select(eff, ids, sub_mask, beta_coef=beta_coef, budget=budget)
     if query.size < budget:
-        rest_mask = ~np.isin(ids, query)
-        rest_ids = ids[rest_mask]
-        order = np.lexsort((rest_ids, -posterior[rest_mask]))
+        # a query shorter than the budget already holds every survivor
+        rest_ids = ids[~sub_mask]
+        order = np.lexsort((rest_ids, -posterior[~sub_mask]))
         query = np.concatenate([query, rest_ids[order[: budget - query.size]]])
     return query
 

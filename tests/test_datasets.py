@@ -1,6 +1,7 @@
 """Dataset generation and IDX loading tests, including counting checks
 and format-error paths exercised with hand-written binary files."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from openset_al.datasets import (
     BlobSpec,
     IdxFormatError,
+    Pool,
     blob_class_means,
     load_idx,
     make_blobs,
@@ -61,7 +63,8 @@ class TestMakeBlobs:
         spec = BlobSpec(num_known=3, num_unknown=3, dim=8, per_class=60, seed=3)
         split = make_blobs(spec, r=0.3)
         split.validate()
-        assert split.total_examples() <= 6 * 60
+        assert split.status.shape == (6 * 60,)
+        assert np.count_nonzero(split.status == Pool.UNUSED) > 0
         labeled_labels = split.true_labels[split.labeled_ids]
         assert np.all(split.is_known(labeled_labels))
 
@@ -88,6 +91,35 @@ class TestMakeBlobs:
     def test_feature_values_finite(self):
         split = make_blobs(BlobSpec(seed=6), r=0.2)
         assert np.all(np.isfinite(split.features))
+
+
+class TestValidate:
+    @pytest.fixture
+    def split(self):
+        spec = BlobSpec(num_known=2, num_unknown=2, dim=4, per_class=20, seed=8)
+        return make_blobs(spec, r=0.5)
+
+    def test_status_of_wrong_length_rejected(self, split):
+        for status in (split.status[:-1], np.append(split.status, np.int8(Pool.UNUSED))):
+            with pytest.raises(ValueError, match="must be 80 int8 values"):
+                dataclasses.replace(split, status=status).validate()
+
+    def test_status_of_wrong_dtype_rejected(self, split):
+        with pytest.raises(ValueError, match="int64"):
+            dataclasses.replace(split, status=split.status.astype(np.int64)).validate()
+
+    @pytest.mark.parametrize("value", [7, 5, -1])
+    def test_non_pool_status_value_rejected(self, split, value):
+        status = split.status.copy()
+        status[3] = value
+        with pytest.raises(ValueError, match=r"ids \[3\] is not a Pool value"):
+            dataclasses.replace(split, status=status).validate()
+
+    def test_unknown_class_in_labeled_pool_rejected(self, split):
+        status = split.status.copy()
+        status[split.true_labels >= 2] = Pool.LABELED
+        with pytest.raises(ValueError, match="labeled pool contains unknown"):
+            dataclasses.replace(split, status=status).validate(check_openness=False)
 
 
 class TestLoadIdx:

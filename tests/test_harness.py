@@ -1,13 +1,17 @@
-"""Harness tests: oracle bookkeeping on a toy split, accuracy evaluation,
-pool conservation, budget accounting, and run-level determinism."""
+"""Harness tests: oracle bookkeeping on a toy split and against the
+four-array reference, accuracy evaluation, pool conservation, budget
+accounting, and run-level determinism."""
 
 import csv
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from openset_al.datasets import BlobSpec, DatasetSplit, make_blobs
+from openset_al.datasets import BlobSpec, DatasetSplit, Pool, make_blobs
 from openset_al.harness import (
     CycleMetrics,
     evaluate_accuracy,
@@ -23,15 +27,63 @@ def toy_split():
     known/unknown mix (classes 0,1 known; 9 unknown)."""
     features = np.arange(20, dtype=float).reshape(10, 2)
     labels = np.array([0, 1, 0, 1, 0, 1, 9, 9, 0, 9])
+    L, U, T = Pool.LABELED, Pool.UNLABELED, Pool.TEST
     return DatasetSplit(
         features=features,
         true_labels=labels,
         known_classes=(0, 1),
-        labeled_ids=np.array([0, 1]),
-        unlabeled_ids=np.array([4, 5, 6, 7, 8, 9]),
-        test_ids=np.array([2, 3]),
+        status=np.array([L, L, T, T, U, U, U, U, U, U], dtype=np.int8),
         openness=0.5,
     )
+
+
+def reference_oracle_label(query_ids, pools, split):
+    """``oracle_label`` as it was written over four sorted id arrays
+    (labeled, unlabeled, test, discarded); returns the four new arrays."""
+    labeled, unlabeled, test, discarded = pools
+    query = np.asarray(query_ids, dtype=int)
+    assert np.isin(query, unlabeled).all()
+    known = split.is_known(split.true_labels[query])
+    return (
+        np.sort(np.concatenate([labeled, query[known]])),
+        np.setdiff1d(unlabeled, query),
+        test,
+        np.sort(np.concatenate([discarded, query[~known]])),
+    )
+
+
+def pool_arrays(split):
+    return (
+        split.labeled_ids,
+        split.unlabeled_ids,
+        split.ids(Pool.TEST),
+        split.ids(Pool.DISCARDED),
+    )
+
+
+def pools_digest(split):
+    """sha256 over the four pool arrays' dtypes and bytes, in pool order."""
+    h = hashlib.sha256()
+    for ids in pool_arrays(split):
+        h.update(ids.dtype.str.encode())
+        h.update(ids.tobytes())
+        h.update(b"|")
+    return h.hexdigest()
+
+
+# ``pools_digest`` of make_blobs splits at the perfbench desk and wide
+# specs (r = 0.5), taken when a split stored its four pools as sorted id
+# arrays: the status vector must derive the same arrays.
+DESK_SPEC = dict(num_known=4, num_unknown=4, dim=16, per_class=250)
+WIDE_SPEC = dict(num_known=10, num_unknown=10, dim=32, per_class=3000, radius=4.0)
+FOUR_ARRAY_DIGESTS = {
+    ("desk", 0): "5a3527b90ea5636c09de485613d35b7b7c36e803dca5a189d31266160af91608",
+    ("desk", 1): "a5235ef7fa1ff8d7057ebd9268b397816d370d2b434eec0e48db09950965f6df",
+    ("desk", 2): "1b7ce467dc03f2813755f3250a333115f3f422ffda31b7d1a99a7dfa4b273b92",
+    ("wide", 0): "eb4a369ec7addf0640b0eac480a0f97ec163cdeeeb1bf3b5afe5db5e2470b975",
+    ("wide", 1): "2e3fb2a0dca981e66fc2e69d37cdb296c37f1ee73d6e09b70af6b3bdec60f3a1",
+    ("wide", 2): "55288da116f2611deb3a2c70277917d8ebb1298a54f7dc92256f6d5266e0773b",
+}
 
 
 class TestOracleLabel:
@@ -39,32 +91,75 @@ class TestOracleLabel:
         split = toy_split()
         out = oracle_label([4, 5], split)
         assert len(out.labeled_ids) == 4
-        assert len(out.discarded_ids) == 0
+        assert len(out.ids(Pool.DISCARDED)) == 0
         assert set(out.unlabeled_ids) == {6, 7, 8, 9}
 
     def test_all_unknown_query_discards(self):
         split = toy_split()
         out = oracle_label([6, 7], split)
         assert len(out.labeled_ids) == 2
-        assert set(out.discarded_ids) == {6, 7}
+        assert set(out.ids(Pool.DISCARDED)) == {6, 7}
 
     def test_mixed_query_bookkeeping(self):
         split = toy_split()
-        before = split.total_examples()
+        before = np.count_nonzero(split.status)
         out = oracle_label([4, 6, 8, 9], split)
         known_in_query = 2  # ids 4 and 8
         assert len(out.labeled_ids) == 2 + known_in_query
-        assert set(out.discarded_ids) == {6, 9}
-        assert out.total_examples() == before
+        assert set(out.ids(Pool.DISCARDED)) == {6, 9}
+        assert np.count_nonzero(out.status) == before
         out.validate(check_openness=False)
+
+    def test_input_split_unmodified(self):
+        split = toy_split()
+        before = split.status.copy()
+        out = oracle_label([4, 6], split)
+        np.testing.assert_array_equal(split.status, before)
+        assert out.status is not split.status
 
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError, match="not in the unlabeled pool"):
             oracle_label([0], toy_split())
 
+    @pytest.mark.parametrize("bad_id", [-1, 10])
+    def test_out_of_range_id_rejected(self, bad_id):
+        """-1 would index the last example, id 9, which is unlabeled."""
+        with pytest.raises(ValueError, match=rf"outside \[0, 10\): \[{bad_id}\]"):
+            oracle_label([4, bad_id], toy_split())
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             oracle_label([4, 4], toy_split())
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 3), r=st.sampled_from([0.0, 0.5]), data=st.data())
+    def test_matches_four_array_reference(self, seed, r, data):
+        """After every query of a random sequence, the derived pools equal
+        the four-array reference in value and dtype."""
+        spec = BlobSpec(num_known=3, num_unknown=3, dim=4, per_class=30, seed=seed)
+        split = make_blobs(spec, r=r)
+        pools = pool_arrays(split)
+        for _ in range(data.draw(st.integers(1, 5), label="queries")):
+            unlabeled = split.unlabeled_ids.tolist()
+            if not unlabeled:
+                break
+            query = data.draw(
+                st.lists(st.sampled_from(unlabeled), min_size=1, max_size=20, unique=True),
+                label="query",
+            )
+            pools = reference_oracle_label(query, pools, split)
+            split = oracle_label(query, split)
+            for derived, expected in zip(pool_arrays(split), pools):
+                assert derived.dtype == expected.dtype
+                np.testing.assert_array_equal(derived, expected)
+
+    @pytest.mark.parametrize("family", ["desk", "wide"])
+    def test_make_blobs_pools_match_four_array_digests(self, family):
+        data = DESK_SPEC if family == "desk" else WIDE_SPEC
+        frac = 0.05 if family == "desk" else 0.005
+        for seed in range(3):
+            split = make_blobs(BlobSpec(seed=seed, **data), 0.5, init_labeled_fraction=frac)
+            assert pools_digest(split) == FOUR_ARRAY_DIGESTS[family, seed]
 
 
 class TestEvaluateAccuracy:
@@ -175,12 +270,20 @@ class TestRunExperiment:
             run_experiment(small_split, quick_cfg(), "coreset")
 
     def test_labeled_pool_purity_every_cycle(self, small_split):
-        cfg = quick_cfg(num_cycles=3)
+        """Random queries through the oracle keep every intermediate split
+        valid: no example leaves the pools, and the labeled and test pools
+        hold known classes only."""
+        rng = np.random.default_rng(0)
         split = small_split
-        metrics = run_experiment(split, cfg, "random")
-        # purity is enforced structurally: re-run manually and validate
-        assert all(m.test_accuracy >= 0 for m in metrics)
-        split.validate()
+        in_pools = np.count_nonzero(split.status)
+        for _ in range(6):
+            query = rng.choice(split.unlabeled_ids, size=12, replace=False)
+            split = oracle_label(query, split)
+            split.validate(check_openness=False)
+            assert np.count_nonzero(split.status) == in_pools
+            for pool in (Pool.LABELED, Pool.TEST):
+                assert split.is_known(split.true_labels[split.ids(pool)]).all()
+        assert len(split.ids(Pool.DISCARDED)) > 0
 
 
 class TestMetricsCsv:

@@ -385,13 +385,30 @@ class TestCoarseToFine:
         assert len(query) == 8
 
     def test_topup_fills_small_subset(self):
-        """A tiny low cluster forces the top-up path to spend the budget."""
+        """A tiny low cluster forces the top-up path to spend the budget.
+        The top-up equals its ``isin`` form: the best posteriors among the
+        ids that the fine query does not hold."""
         u = np.concatenate([np.full(3, 0.0), np.full(97, 10.0)])
         u += np.linspace(0, 0.01, 100)
         scores = PoolScores(u_data=u, u_dist=np.zeros(100), s_dis=np.zeros(100))
         query = coarse_to_fine_select(scores, np.arange(100), budget=10)
         assert len(query) == 10
         assert {0, 1, 2}.issubset(set(query))
+        # 14 to 46 of each random pool's 60 examples survive, so a budget
+        # of 48 takes the top-up path every time
+        pools = [(scores, np.arange(100), 10)]
+        for seed in range(20):
+            ids = 1000 + np.random.default_rng(seed).permutation(60)
+            pools.append((make_scores(60, seed=seed), ids, 48))
+        for pool_scores, ids, budget in pools:
+            _, posterior, _ = coarse_select(pool_scores, ids)
+            head = fine_select(pool_scores, ids, posterior > 0.5, budget=budget)
+            assert head.size < budget
+            rest = ~np.isin(ids, head)
+            order = np.lexsort((ids[rest], -posterior[rest]))
+            expected = np.concatenate([head, ids[rest][order[: budget - head.size]]])
+            query = coarse_to_fine_select(pool_scores, ids, budget=budget)
+            np.testing.assert_array_equal(query, expected)
 
     def test_order_invariance(self):
         scores = make_scores(120, seed=4)
