@@ -67,6 +67,22 @@ class ConfigError(ValueError):
     """Configuration problem; the message names the offending field."""
 
 
+def _convert(field: str, convert, value):
+    """``convert(value)``, with a type or value error reported against
+    ``field``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field '{field}' has invalid value {value!r}: {exc}") from exc
+
+
+def _section(raw: dict, name: str) -> dict:
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"field '{name}' must be a JSON object")
+    return section
+
+
 def resolve_config(raw: dict) -> dict:
     """Fill defaults, validate field by field, honor the seed override."""
     if not isinstance(raw, dict):
@@ -80,7 +96,7 @@ def resolve_config(raw: dict) -> dict:
         if key not in known_top:
             raise ConfigError(f"unknown field '{key}'")
 
-    strategies = list(raw["strategies"])
+    strategies = _convert("strategies", list, raw["strategies"])
     if not strategies:
         raise ConfigError("field 'strategies' must list at least one strategy")
     for s in strategies:
@@ -89,13 +105,15 @@ def resolve_config(raw: dict) -> dict:
                 f"field 'strategies' contains unknown strategy '{s}'; "
                 f"expected one of {list(STRATEGIES)}"
             )
-    ratios = [float(r) for r in raw["openness_ratios"]]
+    ratios = _convert(
+        "openness_ratios", lambda v: [float(r) for r in v], raw["openness_ratios"]
+    )
     if not ratios:
         raise ConfigError("field 'openness_ratios' must list at least one ratio")
     for r in ratios:
         if not 0 <= r < 1:
             raise ConfigError(f"field 'openness_ratios' value {r} outside [0, 1)")
-    seeds = [int(s) for s in raw["seeds"]]
+    seeds = _convert("seeds", lambda v: [int(s) for s in v], raw["seeds"])
     if not seeds:
         raise ConfigError("field 'seeds' must list at least one seed")
     if os.environ.get(SEED_ENV_VAR):
@@ -105,31 +123,49 @@ def resolve_config(raw: dict) -> dict:
             raise ConfigError(f"environment variable {SEED_ENV_VAR} is not an integer") from exc
 
     data = dict(DATA_DEFAULTS)
-    for key, value in raw.get("data", {}).items():
+    for key, value in _section(raw, "data").items():
         if key not in DATA_DEFAULTS:
             raise ConfigError(f"unknown field 'data.{key}'")
         data[key] = value
+    idx = data["idx"]
+    if idx:
+        if not isinstance(idx, dict):
+            raise ConfigError("field 'data.idx' must be a JSON object")
+        for field in ("images", "labels", "known_classes"):
+            if field not in idx:
+                raise ConfigError(f"missing required field 'data.idx.{field}'")
+    else:
+        try:
+            _blob_spec(data, seed=seeds[0]).validate()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid data settings: {exc}") from exc
 
     train = {name: getattr(TrainConfig, name) for name in TRAIN_FIELDS}
-    for key, value in raw.get("train", {}).items():
+    for key, value in _section(raw, "train").items():
         if key not in TRAIN_FIELDS:
             raise ConfigError(f"unknown field 'train.{key}'")
         # JSON arrays arrive as lists; tuple-valued fields stay tuples
-        train[key] = tuple(value) if isinstance(train[key], tuple) else value
+        if isinstance(train[key], tuple):
+            value = _convert(f"train.{key}", tuple, value)
+        train[key] = value
 
     resolved = {
         "strategies": strategies,
         "openness_ratios": ratios,
         "seeds": seeds,
         "output_dir": str(raw["output_dir"]),
-        "query_size": int(raw.get("query_size", TrainConfig.query_size)),
-        "num_cycles": int(raw.get("num_cycles", TrainConfig.num_cycles)),
+        "query_size": _convert(
+            "query_size", int, raw.get("query_size", TrainConfig.query_size)
+        ),
+        "num_cycles": _convert(
+            "num_cycles", int, raw.get("num_cycles", TrainConfig.num_cycles)
+        ),
         "data": data,
         "train": train,
     }
     try:
         _train_config(resolved, seed=seeds[0]).validate()
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid train settings: {exc}") from exc
     return resolved
 
@@ -143,13 +179,14 @@ def _train_config(resolved: dict, seed: int) -> TrainConfig:
     )
 
 
+def _blob_spec(data: dict, seed: int) -> BlobSpec:
+    return BlobSpec(**{name: data[name] for name in BLOB_FIELDS}, seed=seed)
+
+
 def _build_split(resolved: dict, r: float, seed: int):
     data = resolved["data"]
-    if data.get("idx"):
-        idx = data["idx"]
-        for field in ("images", "labels", "known_classes"):
-            if field not in idx:
-                raise ConfigError(f"missing required field 'data.idx.{field}'")
+    idx = data["idx"]
+    if idx:
         return load_idx(
             idx["images"],
             idx["labels"],
@@ -159,9 +196,8 @@ def _build_split(resolved: dict, r: float, seed: int):
             init_labeled_fraction=data["init_labeled_fraction"],
             test_fraction=data["test_fraction"],
         )
-    spec = BlobSpec(**{name: data[name] for name in BLOB_FIELDS}, seed=seed)
     return make_blobs(
-        spec,
+        _blob_spec(data, seed),
         r,
         init_labeled_fraction=data["init_labeled_fraction"],
         test_fraction=data["test_fraction"],

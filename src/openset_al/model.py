@@ -106,6 +106,8 @@ class TrainConfig:
             raise ValueError("query_size must be positive")
         if self.num_cycles < 0 or self.discrepancy_epochs < 0:
             raise ValueError("cycle/epoch counts must be nonnegative")
+        if any(w <= 0 for w in self.hidden_widths):
+            raise ValueError("hidden_widths must be positive")
 
 
 @dataclass
@@ -260,20 +262,18 @@ def _model_batch(model: ModelParams, x) -> np.ndarray:
 
 def _forward_cached(model: ModelParams, x: np.ndarray):
     """Forward pass keeping every intermediate needed by backprop."""
-    x = _model_batch(model, x)
-    acts = [x]
-    preacts = []
-    h = x
+    h = _model_batch(model, x)
+    acts = [h]
     for w, b in model.backbone:
-        a = h @ w + b
-        preacts.append(a)
-        h = np.maximum(a, 0.0)
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
         acts.append(h)
     logits = [h @ w + b for w, b in model.heads]
     clipped = [np.clip(z, -LOGIT_CLIP, LOGIT_CLIP) for z in logits]
     alphas = [np.exp(z) for z in clipped]
     clip_masks = [(np.abs(z) < LOGIT_CLIP).astype(float) for z in logits]
-    return acts, preacts, logits, alphas, clip_masks
+    return acts, logits, alphas, clip_masks
 
 
 def forward(model: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,7 +299,7 @@ def forward(model: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return alphas[0], alphas[1]
 
 
-def _backward(model: ModelParams, acts, preacts, dzs, heads=True, backbone=True):
+def _backward(model: ModelParams, acts, dzs, heads=True, backbone=True):
     """Flat gradient list given the two heads' logit gradients ``dzs``.
 
     ``heads`` computes the head weight/bias gradients; ``backbone``
@@ -318,7 +318,7 @@ def _backward(model: ModelParams, acts, preacts, dzs, heads=True, backbone=True)
         dh = dzs[0] @ w1.T
         dh += dzs[1] @ w2.T
         for i in reversed(range(len(model.backbone))):
-            da = dh * (preacts[i] > 0)
+            da = dh * (acts[i + 1] > 0)
             grads[2 * i] = acts[i].T @ da
             grads[2 * i + 1] = da.sum(axis=0)
             if i:  # nothing reads the gradient for the network input
@@ -342,7 +342,7 @@ def _one_hot(y: np.ndarray, num_classes: int, rows: int) -> np.ndarray:
 def _edl_grads(model: ModelParams, x: np.ndarray, yy: np.ndarray):
     """One forward pass and the flat gradient of ``edl_loss`` on one-hot
     labels ``yy``; returns (the heads' evidence, gradients)."""
-    acts, preacts, _, alphas, clip_masks = _forward_cached(model, x)
+    acts, _, alphas, clip_masks = _forward_cached(model, x)
     n, c = acts[0].shape[0], model.num_classes
     off_label = 1.0 - yy
     dzs = []
@@ -355,7 +355,7 @@ def _edl_grads(model: ModelParams, x: np.ndarray, yy: np.ndarray):
         dkl_dat = (a_t - 1.0) * special.zeta(2, a_t) - special.zeta(2, s_t) * (s_t - c)
         dl_dalpha = (1.0 / s) - yy / alpha + dkl_dat * off_label
         dzs.append(dl_dalpha * alpha * mask / (2.0 * n))
-    return alphas, _backward(model, acts, preacts, dzs)
+    return alphas, _backward(model, acts, dzs)
 
 
 def edl_loss(
@@ -382,7 +382,7 @@ def edl_loss(
 def _cross_entropy_grads(model: ModelParams, x: np.ndarray, yy: np.ndarray):
     """One forward pass and the flat gradient of ``cross_entropy_loss``;
     returns (each head's log-softmax, gradients)."""
-    acts, preacts, logits, _, _ = _forward_cached(model, x)
+    acts, logits, _, _ = _forward_cached(model, x)
     n = acts[0].shape[0]
     logps, dzs = [], []
     for z in logits:
@@ -390,7 +390,7 @@ def _cross_entropy_grads(model: ModelParams, x: np.ndarray, yy: np.ndarray):
         logp = z - zmax - np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
         logps.append(logp)
         dzs.append((np.exp(logp) - yy) / (2.0 * n))
-    return logps, _backward(model, acts, preacts, dzs)
+    return logps, _backward(model, acts, dzs)
 
 
 def cross_entropy_loss(
@@ -432,7 +432,7 @@ def _weighted_jsd(model: ModelParams, x: np.ndarray, weights, weight_fn, tau, na
     x = _as_batch(x)
     if x.shape[0] == 0:
         raise ValueError(f"{name} requires a non-empty batch")
-    acts, preacts, _, alphas, clip_masks = _forward_cached(model, x)
+    acts, _, alphas, clip_masks = _forward_cached(model, x)
     w = weight_fn(alphas, tau) if weights is None else np.asarray(weights)
     p, q = (a / a.sum(axis=1, keepdims=True) for a in alphas)
     m = 0.5 * (p + q)
@@ -440,23 +440,23 @@ def _weighted_jsd(model: ModelParams, x: np.ndarray, weights, weight_fn, tau, na
     for r, mask in zip((p, q), clip_masks):
         g = np.log(r / m) / (2.0 * LN2)
         dzs.append(w[:, None] * (r * (g - (r * g).sum(axis=1, keepdims=True)) * mask))
-    return acts, preacts, w, (p, q), dzs
+    return acts, w, (p, q), dzs
 
 
 def _close_grads(model: ModelParams, x: np.ndarray, tau1: float, weights=None):
     """Flat gradient of ``close_loss``; returns ((weights, (p, q)), gradients)."""
-    acts, preacts, w, pq, dzs = _weighted_jsd(
+    acts, w, pq, dzs = _weighted_jsd(
         model, x, weights, close_weights, tau1, "close_loss"
     )
-    return (w, pq), _backward(model, acts, preacts, dzs, heads=False)
+    return (w, pq), _backward(model, acts, dzs, heads=False)
 
 
 def _dis_grads(model: ModelParams, x: np.ndarray, tau2: float, weights=None):
     """Flat gradient of ``dis_loss``; returns ((weights, (p, q)), gradients)."""
-    acts, preacts, w, pq, dzs = _weighted_jsd(
+    acts, w, pq, dzs = _weighted_jsd(
         model, x, weights, dis_weights, tau2, "dis_loss"
     )
-    return (w, pq), _backward(model, acts, preacts, [-dz for dz in dzs], backbone=False)
+    return (w, pq), _backward(model, acts, [-dz for dz in dzs], backbone=False)
 
 
 def close_loss(

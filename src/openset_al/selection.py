@@ -88,22 +88,31 @@ def score_pool(model: ModelParams, x: np.ndarray) -> PoolScores:
 
 @dataclass
 class GmmModel:
-    """Two-component 1-D Gaussian mixture with its EM fit trace."""
+    """Two-component 1-D Gaussian mixture with its EM fit trace.
+
+    The means, variances and log-likelihoods describe the data divided by
+    ``2**exponent``.  ``gmm_fit`` leaves the exponent at 0 unless a squared
+    deviation of the data would overflow, so the parameters of any fit stay
+    finite; in data units a mean is ``np.ldexp(mean, exponent)``, a
+    variance ``np.ldexp(variance, 2 * exponent)`` and a log-likelihood
+    ``ll - exponent * ln 2``.
+    """
 
     means: np.ndarray  # shape (2,)
     variances: np.ndarray  # shape (2,), floored at VARIANCE_FLOOR
     weights: np.ndarray  # shape (2,), sums to 1
     log_likelihoods: list[float]  # per-iteration mean log-likelihood
+    exponent: int = 0
 
     def _e_step(self, x: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
-        """Both responsibility columns of 1-D x and its mean
-        log-likelihood, from one max-shifted logsumexp of the two
+        """Both responsibility columns of 1-D x, in the model's units, and
+        its mean log-likelihood, from one max-shifted logsumexp of the two
         components' log-joints, so a point far from both components cannot
         underflow to log(0).
 
         Each component's log-joint is one contiguous column; the shift is
         the columns' element-wise maximum and the total their sum, which is
-        what a max and a sum along a length-2 row give.  ``_fit_em`` then
+        what a max and a sum along a length-2 row give.  ``gmm_fit`` then
         sums each column sequentially, in pool order, which is the order a
         sum over axis 0 of an (n, 2) array takes.  That order is kept on
         purpose: a 1-D ``sum`` adds pairwise, which rounds the component
@@ -123,19 +132,8 @@ class GmmModel:
         return (j0 / total, j1 / total), float((shift + np.log(total)).mean())
 
     def _posterior_columns(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Responsibility columns of x.  Values large enough for a squared
-        deviation to overflow are evaluated divided by the power of two
-        ``gmm_fit`` would fit them with, the means and variances by the
-        same power and its square."""
-        x = np.asarray(x, dtype=float)
-        peak = max(np.abs(x).max(initial=0.0), np.abs(self.means).max())
-        e = _rescale_exponent(peak, x.size)
-        if not e:
-            return self._e_step(x)[0]
-        scaled = GmmModel(
-            np.ldexp(self.means, -e), np.ldexp(self.variances, -2 * e), self.weights, []
-        )
-        return scaled._e_step(np.ldexp(x, -e))[0]
+        """Responsibility columns of data-unit x, each point on its own."""
+        return self._e_step(np.ldexp(x, -self.exponent))[0]
 
     def responsibilities(self, x: np.ndarray) -> np.ndarray:
         """Posterior component probabilities, shape (n, 2)."""
@@ -143,11 +141,11 @@ class GmmModel:
 
 
 def _rescale_exponent(peak: float, n: int) -> int:
-    """0 when n values at most ``peak`` in magnitude can be fitted and
-    evaluated as they are; otherwise the exponent e with
-    peak = f * 2^e, 0.5 <= f < 1, so the values divided by 2^e lie
-    within (-1, 1).  A squared deviation divided by the variance floor,
-    or n of them summed, would overflow past the threshold."""
+    """0 when n values at most ``peak`` in magnitude can be fitted as they
+    are; otherwise the exponent e with peak = f * 2^e, 0.5 <= f < 1, so
+    the values divided by 2^e lie within (-1, 1).  A squared deviation
+    divided by the variance floor, or n of them summed, would overflow
+    past the threshold."""
     # a deviation from a mean is at most 2 * peak in magnitude
     if peak <= np.sqrt(np.finfo(float).max * VARIANCE_FLOOR / (4.0 * max(n, 1))):
         return 0
@@ -171,12 +169,9 @@ def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
 
     Data large enough in magnitude for a squared deviation divided by the
     variance floor, or the summed squared deviations, to overflow is
-    fitted divided by a power of two 2^e, which is exact; the
-    means, variances and log-likelihoods are then scaled back by 2^e,
-    4^e and -e ln 2.  On that path the variance floor scales by 4^e as
-    well, and a variance beyond the float64 range reads inf.
-    ``GmmModel.responsibilities`` divides such data, the means and the
-    variances by the same powers before it evaluates them.
+    fitted divided by a power of two 2^e, which is exact, and the model
+    keeps e as its ``exponent``: its parameters, the variance floor and
+    the log-likelihoods are all in those scaled units.
     """
     x = np.asarray(scores, dtype=float)
     if x.ndim != 1:
@@ -186,20 +181,7 @@ def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
             "need at least 2 distinct values to fit a two-mode mixture"
         )
     e = _rescale_exponent(np.abs(x).max(), x.size)
-    if not e:
-        return _fit_em(x, max_iter, tol)
-    scaled = np.ldexp(x, -e)
-    model = _fit_em(scaled, max_iter, tol)
-    # a rounded mean can land past the data's range and overflow when
-    # scaled back, though a mean of the data lies within it
-    model.means = np.ldexp(np.clip(model.means, scaled.min(), scaled.max()), e)
-    with np.errstate(over="ignore"):  # a variance beyond float64 reads inf
-        model.variances = np.ldexp(model.variances, 2 * e)
-    model.log_likelihoods = [ll - e * np.log(2.0) for ll in model.log_likelihoods]
-    return model
-
-
-def _fit_em(x: np.ndarray, max_iter: int, tol: float) -> GmmModel:
+    x = np.ldexp(x, -e)
     med = np.median(x)
     low, high = x[x <= med], x[x > med]
     if high.size == 0:
@@ -213,7 +195,7 @@ def _fit_em(x: np.ndarray, max_iter: int, tol: float) -> GmmModel:
     variances = np.array([pooled, pooled])
     weights = np.array([0.5, 0.5])
 
-    model = GmmModel(means, variances, weights, [])
+    model = GmmModel(means, variances, weights, [], e)
     prev = -np.inf
     for _ in range(max_iter):
         resp, ll = model._e_step(x)

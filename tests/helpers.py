@@ -1,4 +1,6 @@
-"""Shared numerical oracles for the test suite."""
+"""Shared numerical oracles and file writers for the test suite."""
+
+import struct
 
 import numpy as np
 from scipy import special
@@ -44,3 +46,17 @@ def closed_form_distribution_uncertainty(alpha):
     p = a / s
     expected_term = (p * (special.digamma(a + 1.0) - special.digamma(s + 1.0))).sum(axis=-1)
     return expected_term - special.xlogy(p, p).sum(axis=-1)
+
+
+def write_idx_images(path, images):
+    """Independent minimal IDX writer used as the round-trip oracle."""
+    n, rows, cols = images.shape
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">IIII", 0x00000803, n, rows, cols))
+        fh.write(images.astype(np.uint8).tobytes())
+
+
+def write_idx_labels(path, labels):
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">II", 0x00000801, len(labels)))
+        fh.write(np.asarray(labels, dtype=np.uint8).tobytes())

@@ -7,6 +7,7 @@ import time
 
 import numpy as np
 import pytest
+from helpers import write_idx_images, write_idx_labels
 
 from openset_al import cli, evidential, model
 from openset_al.checks import run_checks
@@ -102,6 +103,58 @@ class TestCmdRun:
         assert cli.main(["run", "--config", str(path)]) == 0
         files = sorted(p.name for p in (tmp_path / "results").glob("metrics_*.csv"))
         assert len(files) == 4
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"seeds": ["x"]}, "'seeds'"),
+            ({"strategies": 5}, "'strategies'"),
+            ({"query_size": "many"}, "'query_size'"),
+            ({"train": {"hidden_widths": 5}}, "'train.hidden_widths'"),
+            ({"data": {"per_class": 0}}, "per_class"),
+            ({"data": {"idx": {"images": "x"}}}, "'data.idx.labels'"),
+        ],
+    )
+    def test_config_error_exits_2_before_any_cell(
+        self, tmp_path, capsys, overrides, field
+    ):
+        """Each bad value is reported against its field with exit 2, before
+        the output directory is created or a cell runs."""
+        raw = json.loads(minimal_config(tmp_path).read_text())
+        for key, value in overrides.items():
+            raw[key] = {**raw[key], **value} if isinstance(value, dict) else value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert field in err
+        assert not (tmp_path / "results").exists()
+
+    def test_idx_data_run(self, tmp_path):
+        """A run on an IDX image/label pair: 4 classes of 30 4x4 images,
+        classes 0 and 1 known."""
+        rng = np.random.default_rng(0)
+        images = rng.integers(0, 256, size=(120, 4, 4), dtype=np.uint8)
+        labels = np.repeat(np.arange(4), 30)
+        write_idx_images(tmp_path / "images.idx", images)
+        write_idx_labels(tmp_path / "labels.idx", labels)
+        idx = {
+            "images": str(tmp_path / "images.idx"),
+            "labels": str(tmp_path / "labels.idx"),
+            "known_classes": [0, 1],
+        }
+        path = minimal_config(
+            tmp_path,
+            strategies=["coarse_to_fine"],
+            data={"idx": idx, "init_labeled_fraction": 0.1},
+        )
+        assert cli.main(["run", "--config", str(path)]) == 0
+        tag = "coarse_to_fine_r0.5_s0"
+        lines = (tmp_path / "results" / f"metrics_{tag}.csv").read_text().splitlines()
+        assert len(lines) == 1 + 3  # header + initial + 2 cycles
+        manifest = json.loads((tmp_path / "results" / f"manifest_{tag}.json").read_text())
+        assert manifest["config"]["data"]["idx"] == idx
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         serial = minimal_config(tmp_path, seeds=[0, 1], output_dir=str(tmp_path / "s"))

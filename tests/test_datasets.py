@@ -2,10 +2,10 @@
 and format-error paths exercised with hand-written binary files."""
 
 import dataclasses
-import struct
 
 import numpy as np
 import pytest
+from helpers import write_idx_images, write_idx_labels
 
 from openset_al.datasets import (
     BlobSpec,
@@ -15,20 +15,6 @@ from openset_al.datasets import (
     load_idx,
     make_blobs,
 )
-
-
-def write_idx_images(path, images):
-    """Independent minimal IDX writer used as the round-trip oracle."""
-    n, rows, cols = images.shape
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", 0x00000803, n, rows, cols))
-        fh.write(images.astype(np.uint8).tobytes())
-
-
-def write_idx_labels(path, labels):
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", 0x00000801, len(labels)))
-        fh.write(np.asarray(labels, dtype=np.uint8).tobytes())
 
 
 class TestMakeBlobs:

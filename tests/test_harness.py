@@ -258,11 +258,14 @@ class TestRunExperiment:
         assert dataclasses.asdict(a)["wall_time"] == 1.0
 
     def test_truncated_final_query_flagged(self):
+        """32 unlabeled examples and queries of 10: cycle 4 takes the last
+        2 and empties the pool, so cycles 5 and 6 never run."""
         spec = BlobSpec(num_known=2, num_unknown=2, dim=4, per_class=12, seed=13)
         split = make_blobs(spec, r=0.5, init_labeled_fraction=0.2, test_fraction=0.2)
-        cfg = quick_cfg(query_size=10, num_cycles=4, epochs=5, lr_milestones=(3,))
+        cfg = quick_cfg(query_size=10, num_cycles=6, epochs=5, lr_milestones=(3,))
         metrics = run_experiment(split, cfg, "random")
-        assert metrics[-1].truncated
+        assert [m.cycle for m in metrics] == [0, 1, 2, 3, 4]
+        assert [m.truncated for m in metrics] == [False] * 4 + [True]
         assert metrics[-1].unlabeled_size == 0
 
     def test_unknown_strategy_rejected(self, small_split):

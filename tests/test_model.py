@@ -44,6 +44,27 @@ def flat(model):
     return model.flat_params()
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"lr": 0.0}, "rates"),
+            ({"momentum": -0.1}, "rates"),
+            ({"coarse_threshold": 1.0}, "coarse_threshold"),
+            ({"lr_milestones": (100,)}, "lr_milestones"),
+            ({"batch_size": 0}, "batch_size"),
+            ({"train_loss": "hinge"}, "train_loss"),
+            ({"query_size": 0}, "query_size"),
+            ({"discrepancy_epochs": -1}, "counts"),
+            ({"hidden_widths": (0,)}, "hidden_widths"),
+            ({"hidden_widths": (-3,)}, "hidden_widths"),
+        ],
+    )
+    def test_invalid_setting_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**overrides).validate()
+
+
 class TestForward:
     def test_zeroed_heads_give_unit_evidence(self):
         m = tiny_model()
@@ -88,7 +109,7 @@ class TestInferenceForward:
         # past both ends of [-LOGIT_CLIP, LOGIT_CLIP]
         m = init_model(16, 4, hidden_widths=(64, 64), seed=5, head_init_scale=3.0)
         x = np.random.default_rng(0).normal(0.0, 8.0, size=(rows, 16))
-        _, _, logits, alphas, _ = _forward_cached(m, x)
+        _, logits, alphas, _ = _forward_cached(m, x)
         z = np.concatenate(logits)
         assert (z > LOGIT_CLIP).any() and (z < -LOGIT_CLIP).any()
         out = forward(m, x)
@@ -104,7 +125,7 @@ class TestInferenceForward:
         before = x.tobytes()
         out = forward(m, x)
         assert x.tobytes() == before
-        for a, b in zip(out, _forward_cached(m, x)[3]):
+        for a, b in zip(out, _forward_cached(m, x)[2]):
             assert a.tobytes() == b.tobytes()
 
 

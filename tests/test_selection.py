@@ -129,20 +129,48 @@ class TestGmmProperties:
 
     def test_fit_past_squared_overflow_is_scale_equivariant(self):
         """Scores times 2^510 lie past the point where squared deviations
-        overflow float64; their fit is the unscaled fit with means times
-        2^510, variances times 2^1020 and log-likelihoods minus 510 ln 2."""
+        overflow float64; their fit, read in data units through its
+        exponent, is the unscaled fit with means times 2^510, variances
+        times 2^1020 and log-likelihoods minus 510 ln 2."""
         rng = np.random.default_rng(42)
         x = np.concatenate([rng.normal(0.0, 0.1, 250), rng.normal(5.0, 0.1, 250)])
         base = gmm_fit(x)
         big = gmm_fit(x * 2.0**510)
-        np.testing.assert_allclose(big.means, base.means * 2.0**510, rtol=1e-9)
-        np.testing.assert_allclose(big.variances, base.variances * 2.0**1020, rtol=1e-9)
+        e = big.exponent
+        np.testing.assert_allclose(
+            np.ldexp(big.means, e), base.means * 2.0**510, rtol=1e-9
+        )
+        np.testing.assert_allclose(
+            np.ldexp(big.variances, 2 * e), base.variances * 2.0**1020, rtol=1e-9
+        )
         np.testing.assert_allclose(big.weights, base.weights, rtol=1e-9)
         np.testing.assert_allclose(
-            big.log_likelihoods,
+            np.array(big.log_likelihoods) - e * np.log(2.0),
             np.array(base.log_likelihoods) - 510 * np.log(2.0),
             rtol=1e-9,
         )
+
+    def test_fit_past_variance_overflow_keeps_finite_posterior(self):
+        """Past about 2^522 a variance in data units no longer fits in
+        float64; the fit keeps it in scaled units, so the parameters stay
+        finite and the posterior separates the two modes."""
+        x = np.array([0.0, 5.0, 0.1, 5.2]) * 2.0**520
+        model = gmm_fit(x)
+        np.testing.assert_array_equal(gmm_posterior_low(model, x), [1.0, 0.0, 1.0, 0.0])
+        assert np.all(np.isfinite(model.variances))
+        assert np.all(np.isfinite(model.log_likelihoods))
+        assert model.exponent == 523
+
+    def test_posterior_is_elementwise(self):
+        """A query point far from the fit does not change the posterior of
+        the others: they read bitwise what they read on their own."""
+        model = gmm_fit(np.array([0.0, 1.0, 5.0, 6.0]))
+        alone = gmm_posterior_low(model, np.array([0.0, 3.0]))
+        # the far points' squared deviations overflow; only they read nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            post = gmm_posterior_low(model, np.array([0.0, 1e200, -1e200, 3.0]))
+        assert post[[0, 3]].tobytes() == alone.tobytes()
+        assert np.isnan(post[[1, 2]]).all()
 
 
 def reference_e_step(model, x):
@@ -163,18 +191,15 @@ def reference_e_step(model, x):
 
 def reference_gmm_fit(scores, max_iter=200, tol=1e-6):
     """``gmm_fit`` with the (n, 2) E-step above and the M-step's sums over
-    axis 0 of (n, 2) arrays, as the fit was first written."""
+    axis 0 of (n, 2) arrays, as the fit was first written, run on the
+    scores divided by 2^e once a squared deviation would overflow."""
     x = np.asarray(scores, dtype=float)
     peak = np.abs(x).max()
-    if peak <= np.sqrt(np.finfo(float).max * 1e-6 / (4.0 * x.size)):
-        return reference_fit_em(x, max_iter, tol)
-    _, e = np.frexp(peak)
-    scaled = np.ldexp(x, -e)
-    model = reference_fit_em(scaled, max_iter, tol)
-    model.means = np.ldexp(np.clip(model.means, scaled.min(), scaled.max()), e)
-    with np.errstate(over="ignore"):
-        model.variances = np.ldexp(model.variances, 2 * e)
-    model.log_likelihoods = [ll - e * np.log(2.0) for ll in model.log_likelihoods]
+    e = 0
+    if peak > np.sqrt(np.finfo(float).max * 1e-6 / (4.0 * x.size)):
+        _, e = np.frexp(peak)
+    model = reference_fit_em(np.ldexp(x, -e), max_iter, tol)
+    model.exponent = int(e)
     return model
 
 
@@ -249,21 +274,15 @@ class TestColumnEm:
         # each one is compared, through the log-likelihood trace
         model = gmm_fit(x, max_iter=8)
         ref = reference_gmm_fit(x, max_iter=8)
-        for field in ("means", "variances", "weights", "log_likelihoods"):
+        for field in ("means", "variances", "weights", "log_likelihoods", "exponent"):
             assert (
                 np.asarray(getattr(model, field)).tobytes()
                 == np.asarray(getattr(ref, field)).tobytes()
             ), field
-        if scaled:
-            # past the overflow point the posterior is evaluated on the
-            # values divided by 2^e, as the fit was
-            e = 510
-            small = GmmModel(
-                np.ldexp(ref.means, -e), np.ldexp(ref.variances, -2 * e), ref.weights, []
-            )
-            expected = reference_e_step(small, np.ldexp(x, -e))[0]
-        else:
-            expected = reference_e_step(ref, x)[0]
+        assert model.exponent == (510 if scaled else 0)
+        # the posterior is evaluated on the values divided by 2^e, as the
+        # fit was
+        expected = reference_e_step(ref, np.ldexp(x, -ref.exponent))[0]
         assert model.responsibilities(x).tobytes() == expected.tobytes()
         low = int(np.argmin(model.means))
         assert gmm_posterior_low(model, x).tobytes() == expected[:, low].tobytes()
@@ -276,7 +295,7 @@ class TestColumnEm:
         x = np.array(values)
         model = gmm_fit(x)
         ref = reference_gmm_fit(x)
-        for field in ("means", "variances", "weights", "log_likelihoods"):
+        for field in ("means", "variances", "weights", "log_likelihoods", "exponent"):
             assert (
                 np.asarray(getattr(model, field)).tobytes()
                 == np.asarray(getattr(ref, field)).tobytes()
