@@ -1,5 +1,7 @@
 """Fast self-check suite: closed-form identities, special-function
-recurrences, and gradient spot checks on a tiny network.
+recurrences, gradient spot checks on a tiny network, and the two numeric
+kernels whose results depend on the machine (the trigamma kernel and the
+row-blocked pool forward).
 
 Each check returns (name, passed, detail) so the CLI can print one line
 per property.  The whole suite runs in a few seconds.  Checks call the
@@ -11,6 +13,7 @@ watch the right property fail.
 from __future__ import annotations
 
 import numpy as np
+from scipy import special
 
 from . import evidential, model
 
@@ -123,6 +126,28 @@ def _check_gradients(rng):
     return max(worst.values()) < 1e-4, f"max relative gradient error: {detail}"
 
 
+def _check_trigamma(rng):
+    """The EDL step's trigamma kernel against ``scipy.special.zeta(2, .)``
+    over the arguments it sees: evidence down to e^-10 and row sums up to
+    1 + 99 e^10 (100 classes)."""
+    x = np.exp(np.linspace(-10.0, np.log1p(99.0 * np.exp(10.0)), 4001))
+    ref = special.zeta(2, x)
+    err = np.max(np.abs(model._trigamma(x.copy()) - ref) / ref)
+    return err < 2e-15, f"max relative error vs zeta(2, x) = {err:.3e}"
+
+
+def _check_blocked_forward(rng):
+    """``forward`` splits a pool into row blocks; each block must keep the
+    BLAS kernel of the one-pass training forward, bit for bit."""
+    m = model.init_model(32, 10, seed=int(rng.integers(1 << 31)), head_init_scale=3.0)
+    rows = 2 * model._forward_block_rows(m) + 1
+    x = rng.normal(0.0, 8.0, size=(rows, 32))
+    differ = np.zeros(rows, dtype=bool)
+    for a, b in zip(model.forward(m, x), model._forward_cached(m, x)[2]):
+        differ |= (a.view(np.int64) != b.view(np.int64)).any(axis=1)
+    return not differ.any(), f"{differ.sum()} of {rows} rows differ in 2 row blocks"
+
+
 CHECKS = {
     "decomposition_identity": _check_decomposition,
     "digamma_recurrence": _check_digamma,
@@ -130,6 +155,8 @@ CHECKS = {
     "jsd_properties": _check_jsd,
     "kl_to_uniform": _check_kl,
     "gradient_spot_check": _check_gradients,
+    "trigamma_kernel": _check_trigamma,
+    "blocked_forward_bitwise": _check_blocked_forward,
 }
 CHECK_NAMES = tuple(CHECKS)
 

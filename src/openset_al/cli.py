@@ -76,6 +76,43 @@ def _convert(field: str, convert, value):
         raise ConfigError(f"field '{field}' has invalid value {value!r}: {exc}") from exc
 
 
+def _as_int(field: str, value) -> int:
+    """An integer, or a float with an integral value; bools are rejected."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"field '{field}' must be an integer, got {value!r}")
+
+
+def _as_float(field: str, value) -> float:
+    """Any int or float; bools and strings are rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"field '{field}' must be a number, got {value!r}")
+
+
+def _typed(field: str, default, value):
+    """``value`` checked against the type of the field's ``default``.
+
+    bool and str fields take only that type; int and float fields go
+    through ``_as_int`` / ``_as_float``; tuple fields take a JSON array of
+    integers.  Fields whose default is None are passed through.
+    """
+    if isinstance(default, (bool, str)):
+        if not isinstance(value, type(default)):
+            kind = "true or false" if isinstance(default, bool) else "a string"
+            raise ConfigError(f"field '{field}' must be {kind}, got {value!r}")
+        return value
+    if isinstance(default, int):
+        return _as_int(field, value)
+    if isinstance(default, float):
+        return _as_float(field, value)
+    if isinstance(default, tuple):
+        return tuple(_as_int(field, v) for v in _convert(field, list, value))
+    return value
+
+
 def _section(raw: dict, name: str) -> dict:
     section = raw.get(name, {})
     if not isinstance(section, dict):
@@ -105,15 +142,16 @@ def resolve_config(raw: dict) -> dict:
                 f"field 'strategies' contains unknown strategy '{s}'; "
                 f"expected one of {list(STRATEGIES)}"
             )
-    ratios = _convert(
-        "openness_ratios", lambda v: [float(r) for r in v], raw["openness_ratios"]
-    )
+    ratios = [
+        _as_float("openness_ratios", r)
+        for r in _convert("openness_ratios", list, raw["openness_ratios"])
+    ]
     if not ratios:
         raise ConfigError("field 'openness_ratios' must list at least one ratio")
     for r in ratios:
         if not 0 <= r < 1:
             raise ConfigError(f"field 'openness_ratios' value {r} outside [0, 1)")
-    seeds = _convert("seeds", lambda v: [int(s) for s in v], raw["seeds"])
+    seeds = [_as_int("seeds", s) for s in _convert("seeds", list, raw["seeds"])]
     if not seeds:
         raise ConfigError("field 'seeds' must list at least one seed")
     if os.environ.get(SEED_ENV_VAR):
@@ -126,7 +164,10 @@ def resolve_config(raw: dict) -> dict:
     for key, value in _section(raw, "data").items():
         if key not in DATA_DEFAULTS:
             raise ConfigError(f"unknown field 'data.{key}'")
-        data[key] = value
+        data[key] = _typed(f"data.{key}", DATA_DEFAULTS[key], value)
+    for key in ("init_labeled_fraction", "test_fraction"):
+        if not 0 <= data[key] < 1:
+            raise ConfigError(f"field 'data.{key}' value {data[key]} outside [0, 1)")
     idx = data["idx"]
     if idx:
         if not isinstance(idx, dict):
@@ -144,22 +185,15 @@ def resolve_config(raw: dict) -> dict:
     for key, value in _section(raw, "train").items():
         if key not in TRAIN_FIELDS:
             raise ConfigError(f"unknown field 'train.{key}'")
-        # JSON arrays arrive as lists; tuple-valued fields stay tuples
-        if isinstance(train[key], tuple):
-            value = _convert(f"train.{key}", tuple, value)
-        train[key] = value
+        train[key] = _typed(f"train.{key}", train[key], value)
 
     resolved = {
         "strategies": strategies,
         "openness_ratios": ratios,
         "seeds": seeds,
         "output_dir": str(raw["output_dir"]),
-        "query_size": _convert(
-            "query_size", int, raw.get("query_size", TrainConfig.query_size)
-        ),
-        "num_cycles": _convert(
-            "num_cycles", int, raw.get("num_cycles", TrainConfig.num_cycles)
-        ),
+        "query_size": _as_int("query_size", raw.get("query_size", TrainConfig.query_size)),
+        "num_cycles": _as_int("num_cycles", raw.get("num_cycles", TrainConfig.num_cycles)),
         "data": data,
         "train": train,
     }
@@ -352,7 +386,7 @@ def cmd_check(config_path: str | None = None) -> int:
             raw = json.loads(Path(config_path).read_text())
             seeds = raw.get("seeds")
             if seeds:
-                seed = int(seeds[0])
+                seed = _as_int("seeds", seeds[0])
         except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

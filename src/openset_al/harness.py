@@ -168,13 +168,9 @@ def run_experiment(
             head_init_scale=cfg.head_init_scale,
         )
         x_lab, y_lab = split.labeled_arrays()
+        x_unl = split.unlabeled_features() if cfg.runs_discrepancy else None
         model = train_cycle(
-            model,
-            x_lab,
-            y_lab,
-            split.unlabeled_features(),
-            cfg,
-            rng=np.random.default_rng(shuffle_seq),
+            model, x_lab, y_lab, x_unl, cfg, rng=np.random.default_rng(shuffle_seq)
         )
         metrics.append(
             CycleMetrics(

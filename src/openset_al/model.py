@@ -109,6 +109,12 @@ class TrainConfig:
         if any(w <= 0 for w in self.hidden_widths):
             raise ValueError("hidden_widths must be positive")
 
+    @property
+    def runs_discrepancy(self) -> bool:
+        """Whether ``train_cycle`` runs the discrepancy phase, the only
+        part of training that reads the unlabeled pool."""
+        return self.use_discrepancy and self.discrepancy_epochs > 0
+
 
 @dataclass
 class ModelParams:
@@ -276,27 +282,52 @@ def _forward_cached(model: ModelParams, x: np.ndarray):
     return acts, logits, alphas, clip_masks
 
 
-def forward(model: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evidence vectors (alpha1, alpha2) for a batch of inputs.
+# A row block of ``forward`` has at least this many rows, and at least
+# enough that its smallest matmul does FORWARD_BLOCK_WORK multiply-adds.
+# OpenBLAS takes a small-matrix kernel, which rounds differently, once
+# M*N*K drops to about 1e6; blocks above that keep the one-pass bits.
+FORWARD_MIN_BLOCK = 4096
+FORWARD_BLOCK_WORK = 2**21
 
-    Inference only: each layer's output is updated in place and nothing is
-    kept for backprop, so a pool-sized batch allocates one array per
-    matmul.  The arithmetic is ``_forward_cached``'s, so the evidence is
-    bitwise the same.  The batch is not split into row blocks, since
-    BLAS may pick a different kernel for a smaller matmul.
-    """
-    h = _model_batch(model, x)
+
+def _forward_block_rows(model: ModelParams) -> int:
+    smallest = min(w.size for w, _ in model.backbone + model.heads)
+    return max(FORWARD_MIN_BLOCK, -(-FORWARD_BLOCK_WORK // smallest))
+
+
+def _forward_rows(model: ModelParams, h: np.ndarray, alphas) -> None:
+    """The inference loop on one row block; head i's evidence is written
+    into ``alphas[i]``."""
     for w, b in model.backbone:
         h = h @ w
         h += b
         np.maximum(h, 0.0, out=h)
-    alphas = []
-    for w, b in model.heads:
-        z = h @ w
+    for (w, b), z in zip(model.heads, alphas):
+        np.matmul(h, w, out=z)
         z += b
         np.clip(z, -LOGIT_CLIP, LOGIT_CLIP, out=z)
-        alphas.append(np.exp(z, out=z))
-    return alphas[0], alphas[1]
+        np.exp(z, out=z)
+
+
+def forward(model: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evidence vectors (alpha1, alpha2) for a batch of inputs.
+
+    Inference only: each layer's output is updated in place and nothing is
+    kept for backprop.  A batch of at least two blocks of
+    ``_forward_block_rows`` rows is split into ``n // block`` near-equal
+    contiguous row blocks, so a pool's intermediates stay small enough to
+    remain in cache; each block writes into the preallocated outputs.  The
+    arithmetic is ``_forward_cached``'s and every block is large enough to
+    keep its BLAS kernel, so the evidence is bitwise the same.
+    """
+    x = _model_batch(model, x)
+    n = x.shape[0]
+    alphas = (np.empty((n, model.num_classes)), np.empty((n, model.num_classes)))
+    blocks = max(n // _forward_block_rows(model), 1)
+    bounds = [i * n // blocks for i in range(blocks + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        _forward_rows(model, x[lo:hi], [a[lo:hi] for a in alphas])
+    return alphas
 
 
 def _backward(model: ModelParams, acts, dzs, heads=True, backbone=True):
@@ -339,23 +370,68 @@ def _one_hot(y: np.ndarray, num_classes: int, rows: int) -> np.ndarray:
     return np.eye(num_classes)[y]
 
 
+# Bernoulli numbers B_2 .. B_16 of trigamma's asymptotic series
+#   psi1(z) ~ 1/z + 1/(2 z^2) + sum_k B_2k / z^(2k + 1),
+# whose first omitted term is below 1e-16 of psi1(z) for z >= 10.
+TRIGAMMA_BERNOULLI = (
+    1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510
+)
+TRIGAMMA_SHIFT = 10
+
+
+def _trigamma(x: np.ndarray) -> np.ndarray:
+    """Trigamma of a positive float64 array, written into ``x`` and
+    returned.
+
+    psi1(x) = sum_{k < 10} 1/(x + k)^2 + psi1(x + 10), the last term from
+    the asymptotic series.  Each x + k is formed from x directly and the
+    terms are added smallest first, so the result stays within a few ulp
+    of the true value; ``openset-al check`` holds it to 2e-15 relative of
+    ``scipy.special.zeta(2, x)`` over the evidence range.  nan stays nan.
+    """
+    t = np.empty_like(x)
+    acc = np.zeros_like(x)
+    for k in range(TRIGAMMA_SHIFT - 1, 0, -1):
+        np.add(x, k, out=t)
+        t *= t
+        acc += np.reciprocal(t, out=t)
+    w = np.reciprocal(np.add(x, TRIGAMMA_SHIFT, out=t), out=t)
+    w2 = w * w
+    tail = np.full_like(x, TRIGAMMA_BERNOULLI[-1])
+    for b in TRIGAMMA_BERNOULLI[-2::-1]:
+        tail *= w2
+        tail += b
+    tail *= w
+    tail += 0.5
+    tail *= w2
+    tail += w
+    acc += tail
+    np.multiply(x, x, out=t)
+    return np.add(acc, np.reciprocal(t, out=t), out=x)
+
+
 def _edl_grads(model: ModelParams, x: np.ndarray, yy: np.ndarray):
     """One forward pass and the flat gradient of ``edl_loss`` on one-hot
-    labels ``yy``; returns (the heads' evidence, gradients)."""
+    labels ``yy``; returns (the heads' evidence, gradients).
+
+    The elementwise algebra runs on both heads at once, stacked as
+    (2, n, C); ``_backward`` still takes each head's matmuls apart.
+    """
     acts, _, alphas, clip_masks = _forward_cached(model, x)
     n, c = acts[0].shape[0], model.num_classes
+    alpha, mask = np.stack(alphas), np.stack(clip_masks)
     off_label = 1.0 - yy
-    dzs = []
-    for alpha, mask in zip(alphas, clip_masks):
-        s = alpha.sum(axis=1, keepdims=True)
-        a_t = yy + off_label * alpha
-        s_t = a_t.sum(axis=1, keepdims=True)
-        # d/d alpha~ of the KL term, then chain through the label mask.
-        # zeta(2, .) is the trigamma function polygamma(1, .), bit for bit.
-        dkl_dat = (a_t - 1.0) * special.zeta(2, a_t) - special.zeta(2, s_t) * (s_t - c)
-        dl_dalpha = (1.0 / s) - yy / alpha + dkl_dat * off_label
-        dzs.append(dl_dalpha * alpha * mask / (2.0 * n))
-    return alphas, _backward(model, acts, dzs)
+    s = alpha.sum(axis=2, keepdims=True)
+    a_t = yy + off_label * alpha
+    s_t = a_t.sum(axis=2, keepdims=True)
+    # d/d alpha~ of the KL term, then chain through the label mask.  The
+    # label entry's trigamma(a_t) is multiplied by a_t - 1 = 0, so one
+    # kernel call evaluates trigamma(s_t) in that slot instead.
+    label = yy > 0
+    psi = _trigamma(np.where(label, s_t, a_t))
+    dkl_dat = (a_t - 1.0) * psi - psi[:, label][..., None] * (s_t - c)
+    dl_dalpha = (1.0 / s) - yy / alpha + dkl_dat * off_label
+    return alphas, _backward(model, acts, dl_dalpha * alpha * mask / (2.0 * n))
 
 
 def edl_loss(
@@ -542,7 +618,7 @@ def train_cycle(
     model: ModelParams,
     x_labeled: np.ndarray,
     y_labeled: np.ndarray,
-    x_unlabeled: np.ndarray,
+    x_unlabeled: np.ndarray | None,
     cfg: TrainConfig,
     rng: np.random.Generator | None = None,
 ) -> ModelParams:
@@ -553,6 +629,8 @@ def train_cycle(
     epochs over the unlabeled pool alternating a backbone-only agreement
     epoch with a heads-only disagreement epoch.  The epoch counter keeps
     running through the second phase so the lr schedule carries over.
+    ``x_unlabeled`` is not read (and may be None) unless
+    ``cfg.runs_discrepancy``.
 
     Each step computes only the gradient its update reads: the loss
     values are never evaluated.  Labels are validated and one-hot encoded
@@ -571,12 +649,11 @@ def train_cycle(
             _, grads = grad_fn(model, x_labeled[idx], yy[idx])
             sgd_step(model, grads, epoch, cfg, trainable="all")
 
+    if not cfg.runs_discrepancy:
+        return model
     x_unlabeled = _as_batch(x_unlabeled)
-    discrepancy_epochs = cfg.discrepancy_epochs if cfg.use_discrepancy else 0
-    if x_unlabeled.shape[0] == 0:
-        discrepancy_epochs = 0
     ubatch = min(cfg.batch_size, max(x_unlabeled.shape[0], 1))
-    for k in range(discrepancy_epochs):
+    for k in range(cfg.discrepancy_epochs):
         if k % 2 == 0:
             grad_fn, tau, trainable = _close_grads, cfg.tau1, "backbone"
         else:

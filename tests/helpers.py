@@ -5,6 +5,8 @@ import struct
 import numpy as np
 from scipy import special
 
+from openset_al.model import _backward, _forward_cached
+
 
 def finite_difference_grads(value_fn, arrays, h=1e-5):
     """Central finite differences of a scalar function with respect to
@@ -46,6 +48,24 @@ def closed_form_distribution_uncertainty(alpha):
     p = a / s
     expected_term = (p * (special.digamma(a + 1.0) - special.digamma(s + 1.0))).sum(axis=-1)
     return expected_term - special.xlogy(p, p).sum(axis=-1)
+
+
+def zeta_edl_grads(model, x, yy):
+    """``model._edl_grads`` as it was written per head with trigamma from
+    ``scipy.special.zeta(2, .)`` on every entry; returns the flat
+    gradient list."""
+    acts, _, alphas, clip_masks = _forward_cached(model, x)
+    n, c = acts[0].shape[0], model.num_classes
+    off_label = 1.0 - yy
+    dzs = []
+    for alpha, mask in zip(alphas, clip_masks):
+        s = alpha.sum(axis=1, keepdims=True)
+        a_t = yy + off_label * alpha
+        s_t = a_t.sum(axis=1, keepdims=True)
+        dkl_dat = (a_t - 1.0) * special.zeta(2, a_t) - special.zeta(2, s_t) * (s_t - c)
+        dl_dalpha = (1.0 / s) - yy / alpha + dkl_dat * off_label
+        dzs.append(dl_dalpha * alpha * mask / (2.0 * n))
+    return _backward(model, acts, dzs)
 
 
 def write_idx_images(path, images):

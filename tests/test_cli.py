@@ -10,7 +10,7 @@ import pytest
 from helpers import write_idx_images, write_idx_labels
 
 from openset_al import cli, evidential, model
-from openset_al.checks import run_checks
+from openset_al.checks import CHECK_NAMES, run_checks
 from openset_al.datasets import BlobSpec
 from openset_al.model import TrainConfig
 
@@ -113,6 +113,12 @@ class TestCmdRun:
             ({"train": {"hidden_widths": 5}}, "'train.hidden_widths'"),
             ({"data": {"per_class": 0}}, "per_class"),
             ({"data": {"idx": {"images": "x"}}}, "'data.idx.labels'"),
+            # checked against the type of the field's default, or its range
+            ({"data": {"dim": 2.5}}, "'data.dim'"),
+            ({"train": {"batch_size": 12.5}}, "'train.batch_size'"),
+            ({"data": {"init_labeled_fraction": 2}}, "'data.init_labeled_fraction'"),
+            ({"num_cycles": 1.7}, "'num_cycles'"),
+            ({"train": {"lr": "fast"}}, "'train.lr'"),
         ],
     )
     def test_config_error_exits_2_before_any_cell(
@@ -255,7 +261,7 @@ class TestCmdCheck:
         elapsed = time.perf_counter() - start
         out = capsys.readouterr().out
         assert elapsed < 30
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == len(CHECK_NAMES)
         assert "FAIL" not in out
 
     def test_sign_error_mutation_fails_decomposition(self, monkeypatch, capsys):
@@ -306,6 +312,13 @@ class TestCmdCheck:
         path = tmp_path / "cfg.json"
         path.write_text("{oops")
         assert cli.main(["check", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_non_integer_seed_exits_two(self, tmp_path, capsys, seed):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seeds": [seed]}))
+        assert cli.main(["check", "--config", str(path)]) == 2
+        assert "'seeds'" in capsys.readouterr().err
 
 
 class TestResolveConfig:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from openset_al import harness
 from openset_al.datasets import BlobSpec, DatasetSplit, Pool, make_blobs
 from openset_al.harness import (
     CycleMetrics,
@@ -267,6 +268,25 @@ class TestRunExperiment:
         assert [m.cycle for m in metrics] == [0, 1, 2, 3, 4]
         assert [m.truncated for m in metrics] == [False] * 4 + [True]
         assert metrics[-1].unlabeled_size == 0
+
+    @pytest.mark.parametrize(
+        "overrides, reads_pool",
+        [({}, True), ({"discrepancy_epochs": 0}, False), ({"use_discrepancy": False}, False)],
+    )
+    def test_pool_gathered_for_training_only_when_it_is_read(
+        self, small_split, monkeypatch, overrides, reads_pool
+    ):
+        pools = []
+        real = harness.train_cycle
+
+        def recording(model, x_lab, y_lab, x_unl, cfg, rng):
+            pools.append(x_unl)
+            return real(model, x_lab, y_lab, x_unl, cfg, rng=rng)
+
+        monkeypatch.setattr(harness, "train_cycle", recording)
+        run_experiment(small_split, quick_cfg(**overrides), "random")
+        assert len(pools) == 3
+        assert all((x is not None) == reads_pool for x in pools)
 
     def test_unknown_strategy_rejected(self, small_split):
         with pytest.raises(ValueError, match="unknown strategy"):

@@ -7,14 +7,18 @@ import pickle
 
 import numpy as np
 import pytest
-from helpers import finite_difference_grads, max_rel_err
+from helpers import finite_difference_grads, max_rel_err, zeta_edl_grads
+from scipy import special
 
+from openset_al import model as model_module
 from openset_al.datasets import BlobSpec, make_blobs
 from openset_al.evidential import LOGIT_CLIP, data_uncertainty, discrepancy_score
 from openset_al.model import (
     ModelParams,
     TrainConfig,
+    _edl_grads,
     _forward_cached,
+    _trigamma,
     close_loss,
     close_weights,
     cross_entropy_loss,
@@ -127,6 +131,119 @@ class TestInferenceForward:
         assert x.tobytes() == before
         for a, b in zip(out, _forward_cached(m, x)[2]):
             assert a.tobytes() == b.tobytes()
+
+
+class TestBlockedForward:
+    """A batch of at least two blocks is split into ``n // block`` row
+    blocks; every block keeps the one-pass bits.  The block is 4096 rows
+    for 32 -> 64 -> 64 -> 10, 8192 for 16 -> 64 -> 64 -> 4 and
+    2^21 / 24 for 5 -> 8 -> 8 -> 3, whose 10,000 rows stay one pass."""
+
+    @pytest.mark.parametrize(
+        "d_in, widths, classes, rows, blocks",
+        [
+            (32, (64, 64), 10, 8191, 1),
+            (32, (64, 64), 10, 8192, 2),
+            (32, (64, 64), 10, 12_289, 3),
+            (32, (64, 64), 10, 47_700, 11),
+            (16, (64, 64), 4, 16_384, 2),
+            (16, (64, 64), 4, 20_001, 2),
+            (5, (8, 8), 3, 10_000, 1),
+        ],
+    )
+    def test_bitwise_equal_to_training_forward(
+        self, monkeypatch, d_in, widths, classes, rows, blocks
+    ):
+        m = init_model(d_in, classes, hidden_widths=widths, seed=5, head_init_scale=3.0)
+        x = np.random.default_rng(rows).normal(0.0, 8.0, size=(rows, d_in))
+        calls = []
+        real = model_module._forward_rows
+        monkeypatch.setattr(
+            model_module, "_forward_rows", lambda *a: (calls.append(1), real(*a))[1]
+        )
+        out = forward(m, x)
+        assert len(calls) == blocks
+        for a, b in zip(out, _forward_cached(m, x)[2]):
+            assert a.tobytes() == b.tobytes()
+
+
+# frozen: trigamma at exactly representable arguments, from a 40-digit
+# mpmath 1.3.0 evaluation of polygamma(1, x)
+TRIGAMMA_REFERENCE = [
+    (4.5399929762484854e-05, "485165197.0546151485391918723168718103717"),
+    (0.001, "1000001.64253319582734466950414879516746"),
+    (0.25, "17.19732915450711073927131911933522402151"),
+    (1.0, "1.644934066848226436472415166646025189219"),
+    (1.5, "0.9348022005446793094172454999380755676569"),
+    (3.0, "0.3949340668482264364724151666460251892189"),
+    (9.75, "0.1080032433366318545603115508352785231644"),
+    (10.5, "0.09991695605912673320394417144547194742292"),
+    (100.0, "0.01005016666333357139524566846570142253563"),
+    (1234.5, "0.0008103727271269666526951330249687002610177"),
+    (22026.465794806718, "0.00004540096035489210624905021559012225058828"),
+    (2180621.113685865, "0.0000004585850439658551757213850951115395948595"),
+]
+
+
+class TestTrigamma:
+    def test_frozen_reference_values(self):
+        x = np.array([arg for arg, _ in TRIGAMMA_REFERENCE])
+        ref = np.array([float(value) for _, value in TRIGAMMA_REFERENCE])
+        got = _trigamma(x.copy())
+        assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+
+    def test_dense_grid_matches_zeta(self):
+        """Evidence down to e^-10 and row sums up to 1 + 99 e^10."""
+        x = np.exp(np.linspace(-10.0, np.log1p(99.0 * np.exp(10.0)), 100_001))
+        ref = special.zeta(2, x)
+        assert np.max(np.abs(_trigamma(x.copy()) - ref) / ref) < 2e-15
+
+    def test_in_place_and_nan_propagating(self):
+        x = np.array([[0.5, np.nan], [2.0, 1e6]])
+        out = _trigamma(x)
+        assert out is x
+        assert np.isnan(x[0, 1]) and np.isfinite(np.delete(x, 1)).all()
+
+
+class TestEdlGrads:
+    @pytest.mark.parametrize("classes", [2, 4, 10])
+    def test_matches_zeta_formula(self, classes):
+        """Against the per-head zeta formula, relative to each gradient
+        array's largest entry: single entries can be sums that cancel to
+        far below the terms whose rounding they carry."""
+        m = init_model(16, classes, hidden_widths=(64, 64), seed=5, head_init_scale=3.0)
+        rng = np.random.default_rng(classes)
+        x = rng.normal(0.0, 8.0, size=(128, 16))
+        yy = np.eye(classes)[rng.integers(0, classes, size=128)]
+        z = np.concatenate(_forward_cached(m, x)[1])
+        assert (z > LOGIT_CLIP).any() and (z < -LOGIT_CLIP).any()
+        _, grads = _edl_grads(m, x, yy)
+        for g, ref in zip(grads, zeta_edl_grads(m, x, yy)):
+            assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_one_kernel_call_per_step(self, monkeypatch, small_split):
+        counts = {"_trigamma": 0, "_edl_grads": 0}
+        for name in counts:
+            real = getattr(model_module, name)
+
+            def counted(*args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(model_module, name, counted)
+        xl, yl = small_split.labeled_arrays()
+        m = init_model(xl.shape[1], 3, hidden_widths=(16,), seed=2)
+        train_cycle(m, xl, yl, None, quick_cfg(epochs=3, discrepancy_epochs=0))
+        assert counts["_trigamma"] == counts["_edl_grads"] > 0
+
+    def test_nan_logit_reaches_sgd_step(self, small_split):
+        """A nan logit (here one class of one head, so it sits in label and
+        off-label entries) stops training at the update."""
+        xl, yl = small_split.labeled_arrays()
+        m = init_model(xl.shape[1], 3, hidden_widths=(16,), seed=2)
+        m.heads[1][1][1] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite gradient"):
+            train_cycle(m, xl, yl, None, quick_cfg(epochs=1, discrepancy_epochs=0))
 
 
 class TestEdlLoss:
