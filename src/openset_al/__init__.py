@@ -29,6 +29,7 @@ from .harness import (
     write_metrics_csv,
 )
 from .model import (
+    BlockBuffers,
     ModelParams,
     TrainConfig,
     close_loss,
@@ -58,6 +59,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlobSpec",
+    "BlockBuffers",
     "CycleMetrics",
     "DatasetSplit",
     "GmmModel",

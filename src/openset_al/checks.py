@@ -1,7 +1,7 @@
 """Fast self-check suite: closed-form identities, special-function
-recurrences, gradient spot checks on a tiny network, and the two numeric
-kernels whose results depend on the machine (the trigamma kernel and the
-row-blocked pool forward).
+recurrences, gradient spot checks on a tiny network, and the numeric
+kernels whose results depend on the machine (the trigamma kernel, the
+row-blocked pool forward and the pool scores streamed through it).
 
 Each check returns (name, passed, detail) so the CLI can print one line
 per property.  The whole suite runs in a few seconds.  Checks call the
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import special
 
-from . import evidential, model
+from . import evidential, model, selection
 
 __all__ = ["run_checks", "CHECK_NAMES"]
 
@@ -148,6 +148,30 @@ def _check_blocked_forward(rng):
     return not differ.any(), f"{differ.sum()} of {rows} rows differ in 2 row blocks"
 
 
+def _check_streamed_scores(rng):
+    """``score_pool`` gathers a pool's rows through their ids and scores
+    them block by block in reused buffers; each score must be the
+    evidential closed form on the gathered pool, bit for bit.  The pool
+    is two blocks of 4,146 rows, so a partition other than ``forward``'s
+    leaves a short tail, which BLAS rounds differently."""
+    m = model.init_model(32, 10, seed=int(rng.integers(1 << 31)), head_init_scale=3.0)
+    n = 2 * model._forward_block_rows(m) + 100
+    x = rng.normal(0.0, 8.0, size=(n + 99, 32))
+    rows = rng.permutation(len(x))[:n]
+    got = selection.score_pool(m, x, rows=rows, buffers=model.BlockBuffers())
+    a1, a2 = model._forward_cached(m, x[rows])[2]
+    avg = 0.5 * (a1 + a2)
+    expected = (
+        np.maximum(evidential.data_uncertainty(avg), 0.0),
+        np.maximum(evidential.distribution_uncertainty(avg), 0.0),
+        evidential.discrepancy_score(a1, a2),
+    )
+    differ = np.zeros(n, dtype=bool)
+    for a, b in zip(got, expected):
+        differ |= a.view(np.int64) != b.view(np.int64)
+    return not differ.any(), f"{differ.sum()} of {n} rows differ in 2 row blocks"
+
+
 CHECKS = {
     "decomposition_identity": _check_decomposition,
     "digamma_recurrence": _check_digamma,
@@ -157,6 +181,7 @@ CHECKS = {
     "gradient_spot_check": _check_gradients,
     "trigamma_kernel": _check_trigamma,
     "blocked_forward_bitwise": _check_blocked_forward,
+    "streamed_scores_bitwise": _check_streamed_scores,
 }
 CHECK_NAMES = tuple(CHECKS)
 

@@ -403,6 +403,17 @@ def cmd_check(config_path: str | None = None) -> int:
     return 0
 
 
+def _positive_jobs(text: str) -> int:
+    """``--jobs`` value: an integer of at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="openset-al",
@@ -412,7 +423,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="execute the configured experiment grid")
     p_run.add_argument("--config", required=True, help="path to a JSON config")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel runs")
+    p_run.add_argument("--jobs", type=_positive_jobs, default=1, help="parallel runs (at least 1)")
 
     p_report = sub.add_parser("report", help="aggregate run CSVs")
     p_report.add_argument("--dir", required=True, help="directory with run CSVs")

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .datasets import DatasetSplit, Pool
-from .model import ModelParams, TrainConfig, init_model, train_cycle
+from .model import BlockBuffers, ModelParams, TrainConfig, init_model, train_cycle
 from .selection import (
     BASELINE_STRATEGIES,
     averaged_probs,
@@ -97,12 +97,18 @@ def oracle_label(query_ids, split: DatasetSplit) -> DatasetSplit:
     return replace(split, status=status)
 
 
-def evaluate_accuracy(model: ModelParams, x_test: np.ndarray, y_test: np.ndarray) -> float:
+def evaluate_accuracy(
+    model: ModelParams,
+    x_test: np.ndarray,
+    y_test: np.ndarray,
+    buffers: BlockBuffers | None = None,
+) -> float:
     """Fraction of test examples whose averaged-head prediction matches;
-    argmax ties resolve to the lowest class index."""
+    argmax ties resolve to the lowest class index.  ``buffers`` is passed
+    on to ``averaged_probs``."""
     if len(x_test) == 0:
         raise ValueError("empty test set")
-    probs = averaged_probs(model, x_test)
+    probs = averaged_probs(model, x_test, buffers=buffers)
     return float((probs.argmax(axis=1) == np.asarray(y_test)).mean())
 
 
@@ -113,11 +119,12 @@ def _select(
     cfg: TrainConfig,
     budget: int,
     seed,
+    buffers: BlockBuffers,
 ) -> np.ndarray:
-    x_pool = split.unlabeled_features()
+    # the pool is scored through its ids, block by block, never gathered
     ids = split.unlabeled_ids
     if strategy == "coarse_to_fine":
-        scores = score_pool(model, x_pool)
+        scores = score_pool(model, split.features, rows=ids, buffers=buffers)
         return coarse_to_fine_select(
             scores,
             ids,
@@ -127,7 +134,7 @@ def _select(
             threshold=cfg.coarse_threshold,
             use_discrepancy=cfg.use_discrepancy,
         )
-    probs = averaged_probs(model, x_pool)
+    probs = averaged_probs(model, split.features, rows=ids, buffers=buffers)
     return baseline_select(strategy, probs, ids, budget, seed=seed)
 
 
@@ -135,12 +142,17 @@ def run_experiment(
     split: DatasetSplit, cfg: TrainConfig, strategy: str
 ) -> list[CycleMetrics]:
     """Run the full query loop and return one metrics row per cycle,
-    including the cycle-0 evaluation of the initial model."""
+    including the cycle-0 evaluation of the initial model.
+
+    One ``BlockBuffers`` set serves every pool and test-set pass of the
+    run, so their block-sized arrays are allocated once, not per cycle.
+    """
     cfg.validate()
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     cycle_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.num_cycles + 1)
     x_test, y_test = split.test_arrays()
+    buffers = BlockBuffers()
     metrics = []
     for cycle, cycle_seed in enumerate(cycle_seeds):
         if cycle and len(split.unlabeled_ids) == 0:
@@ -153,7 +165,7 @@ def run_experiment(
             # this spawn, so the init and shuffle seeds below are children
             # 3 and 4 (0 and 1 in cycle 0, which makes no query).
             select_seed = cycle_seed.spawn(3)[2]
-            query = _select(strategy, model, split, cfg, budget, select_seed)
+            query = _select(strategy, model, split, cfg, budget, select_seed, buffers)
             known_in_query = int(split.is_known(split.true_labels[query]).sum())
             query_precision = known_in_query / len(query)
             truncated = len(query) < cfg.query_size
@@ -176,7 +188,7 @@ def run_experiment(
             CycleMetrics(
                 cycle=cycle,
                 query_precision=query_precision,
-                test_accuracy=evaluate_accuracy(model, x_test, y_test),
+                test_accuracy=evaluate_accuracy(model, x_test, y_test, buffers),
                 labeled_size=len(split.labeled_ids),
                 unlabeled_size=len(split.unlabeled_ids),
                 discarded_unknown=len(split.ids(Pool.DISCARDED)),

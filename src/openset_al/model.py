@@ -26,6 +26,7 @@ exact and verified against central finite differences in the test suite.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -44,6 +45,7 @@ __all__ = [
     "TrainConfig",
     "ModelParams",
     "init_model",
+    "BlockBuffers",
     "forward",
     "edl_loss",
     "cross_entropy_loss",
@@ -267,7 +269,12 @@ def _model_batch(model: ModelParams, x) -> np.ndarray:
 
 
 def _forward_cached(model: ModelParams, x: np.ndarray):
-    """Forward pass keeping every intermediate needed by backprop."""
+    """Forward pass keeping every intermediate needed by backprop.
+
+    The heads' logits, evidence and clip masks come back as (2, n, C)
+    arrays, head i in row i, so the elementwise algebra of a step can run
+    on both heads at once.
+    """
     h = _model_batch(model, x)
     acts = [h]
     for w, b in model.backbone:
@@ -275,10 +282,13 @@ def _forward_cached(model: ModelParams, x: np.ndarray):
         h += b
         np.maximum(h, 0.0, out=h)
         acts.append(h)
-    logits = [h @ w + b for w, b in model.heads]
-    clipped = [np.clip(z, -LOGIT_CLIP, LOGIT_CLIP) for z in logits]
-    alphas = [np.exp(z) for z in clipped]
-    clip_masks = [(np.abs(z) < LOGIT_CLIP).astype(float) for z in logits]
+    logits = np.empty((2, h.shape[0], model.num_classes))
+    for (w, b), z in zip(model.heads, logits):
+        np.matmul(h, w, out=z)
+        z += b
+    alphas = np.clip(logits, -LOGIT_CLIP, LOGIT_CLIP)
+    np.exp(alphas, out=alphas)
+    clip_masks = (np.abs(logits) < LOGIT_CLIP).astype(float)
     return acts, logits, alphas, clip_masks
 
 
@@ -295,11 +305,44 @@ def _forward_block_rows(model: ModelParams) -> int:
     return max(FORWARD_MIN_BLOCK, -(-FORWARD_BLOCK_WORK // smallest))
 
 
-def _forward_rows(model: ModelParams, h: np.ndarray, alphas) -> None:
+def _row_blocks(model: ModelParams, n: int) -> list[tuple[int, int]]:
+    """``forward``'s partition of n rows: one block below two blocks of
+    ``_forward_block_rows``, else ``n // block`` near-equal contiguous
+    blocks."""
+    blocks = max(n // _forward_block_rows(model), 1)
+    bounds = [i * n // blocks for i in range(blocks + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+class BlockBuffers:
+    """Scratch arrays for row-block passes, reused from call to call.
+
+    ``take(name, shape)`` returns a C-contiguous float64 view on the
+    leading elements of the buffer called ``name``, which grows to the
+    largest size asked for and is then reused; the view is valid until
+    the next ``take`` of that name.  ``run_experiment`` holds one set for
+    a whole run, so every cycle's pool pass works in memory that is
+    already mapped instead of freeing its arrays and faulting them back in.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._arrays.get(name)
+        if buf is None or buf.size < size:
+            buf = self._arrays[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def _forward_rows(model: ModelParams, h: np.ndarray, alphas, buffers) -> None:
     """The inference loop on one row block; head i's evidence is written
-    into ``alphas[i]``."""
-    for w, b in model.backbone:
-        h = h @ w
+    into ``alphas[i]``, and layer i's activations into the ``hidden<i>``
+    buffer when ``buffers`` is given."""
+    for i, (w, b) in enumerate(model.backbone):
+        out = None if buffers is None else buffers.take(f"hidden{i}", (len(h), w.shape[1]))
+        h = np.matmul(h, w, out=out)
         h += b
         np.maximum(h, 0.0, out=h)
     for (w, b), z in zip(model.heads, alphas):
@@ -309,25 +352,32 @@ def _forward_rows(model: ModelParams, h: np.ndarray, alphas) -> None:
         np.exp(z, out=z)
 
 
-def forward(model: ModelParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def forward(
+    model: ModelParams, x: np.ndarray, buffers: BlockBuffers | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Evidence vectors (alpha1, alpha2) for a batch of inputs.
 
     Inference only: each layer's output is updated in place and nothing is
     kept for backprop.  A batch of at least two blocks of
     ``_forward_block_rows`` rows is split into ``n // block`` near-equal
-    contiguous row blocks, so a pool's intermediates stay small enough to
-    remain in cache; each block writes into the preallocated outputs.  The
-    arithmetic is ``_forward_cached``'s and every block is large enough to
-    keep its BLAS kernel, so the evidence is bitwise the same.
+    contiguous row blocks (``_row_blocks``), so a pool's intermediates
+    stay small enough to remain in cache; each block writes into the
+    preallocated outputs.  The arithmetic is ``_forward_cached``'s and
+    every block is large enough to keep its BLAS kernel, so the evidence
+    is bitwise the same.
+
+    With ``buffers``, the evidence and every layer's activations are
+    written into arrays taken from them (``evidence`` and ``hidden<i>``)
+    and nothing is allocated; the returned arrays are views on the
+    buffers, valid until they are next used.  A caller that passes one
+    row block at a time keeps the buffers block-sized.
     """
     x = _model_batch(model, x)
-    n = x.shape[0]
-    alphas = (np.empty((n, model.num_classes)), np.empty((n, model.num_classes)))
-    blocks = max(n // _forward_block_rows(model), 1)
-    bounds = [i * n // blocks for i in range(blocks + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        _forward_rows(model, x[lo:hi], [a[lo:hi] for a in alphas])
-    return alphas
+    n, shape = x.shape[0], (2, x.shape[0], model.num_classes)
+    alphas = np.empty(shape) if buffers is None else buffers.take("evidence", shape)
+    for lo, hi in _row_blocks(model, n):
+        _forward_rows(model, x[lo:hi], alphas[:, lo:hi], buffers)
+    return alphas[0], alphas[1]
 
 
 def _backward(model: ModelParams, acts, dzs, heads=True, backbone=True):
@@ -412,14 +462,14 @@ def _trigamma(x: np.ndarray) -> np.ndarray:
 
 def _edl_grads(model: ModelParams, x: np.ndarray, yy: np.ndarray):
     """One forward pass and the flat gradient of ``edl_loss`` on one-hot
-    labels ``yy``; returns (the heads' evidence, gradients).
+    labels ``yy``; returns (the heads' (2, n, C) evidence, gradients).
 
-    The elementwise algebra runs on both heads at once, stacked as
-    (2, n, C); ``_backward`` still takes each head's matmuls apart.
+    The elementwise algebra runs on both heads at once, on the (2, n, C)
+    arrays ``_forward_cached`` writes; ``_backward`` still takes each
+    head's matmuls apart.
     """
-    acts, _, alphas, clip_masks = _forward_cached(model, x)
+    acts, _, alpha, mask = _forward_cached(model, x)
     n, c = acts[0].shape[0], model.num_classes
-    alpha, mask = np.stack(alphas), np.stack(clip_masks)
     off_label = 1.0 - yy
     s = alpha.sum(axis=2, keepdims=True)
     a_t = yy + off_label * alpha
@@ -431,7 +481,7 @@ def _edl_grads(model: ModelParams, x: np.ndarray, yy: np.ndarray):
     psi = _trigamma(np.where(label, s_t, a_t))
     dkl_dat = (a_t - 1.0) * psi - psi[:, label][..., None] * (s_t - c)
     dl_dalpha = (1.0 / s) - yy / alpha + dkl_dat * off_label
-    return alphas, _backward(model, acts, dl_dalpha * alpha * mask / (2.0 * n))
+    return alpha, _backward(model, acts, dl_dalpha * alpha * mask / (2.0 * n))
 
 
 def edl_loss(

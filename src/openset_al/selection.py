@@ -23,15 +23,19 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import special
 
-from .evidential import (
+from .evidential import _validate_alpha, entropy
+
+# perfbench/spans.py wraps these names in this module; the pool passes
+# below evaluate the same closed forms block by block, in buffers
+from .evidential import (  # noqa: F401
     data_uncertainty,
     discrepancy_score,
-    distribution_uncertainty,  # noqa: F401  perfbench/spans.py wraps this name
-    entropy,
+    distribution_uncertainty,
     expected_probs,
 )
-from .model import ModelParams, forward
+from .model import BlockBuffers, ModelParams, _model_batch, _row_blocks, forward
 
 __all__ = [
     "PoolScores",
@@ -66,24 +70,89 @@ class PoolScores(NamedTuple):
     s_dis: np.ndarray
 
 
-def score_pool(model: ModelParams, x: np.ndarray) -> PoolScores:
-    """Evaluate the three selection scores for every example in x.
+def _pool_evidence(model: ModelParams, x, rows, buffers: BlockBuffers):
+    """Both heads' evidence on the pool, one ``forward`` row block at a
+    time: yields (lo, hi, (alpha1, alpha2) of pool rows lo:hi, as views on
+    ``buffers``).  The pool is ``x``, or the rows ``rows`` of it in that
+    order, gathered block by block into the ``pool_rows`` buffer; every
+    id is range-checked before the first block runs."""
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.ndim != 1:
+            raise ValueError("rows must be a 1-D array of row ids")
+        outside = rows[(rows < 0) | (rows >= len(x))]
+        if outside.size:
+            raise IndexError(f"row ids outside [0, {len(x)}): {outside[:5].tolist()}")
+    for lo, hi in _row_blocks(model, len(x) if rows is None else len(rows)):
+        block = x[lo:hi]
+        if rows is not None:
+            # "clip" writes straight into ``out``; "raise" would buffer the
+            # block first, and the ids are already checked
+            out = buffers.take("pool_rows", (hi - lo, x.shape[1]))
+            block = np.take(x, rows[lo:hi], axis=0, out=out, mode="clip")
+        yield lo, hi, forward(model, block, buffers)
+
+
+def _score_block(alphas, buffers: BlockBuffers, u_data, u_dist, s_dis) -> None:
+    """The three scores of one row block, written into the given columns.
+
+    The operations, their order and the checks are those of
+    ``data_uncertainty``, ``entropy(expected_probs(.))`` and
+    ``discrepancy_score`` on the averaged evidence, so every score has
+    their bits; the temporaries are ``buffers`` and the heads' evidence,
+    which is overwritten.  A non-finite head makes the average
+    non-finite, so checking the average covers the heads too.
+    """
+    a1, a2 = alphas
+    avg = np.add(a1, a2, out=buffers.take("avg", a1.shape))
+    avg *= 0.5
+    _validate_alpha(avg)
+    d = np.subtract(a1, a2, out=a1)
+    np.sqrt(np.sum(np.square(d, out=d), axis=1, out=s_dis), out=s_dis)
+    s = np.sum(avg, axis=1, keepdims=True, out=buffers.take("avg_sum", (len(avg), 1)))
+    p = np.divide(avg, s, out=a1)
+    # u_data = sum_c p_c (psi(S + 1) - psi(alpha_c + 1))
+    psi_s = special.digamma(np.add(s, 1.0, out=s), out=s)
+    psi_a = special.digamma(np.add(avg, 1.0, out=avg), out=avg)
+    terms = np.subtract(psi_s, psi_a, out=psi_a)
+    terms *= p
+    np.sum(terms, axis=1, out=u_data)
+    # u_dist = entropy(p) - u_data, both clipped at 0 afterwards
+    np.negative(np.sum(special.xlogy(p, p, out=a2), axis=1, out=u_dist), out=u_dist)
+    u_dist -= u_data
+    np.maximum(u_data, 0.0, out=u_data)
+    np.maximum(u_dist, 0.0, out=u_dist)
+
+
+def score_pool(
+    model: ModelParams,
+    x: np.ndarray,
+    rows: np.ndarray | None = None,
+    buffers: BlockBuffers | None = None,
+) -> PoolScores:
+    """Evaluate the three selection scores for every example in x, or
+    for the rows ``rows`` of x in that order.
 
     Uncertainties come from the element-wise average of the two heads'
     evidence; the discrepancy is the L2 distance between them.  ``u_dist``
     is ``distribution_uncertainty`` of that average, derived from the
     same ``u_data`` so the digamma terms are evaluated once.  Tiny
     negative values from floating-point cancellation are clipped to 0.
+
+    The pool is streamed through ``forward``'s row blocks: each block's
+    rows are gathered, run forward and scored in arrays taken from
+    ``buffers`` (a fresh set when None), so nothing pool-sized is built
+    but the three score columns.  Every score is computed row by row, so
+    the result is bitwise the closed forms on the whole of ``x[rows]``.
+    An out-of-range id raises IndexError before any block runs.
     """
-    a1, a2 = forward(model, x)
-    avg = 0.5 * (a1 + a2)
-    u_data = data_uncertainty(avg)
-    u_dist = entropy(expected_probs(avg)) - u_data
-    return PoolScores(
-        u_data=np.maximum(u_data, 0.0),
-        u_dist=np.maximum(u_dist, 0.0),
-        s_dis=discrepancy_score(a1, a2),
-    )
+    buffers = BlockBuffers() if buffers is None else buffers
+    x = _model_batch(model, x)
+    n = len(x) if rows is None else len(rows)
+    scores = PoolScores(np.empty(n), np.empty(n), np.empty(n))
+    for lo, hi, alphas in _pool_evidence(model, x, rows, buffers):
+        _score_block(alphas, buffers, *(col[lo:hi] for col in scores))
+    return scores
 
 
 @dataclass
@@ -352,7 +421,30 @@ def baseline_select(
     return ids[order[:budget]]
 
 
-def averaged_probs(model: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Mean of the two heads' expected probabilities, used by baselines."""
-    a1, a2 = forward(model, x)
-    return 0.5 * (expected_probs(a1) + expected_probs(a2))
+def averaged_probs(
+    model: ModelParams,
+    x: np.ndarray,
+    rows: np.ndarray | None = None,
+    buffers: BlockBuffers | None = None,
+) -> np.ndarray:
+    """Mean of the two heads' expected probabilities, used by baselines
+    and for test accuracy.
+
+    Streamed like ``score_pool``: ``rows`` selects and orders the rows of
+    x, and every block-sized array is taken from ``buffers`` (a fresh set
+    when None).  Each block evaluates ``0.5 * (expected_probs(alpha1) +
+    expected_probs(alpha2))`` in place, with its checks, so the result is
+    bitwise the whole-pool value.
+    """
+    buffers = BlockBuffers() if buffers is None else buffers
+    x = _model_batch(model, x)
+    n = len(x) if rows is None else len(rows)
+    probs = np.empty((n, model.num_classes))
+    for lo, hi, (a1, a2) in _pool_evidence(model, x, rows, buffers):
+        for a in (a1, a2):
+            _validate_alpha(a)
+            s = np.sum(a, axis=1, keepdims=True, out=buffers.take("avg_sum", (len(a), 1)))
+            np.divide(a, s, out=a)
+        out = np.add(a1, a2, out=probs[lo:hi])
+        out *= 0.5
+    return probs

@@ -162,6 +162,15 @@ class TestCmdRun:
         manifest = json.loads((tmp_path / "results" / f"manifest_{tag}.json").read_text())
         assert manifest["config"]["data"]["idx"] == idx
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        path = minimal_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", str(path), "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "results").exists()
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         serial = minimal_config(tmp_path, seeds=[0, 1], output_dir=str(tmp_path / "s"))
         assert cli.main(["run", "--config", str(serial)]) == 0

@@ -288,6 +288,21 @@ class TestRunExperiment:
         assert len(pools) == 3
         assert all((x is not None) == reads_pool for x in pools)
 
+    @pytest.mark.parametrize("strategy", ["coarse_to_fine", "entropy", "random"])
+    def test_pool_never_gathered_without_discrepancy(
+        self, small_split, monkeypatch, strategy
+    ):
+        """Selection scores the pool through its ids; with the discrepancy
+        phase off, nothing gathers the unlabeled features."""
+
+        def gather(self):
+            raise AssertionError("unlabeled pool gathered")
+
+        expected = run_experiment(small_split, quick_cfg(discrepancy_epochs=0), strategy)
+        monkeypatch.setattr(DatasetSplit, "unlabeled_features", gather)
+        metrics = run_experiment(small_split, quick_cfg(discrepancy_epochs=0), strategy)
+        assert len(metrics) == 3 and metrics == expected
+
     def test_unknown_strategy_rejected(self, small_split):
         with pytest.raises(ValueError, match="unknown strategy"):
             run_experiment(small_split, quick_cfg(), "coreset")

@@ -9,12 +9,20 @@ from helpers import closed_form_distribution_uncertainty
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from openset_al.evidential import data_uncertainty, entropy
-from openset_al.model import forward, init_model
+from openset_al import selection
+from openset_al.evidential import (
+    data_uncertainty,
+    discrepancy_score,
+    distribution_uncertainty,
+    entropy,
+    expected_probs,
+)
+from openset_al.model import BlockBuffers, forward, init_model
 from openset_al.selection import (
     DegenerateDataError,
     GmmModel,
     PoolScores,
+    averaged_probs,
     baseline_select,
     coarse_select,
     coarse_to_fine_select,
@@ -591,3 +599,86 @@ class TestScorePool:
         assert np.all(scores.u_dist >= 0)
         assert np.all(scores.u_dist <= np.log(3) + 1e-9)
         assert np.all(scores.s_dis >= 0)
+
+
+def stream_case(n, classes):
+    """A 32 -> 64 -> 64 -> C model with logits past both clip bounds, a
+    feature store of n + 37 rows and n shuffled row ids into it."""
+    m = init_model(32, classes, (64, 64), seed=n + classes, head_init_scale=3.0)
+    rng = np.random.default_rng(n)
+    x = rng.normal(0.0, 8.0, size=(n + 37, 32))
+    return m, x, rng.permutation(len(x))[:n]
+
+
+def same_bytes(a, b):
+    return all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
+
+
+class TestStreamedScores:
+    """``score_pool`` and ``averaged_probs`` stream a pool's rows through
+    ``forward``'s row blocks over reused buffers.  The partition is
+    forward's, so every block keeps the one-pass bits: 1,504 and 6,000
+    rows are one block at C = 10, 47,700 are eleven."""
+
+    SIZES = [1504, 6000, 8191, 12_289, 20_001, 47_700]
+
+    @pytest.mark.parametrize("classes", [4, 10])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_bitwise_equal_to_whole_pool(self, n, classes):
+        m, x, rows = stream_case(n, classes)
+        pool = x[rows]
+        a1, a2 = forward(m, pool)
+        avg = 0.5 * (a1 + a2)
+        closed = PoolScores(
+            np.maximum(data_uncertainty(avg), 0.0),
+            np.maximum(distribution_uncertainty(avg), 0.0),
+            discrepancy_score(a1, a2),
+        )
+        streamed = score_pool(m, x, rows=rows, buffers=BlockBuffers())
+        assert same_bytes(streamed, closed)
+        assert same_bytes(streamed, score_pool(m, pool))
+        probs = 0.5 * (expected_probs(a1) + expected_probs(a2))
+        got = averaged_probs(m, x, rows=rows, buffers=BlockBuffers())
+        assert got.tobytes() == probs.tobytes()
+        assert got.tobytes() == averaged_probs(m, pool).tobytes()
+
+    def test_buffers_reused_across_pool_sizes(self):
+        """One set serving 47,700 rows, then 1,504, then 6,000 (a wide
+        run's pool, a desk pool, a wide test set) gives fresh-set bytes."""
+        buffers = BlockBuffers()
+        for n in (47_700, 1504, 6000):
+            m, x, rows = stream_case(n, 10)
+            fresh = score_pool(m, x, rows=rows, buffers=BlockBuffers())
+            assert same_bytes(score_pool(m, x, rows=rows, buffers=buffers), fresh)
+            fresh = averaged_probs(m, x, rows=rows, buffers=BlockBuffers())
+            reused = averaged_probs(m, x, rows=rows, buffers=buffers)
+            assert reused.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("bad", [-1, "size"])
+    @pytest.mark.parametrize("fn", [score_pool, averaged_probs])
+    def test_out_of_range_row_raises_before_any_block(self, monkeypatch, fn, bad):
+        m, x, rows = stream_case(12_289, 10)
+        rows[-1] = len(x) if bad == "size" else bad
+        blocks = []
+        monkeypatch.setattr(selection, "forward", lambda *a: blocks.append(a))
+        with pytest.raises(IndexError, match="outside"):
+            fn(m, x, rows=rows, buffers=BlockBuffers())
+        assert blocks == []
+
+    @pytest.mark.parametrize("fn", [score_pool, averaged_probs])
+    def test_non_finite_evidence_raises_as_the_closed_forms(self, fn):
+        """A nan feature row in the last block reaches the same finiteness
+        check as the whole-pool closed forms."""
+        m, x, rows = stream_case(12_289, 10)
+        x[rows[-1], 3] = np.nan
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            fn(m, x, rows=rows, buffers=BlockBuffers())
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            fn(m, x[rows])
+
+    def test_caller_features_left_unmodified(self):
+        m, x, rows = stream_case(8192, 10)
+        before = x.tobytes()
+        score_pool(m, x, rows=rows, buffers=BlockBuffers())
+        averaged_probs(m, x, rows=rows)
+        assert x.tobytes() == before
