@@ -7,7 +7,13 @@ import pickle
 
 import numpy as np
 import pytest
-from helpers import finite_difference_grads, max_rel_err, zeta_edl_grads
+from helpers import (
+    finite_difference_grads,
+    max_rel_err,
+    reference_forward,
+    reference_train_cycle,
+    zeta_edl_grads,
+)
 from scipy import special
 
 from openset_al import model as model_module
@@ -660,6 +666,41 @@ class TestTrainCycle:
             d = discrepancy_score(a1, a2)
             wins += d[unknown].mean() > d[~unknown].mean()
         assert wins >= 2
+
+
+class TestTrainStepReference:
+    """``train_cycle`` against the step written out array by array in
+    ``tests/helpers.py`` (per-head backward into fresh gradient lists, the
+    term-by-term trigamma, a concatenating update), bit for bit.  The
+    loops above share the library's internals with ``train_cycle``, so
+    they cannot see a rounding change common to both."""
+
+    @pytest.mark.parametrize("widths", [(16,), (64, 64)])
+    @pytest.mark.parametrize("classes", [2, 4, 10])
+    @pytest.mark.parametrize("discrepancy_epochs", [0, 4])
+    @pytest.mark.parametrize("train_loss", ["edl", "cross_entropy"])
+    def test_parameter_and_velocity_bytes(
+        self, train_loss, discrepancy_epochs, classes, widths
+    ):
+        rng = np.random.default_rng(classes * 100 + len(widths))
+        # 75 and 70 rows in batches of 32: every epoch ends on a ragged batch
+        xl = rng.normal(0.0, 8.0, size=(75, 12))
+        yl = rng.integers(0, classes, size=75)
+        xu = rng.normal(0.0, 8.0, size=(70, 12))
+        cfg = TrainConfig(
+            epochs=3, lr_milestones=(2,), batch_size=32, seed=0, train_loss=train_loss,
+            discrepancy_epochs=discrepancy_epochs,
+        )
+        models = [
+            init_model(12, classes, hidden_widths=widths, seed=9, head_init_scale=3.0)
+            for _ in range(2)
+        ]
+        z = reference_forward(models[0], xl)[1]
+        assert (z > LOGIT_CLIP).any() and (z < -LOGIT_CLIP).any()
+        train_cycle(models[0], xl, yl, xu, cfg, rng=np.random.default_rng(1))
+        reference_train_cycle(models[1], xl, yl, xu, cfg, np.random.default_rng(1))
+        assert np.isfinite(models[0].param_buffer).all()
+        assert state_bytes(models[0]) == state_bytes(models[1])
 
 
 class TestModelParams:
