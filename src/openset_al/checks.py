@@ -1,7 +1,8 @@
 """Fast self-check suite: closed-form identities, special-function
 recurrences, gradient spot checks on a tiny network, and the numeric
 kernels whose results depend on the machine (the trigamma kernel, the
-row-blocked pool forward and the pool scores streamed through it).
+buffered training step, the row-blocked pool forward and the pool scores
+streamed through it).
 
 Each check returns (name, passed, detail) so the CLI can print one line
 per property.  The whole suite runs in a few seconds.  Checks call the
@@ -29,8 +30,8 @@ def _random_alphas(rng, count, classes):
 
 
 def _check_decomposition(rng):
-    # distribution_uncertainty is computed from data_uncertainty, so the
-    # identity holds even when data_uncertainty is wrong; data_uncertainty
+    # distribution_uncertainty shares data_uncertainty's expected-entropy
+    # term, so the identity holds even when that term is wrong; data_uncertainty
     # is also held against psi(S + 1) - sum_c p_c psi(alpha_c + 1), its
     # closed form rearranged with sum_c p_c = 1
     worst = 0.0
@@ -136,6 +137,57 @@ def _check_trigamma(rng):
     return err < 2e-15, f"max relative error vs zeta(2, x) = {err:.3e}"
 
 
+def _public_loss_epochs(m, xl, yl, xu, cfg, rng):
+    """``train_cycle`` written as a loop over the public losses and
+    ``sgd_step``, each step with a fresh gradient list."""
+    loss_fn = model.edl_loss if cfg.train_loss == "edl" else model.cross_entropy_loss
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(xl))
+        for lo in range(0, len(xl), cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            model.sgd_step(m, loss_fn(m, xl[idx], yl[idx])[1], epoch, cfg)
+    for k in range(cfg.discrepancy_epochs):
+        if k % 2 == 0:
+            loss_fn, tau, trainable = model.close_loss, cfg.tau1, "backbone"
+        else:
+            loss_fn, tau, trainable = model.dis_loss, cfg.tau2, "heads"
+        order = rng.permutation(len(xu))
+        for lo in range(0, len(xu), cfg.batch_size):
+            grads = loss_fn(m, xu[order[lo : lo + cfg.batch_size]], tau)[1]
+            model.sgd_step(m, grads, cfg.epochs + k, cfg, trainable=trainable)
+
+
+def _check_training_step(rng):
+    """``train_cycle`` runs every step through the model's gradient
+    buffer; its parameters and momentum must equal, bit for bit, a loop
+    over the public losses, which return fresh gradients.  Two epochs of
+    edl with two discrepancy epochs, and two of cross_entropy, on a
+    10-class toy whose logits pass the clip and whose batches are
+    ragged."""
+    seed = int(rng.integers(1 << 31))
+    xl = rng.normal(0.0, 8.0, size=(45, 6))
+    yl = rng.integers(0, 10, size=45)
+    xu = rng.normal(0.0, 8.0, size=(40, 6))
+    differ, total = 0, 0
+    for train_loss, discrepancy_epochs in (("edl", 2), ("cross_entropy", 0)):
+        cfg = model.TrainConfig(
+            epochs=2, lr_milestones=(1,), batch_size=16, train_loss=train_loss,
+            discrepancy_epochs=discrepancy_epochs,
+        )
+        buffered, public = (
+            model.init_model(6, 10, hidden_widths=(8,), seed=seed, head_init_scale=3.0)
+            for _ in range(2)
+        )
+        model.train_cycle(buffered, xl, yl, xu, cfg, rng=np.random.default_rng(seed))
+        _public_loss_epochs(public, xl, yl, xu, cfg, np.random.default_rng(seed))
+        for a, b in zip(
+            buffered.flat_params() + buffered.velocity, public.flat_params() + public.velocity
+        ):
+            differ += a.tobytes() != b.tobytes()
+            total += 1
+    return differ == 0, f"{differ} of {total} parameter and velocity arrays differ"
+
+
 def _check_blocked_forward(rng):
     """``forward`` splits a pool into row blocks; each block must keep the
     BLAS kernel of the one-pass training forward, bit for bit."""
@@ -180,6 +232,7 @@ CHECKS = {
     "kl_to_uniform": _check_kl,
     "gradient_spot_check": _check_gradients,
     "trigamma_kernel": _check_trigamma,
+    "training_step_bitwise": _check_training_step,
     "blocked_forward_bitwise": _check_blocked_forward,
     "streamed_scores_bitwise": _check_streamed_scores,
 }

@@ -109,6 +109,18 @@ def entropy(p) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
+def _normalized(alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked evidence, its sum S over the last axis (kept) and its mean
+    p = alpha / S, as ``expected_probs`` computes it."""
+    a = _validate_alpha(alpha)
+    s = a.sum(axis=-1, keepdims=True)
+    return a, s, a / s
+
+
+def _expected_entropy(a, s, p) -> np.ndarray:
+    return (p * (special.digamma(s + 1.0) - special.digamma(a + 1.0))).sum(axis=-1)
+
+
 def data_uncertainty(alpha) -> np.ndarray | float:
     """Expected entropy of a categorical sampled from Dir(alpha).
 
@@ -116,10 +128,7 @@ def data_uncertainty(alpha) -> np.ndarray | float:
     S = sum(alpha) and p = expected_probs(alpha).  Lies in [0, ln C] and
     increases toward the entropy of the mean as evidence accumulates.
     """
-    a = _validate_alpha(alpha)
-    s = a.sum(axis=-1, keepdims=True)
-    p = a / s
-    out = (p * (special.digamma(s + 1.0) - special.digamma(a + 1.0))).sum(axis=-1)
+    out = _expected_entropy(*_normalized(alpha))
     return float(out) if out.ndim == 0 else out
 
 
@@ -129,11 +138,13 @@ def distribution_uncertainty(alpha) -> np.ndarray | float:
     Closed form: sum_c p_c * (psi(alpha_c + 1) - psi(S + 1)) - sum_c p_c ln p_c,
     which is computed as entropy(expected_probs) - data_uncertainty.  The
     first sum is exactly -data_uncertainty, so both forms round the same.
+    The evidence is checked and normalized once, and both terms share p.
     Vanishes as evidence grows, so it measures how little evidence has
     been collected.
     """
-    a = _validate_alpha(alpha)
-    return entropy(expected_probs(a)) - data_uncertainty(a)
+    a, s, p = _normalized(alpha)
+    out = -special.xlogy(p, p).sum(axis=-1) - _expected_entropy(a, s, p)
+    return float(out) if out.ndim == 0 else out
 
 
 def jsd(p, q) -> np.ndarray | float:

@@ -21,6 +21,15 @@ average of the two heads' evidence.
 
 Everything is plain numpy and deterministic given a seed.  Gradients are
 exact and verified against central finite differences in the test suite.
+
+A training step is bound by numpy call overhead, not arithmetic, so
+``train_cycle`` keeps its calls few without changing a bit of the result:
+the gradient helpers run both heads' elementwise algebra on stacked
+(2, n, C) arrays, ``_backward`` writes each gradient array into a view on
+the model's ``grad_buffer``, and ``sgd_step`` reads the trained slice of
+that buffer in place.  ``tests/test_model.py::TestTrainStepReference``
+and the ``training_step_bitwise`` row of ``openset-al check`` hold the
+parameter and momentum bytes to a step written out array by array.
 """
 
 from __future__ import annotations
@@ -135,6 +144,12 @@ class ModelParams:
     the buffers, so a parameter subset is one slice that ``sgd_step``
     updates in a single pass.  Write through the views in place
     (``w[:] = ...``); rebinding a list entry detaches it from the buffer.
+
+    ``grad_buffer`` is a third buffer of that layout, scratch space for
+    ``train_cycle``: each step's backward pass writes into ``grad_views``
+    and ``sgd_step`` reads the trained slice straight from the buffer.
+    Entries outside the subset a step trains hold whatever an earlier
+    step left there.
     """
 
     backbone: list[list[np.ndarray]]
@@ -142,6 +157,8 @@ class ModelParams:
     velocity: list[np.ndarray] = field(default_factory=list)
     param_buffer: np.ndarray = field(init=False, repr=False, compare=False)
     velocity_buffer: np.ndarray = field(init=False, repr=False, compare=False)
+    grad_buffer: np.ndarray = field(init=False, repr=False, compare=False)
+    grad_views: list[np.ndarray] = field(init=False, repr=False, compare=False)
     offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -153,6 +170,8 @@ class ModelParams:
         self.offsets = tuple(np.cumsum([0] + [a.size for a in arrays]).tolist())
         self.param_buffer = np.zeros(self.offsets[-1])
         self.velocity_buffer = np.zeros(self.offsets[-1])
+        self.grad_buffer = np.zeros(self.offsets[-1])
+        self.grad_views = self._views(self.grad_buffer, arrays)
         params = self._views(self.param_buffer, arrays)
         velocity = self._views(self.velocity_buffer, arrays)
         for view, a in zip(params, arrays):
@@ -173,6 +192,10 @@ class ModelParams:
             buffer[lo:hi].reshape(a.shape)
             for lo, hi, a in zip(self.offsets, self.offsets[1:], like)
         ]
+
+    def zero_grads(self) -> list[np.ndarray]:
+        """Views shaped like ``flat_params()`` on a fresh zeroed buffer."""
+        return self._views(np.zeros(self.offsets[-1]), self.flat_params())
 
     def flat_params(self) -> list[np.ndarray]:
         out = []
@@ -254,13 +277,9 @@ def init_model(
     return ModelParams(backbone=backbone, heads=heads)
 
 
-def _as_batch(x) -> np.ndarray:
-    return np.atleast_2d(np.asarray(x, dtype=float))
-
-
 def _model_batch(model: ModelParams, x) -> np.ndarray:
     """x as a float64 batch, checked against the model's input dim."""
-    x = _as_batch(x)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != model.input_dim:
         raise ValueError(
             f"input dim {x.shape[1]} does not match model dim {model.input_dim}"
@@ -269,13 +288,15 @@ def _model_batch(model: ModelParams, x) -> np.ndarray:
 
 
 def _forward_cached(model: ModelParams, x: np.ndarray):
-    """Forward pass keeping every intermediate needed by backprop.
+    """Forward pass keeping every intermediate needed by backprop, on a
+    batch already checked by ``_model_batch``.
 
-    The heads' logits, evidence and clip masks come back as (2, n, C)
-    arrays, head i in row i, so the elementwise algebra of a step can run
-    on both heads at once.
+    The heads' logits, evidence and boolean clip masks (true where the
+    logit lies inside the clip interval) come back as (2, n, C) arrays,
+    head i in row i, so the elementwise algebra of a step can run on both
+    heads at once.
     """
-    h = _model_batch(model, x)
+    h = x
     acts = [h]
     for w, b in model.backbone:
         h = h @ w
@@ -286,10 +307,10 @@ def _forward_cached(model: ModelParams, x: np.ndarray):
     for (w, b), z in zip(model.heads, logits):
         np.matmul(h, w, out=z)
         z += b
-    alphas = np.clip(logits, -LOGIT_CLIP, LOGIT_CLIP)
+    alphas = np.maximum(logits, -LOGIT_CLIP)
+    np.minimum(alphas, LOGIT_CLIP, out=alphas)
     np.exp(alphas, out=alphas)
-    clip_masks = (np.abs(logits) < LOGIT_CLIP).astype(float)
-    return acts, logits, alphas, clip_masks
+    return acts, logits, alphas, np.abs(logits) < LOGIT_CLIP
 
 
 # A row block of ``forward`` has at least this many rows, and at least
@@ -380,31 +401,34 @@ def forward(
     return alphas[0], alphas[1]
 
 
-def _backward(model: ModelParams, acts, dzs, heads=True, backbone=True):
-    """Flat gradient list given the two heads' logit gradients ``dzs``.
+def _backward(model: ModelParams, acts, dz, grads=None, heads=True, backbone=True):
+    """The flat gradient for the heads' (2, n, C) logit gradient ``dz``,
+    written into ``grads`` (views shaped like ``flat_params()``) and
+    returned.
 
     ``heads`` computes the head weight/bias gradients; ``backbone``
-    backprops d_hidden = sum_h dz_h W_h^T through the ReLU layers.  Only
-    the entries outside the requested subset are allocated as zeros.
+    backprops d_hidden = sum_h dz_h W_h^T through the ReLU layers.  Each
+    head's matmuls and column sums stay separate.  Arrays outside the
+    requested subset are not written: with ``grads`` None they are the
+    zeros of a fresh buffer, otherwise whatever ``grads`` held.
     """
-    params = model.flat_params()
+    grads = model.zero_grads() if grads is None else grads
     nb = model.num_backbone_arrays
-    grads = [None] * len(params)
     if heads:
-        for h_idx, dz in enumerate(dzs):
-            grads[nb + 2 * h_idx] = acts[-1].T @ dz
-            grads[nb + 2 * h_idx + 1] = dz.sum(axis=0)
+        for i in range(2):
+            np.matmul(acts[-1].T, dz[i], out=grads[nb + 2 * i])
+            np.sum(dz[i], axis=0, out=grads[nb + 2 * i + 1])
     if backbone:
         (w1, _), (w2, _) = model.heads
-        dh = dzs[0] @ w1.T
-        dh += dzs[1] @ w2.T
+        dh = dz[0] @ w1.T
+        dh += dz[1] @ w2.T
         for i in reversed(range(len(model.backbone))):
-            da = dh * (acts[i + 1] > 0)
-            grads[2 * i] = acts[i].T @ da
-            grads[2 * i + 1] = da.sum(axis=0)
+            da = np.multiply(dh, acts[i + 1] > 0, out=dh)
+            np.matmul(acts[i].T, da, out=grads[2 * i])
+            np.sum(da, axis=0, out=grads[2 * i + 1])
             if i:  # nothing reads the gradient for the network input
                 dh = da @ model.backbone[i][0].T
-    return [np.zeros_like(p) if g is None else g for g, p in zip(grads, params)]
+    return grads
 
 
 def _one_hot(y: np.ndarray, num_classes: int, rows: int) -> np.ndarray:
@@ -427,6 +451,8 @@ TRIGAMMA_BERNOULLI = (
     1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510
 )
 TRIGAMMA_SHIFT = 10
+# x + 9, ..., x + 1: the recurrence's terms, added in this order
+TRIGAMMA_STEPS = np.arange(TRIGAMMA_SHIFT - 1, 0, -1, dtype=float)
 
 
 def _trigamma(x: np.ndarray) -> np.ndarray:
@@ -434,21 +460,22 @@ def _trigamma(x: np.ndarray) -> np.ndarray:
     returned.
 
     psi1(x) = sum_{k < 10} 1/(x + k)^2 + psi1(x + 10), the last term from
-    the asymptotic series.  Each x + k is formed from x directly and the
-    terms are added smallest first, so the result stays within a few ulp
-    of the true value; ``openset-al check`` holds it to 2e-15 relative of
-    ``scipy.special.zeta(2, x)`` over the evidence range.  nan stays nan.
+    the asymptotic series.  The nine terms 1/(x + k)^2, k = 9 .. 1, are
+    formed at once from x directly along a leading axis, and summed over
+    it in that order, smallest first, so the result stays within a few
+    ulp of the true value; ``openset-al check`` holds it to 2e-15
+    relative of ``scipy.special.zeta(2, x)`` over the evidence range.
+    nan stays nan.
     """
-    t = np.empty_like(x)
-    acc = np.zeros_like(x)
-    for k in range(TRIGAMMA_SHIFT - 1, 0, -1):
-        np.add(x, k, out=t)
-        t *= t
-        acc += np.reciprocal(t, out=t)
-    w = np.reciprocal(np.add(x, TRIGAMMA_SHIFT, out=t), out=t)
+    t = np.add.outer(TRIGAMMA_STEPS, x)
+    np.multiply(t, t, out=t)
+    acc = np.add.reduce(np.reciprocal(t, out=t), axis=0)
+    w = np.add(x, TRIGAMMA_SHIFT, out=t[0])
+    np.reciprocal(w, out=w)
     w2 = w * w
-    tail = np.full_like(x, TRIGAMMA_BERNOULLI[-1])
-    for b in TRIGAMMA_BERNOULLI[-2::-1]:
+    tail = w2 * TRIGAMMA_BERNOULLI[-1]
+    tail += TRIGAMMA_BERNOULLI[-2]
+    for b in TRIGAMMA_BERNOULLI[-3::-1]:
         tail *= w2
         tail += b
     tail *= w
@@ -456,32 +483,42 @@ def _trigamma(x: np.ndarray) -> np.ndarray:
     tail *= w2
     tail += w
     acc += tail
-    np.multiply(x, x, out=t)
-    return np.add(acc, np.reciprocal(t, out=t), out=x)
+    np.multiply(x, x, out=x)
+    return np.add(acc, np.reciprocal(x, out=x), out=x)
 
 
-def _edl_grads(model: ModelParams, x: np.ndarray, yy: np.ndarray):
+def _edl_grads(model: ModelParams, x: np.ndarray, yy: np.ndarray, grads=None):
     """One forward pass and the flat gradient of ``edl_loss`` on one-hot
-    labels ``yy``; returns (the heads' (2, n, C) evidence, gradients).
+    labels ``yy``, written into ``grads`` as ``_backward`` does; returns
+    (the heads' (2, n, C) evidence, gradients).
 
     The elementwise algebra runs on both heads at once, on the (2, n, C)
-    arrays ``_forward_cached`` writes; ``_backward`` still takes each
-    head's matmuls apart.
+    arrays ``_forward_cached`` writes.  One trigamma call covers a~ and
+    its row sums S~, laid side by side as (2, n, C + 1).
     """
     acts, _, alpha, mask = _forward_cached(model, x)
-    n, c = acts[0].shape[0], model.num_classes
+    n, c = x.shape[0], model.num_classes
     off_label = 1.0 - yy
-    s = alpha.sum(axis=2, keepdims=True)
-    a_t = yy + off_label * alpha
+    a_t = off_label * alpha
+    a_t += yy
     s_t = a_t.sum(axis=2, keepdims=True)
-    # d/d alpha~ of the KL term, then chain through the label mask.  The
-    # label entry's trigamma(a_t) is multiplied by a_t - 1 = 0, so one
-    # kernel call evaluates trigamma(s_t) in that slot instead.
-    label = yy > 0
-    psi = _trigamma(np.where(label, s_t, a_t))
-    dkl_dat = (a_t - 1.0) * psi - psi[:, label][..., None] * (s_t - c)
-    dl_dalpha = (1.0 / s) - yy / alpha + dkl_dat * off_label
-    return alpha, _backward(model, acts, dl_dalpha * alpha * mask / (2.0 * n))
+    psi = _trigamma(np.concatenate((a_t, s_t), axis=2))
+    # d/d alpha~ of the KL term, (a~ - 1) psi1(a~) - psi1(S~) (S~ - C),
+    # then chained through the label mask, which zeroes the label entry
+    dkl_dat = a_t - 1.0
+    s_t_c = s_t - c
+    dkl_dat *= psi[..., :c]
+    s_t_c *= psi[..., c:]
+    dkl_dat -= s_t_c
+    dkl_dat *= off_label
+    s = np.sum(alpha, axis=2, keepdims=True)
+    dz = np.divide(yy, alpha)
+    np.subtract(np.reciprocal(s, out=s), dz, out=dz)
+    dz += dkl_dat
+    dz *= alpha
+    dz *= mask
+    dz /= 2.0 * n
+    return alpha, _backward(model, acts, dz, grads)
 
 
 def edl_loss(
@@ -493,7 +530,7 @@ def edl_loss(
     label-masked evidence alpha~ = Y + (1 - Y) * alpha to the flat
     Dirichlet.  Returns (loss, flat gradient list over all parameters).
     """
-    x = _as_batch(x)
+    x = _model_batch(model, x)
     yy = _one_hot(y, model.num_classes, x.shape[0])
     alphas, grads = _edl_grads(model, x, yy)
     total = 0.0
@@ -505,18 +542,22 @@ def edl_loss(
     return total / 2.0, grads
 
 
-def _cross_entropy_grads(model: ModelParams, x: np.ndarray, yy: np.ndarray):
-    """One forward pass and the flat gradient of ``cross_entropy_loss``;
-    returns (each head's log-softmax, gradients)."""
-    acts, logits, _, _ = _forward_cached(model, x)
-    n = acts[0].shape[0]
-    logps, dzs = [], []
-    for z in logits:
-        zmax = z.max(axis=1, keepdims=True)
-        logp = z - zmax - np.log(np.exp(z - zmax).sum(axis=1, keepdims=True))
-        logps.append(logp)
-        dzs.append((np.exp(logp) - yy) / (2.0 * n))
-    return logps, _backward(model, acts, dzs)
+def _cross_entropy_grads(model: ModelParams, x: np.ndarray, yy: np.ndarray, grads=None):
+    """One forward pass and the flat gradient of ``cross_entropy_loss``,
+    written into ``grads`` as ``_backward`` does; returns (both heads'
+    (2, n, C) log-softmax, gradients)."""
+    acts, logp, _, _ = _forward_cached(model, x)
+    # the row max, one class column at a time: a max is exact in any order
+    zmax = logp[..., :1].copy()
+    for j in range(1, model.num_classes):
+        np.maximum(zmax, logp[..., j : j + 1], out=zmax)
+    logp -= zmax
+    lse = np.sum(np.exp(logp), axis=2, keepdims=True)
+    logp -= np.log(lse, out=lse)
+    dz = np.exp(logp)
+    dz -= yy
+    dz /= 2.0 * x.shape[0]
+    return logp, _backward(model, acts, dz, grads)
 
 
 def cross_entropy_loss(
@@ -524,7 +565,7 @@ def cross_entropy_loss(
 ) -> tuple[float, list[np.ndarray]]:
     """Plain softmax cross-entropy on both heads; the training-time
     substitute used by the ablation that drops the evidential objective."""
-    x = _as_batch(x)
+    x = _model_batch(model, x)
     yy = _one_hot(y, model.num_classes, x.shape[0])
     logps, grads = _cross_entropy_grads(model, x, yy)
     total = 0.0
@@ -550,39 +591,46 @@ def dis_weights(alphas, tau2: float) -> np.ndarray:
     return special.expit(np.atleast_1d(u) - tau2) / n
 
 
-def _weighted_jsd(model: ModelParams, x: np.ndarray, weights, weight_fn, tau, name):
+def _weighted_jsd(model: ModelParams, x: np.ndarray, weights, weight_fn, tau):
     """One forward pass over an unlabeled batch.  Returns the backprop
     cache, the per-example weights (``weights`` if given, else
-    ``weight_fn(alphas, tau)``), the heads' normalized evidence (p, q)
-    and each head's weighted logit gradient of JSD(p, q)."""
-    x = _as_batch(x)
+    ``weight_fn(alphas, tau)``), the heads' normalized evidence as one
+    (2, n, C) array and its weighted logit gradient of JSD(p, q)."""
+    acts, _, alphas, mask = _forward_cached(model, x)
+    w = weight_fn(alphas, tau) if weights is None else np.asarray(weights)
+    pq = alphas / alphas.sum(axis=2, keepdims=True)
+    m = pq[0] + pq[1]
+    m *= 0.5
+    # d JSD / d logit of each head: r (g - sum_c r_c g_c), g = log2(r / m) / 2
+    g = np.divide(pq, m)
+    np.log(g, out=g)
+    g /= 2.0 * LN2
+    g -= np.sum(pq * g, axis=2, keepdims=True)
+    g *= pq
+    g *= mask
+    g *= w[:, None]
+    return acts, w, pq, g
+
+
+def _close_grads(model: ModelParams, x: np.ndarray, tau1: float, grads=None, weights=None):
+    """Flat gradient of ``close_loss``, written into ``grads`` as
+    ``_backward`` does; returns ((weights, (p, q)), gradients)."""
+    acts, w, pq, dz = _weighted_jsd(model, x, weights, close_weights, tau1)
+    return (w, pq), _backward(model, acts, dz, grads, heads=False)
+
+
+def _dis_grads(model: ModelParams, x: np.ndarray, tau2: float, grads=None, weights=None):
+    """Flat gradient of ``dis_loss``, written into ``grads`` as
+    ``_backward`` does; returns ((weights, (p, q)), gradients)."""
+    acts, w, pq, dz = _weighted_jsd(model, x, weights, dis_weights, tau2)
+    return (w, pq), _backward(model, acts, np.negative(dz, out=dz), grads, backbone=False)
+
+
+def _unlabeled_batch(model: ModelParams, x, name: str) -> np.ndarray:
+    x = _model_batch(model, x)
     if x.shape[0] == 0:
         raise ValueError(f"{name} requires a non-empty batch")
-    acts, _, alphas, clip_masks = _forward_cached(model, x)
-    w = weight_fn(alphas, tau) if weights is None else np.asarray(weights)
-    p, q = (a / a.sum(axis=1, keepdims=True) for a in alphas)
-    m = 0.5 * (p + q)
-    dzs = []
-    for r, mask in zip((p, q), clip_masks):
-        g = np.log(r / m) / (2.0 * LN2)
-        dzs.append(w[:, None] * (r * (g - (r * g).sum(axis=1, keepdims=True)) * mask))
-    return acts, w, (p, q), dzs
-
-
-def _close_grads(model: ModelParams, x: np.ndarray, tau1: float, weights=None):
-    """Flat gradient of ``close_loss``; returns ((weights, (p, q)), gradients)."""
-    acts, w, pq, dzs = _weighted_jsd(
-        model, x, weights, close_weights, tau1, "close_loss"
-    )
-    return (w, pq), _backward(model, acts, dzs, heads=False)
-
-
-def _dis_grads(model: ModelParams, x: np.ndarray, tau2: float, weights=None):
-    """Flat gradient of ``dis_loss``; returns ((weights, (p, q)), gradients)."""
-    acts, w, pq, dzs = _weighted_jsd(
-        model, x, weights, dis_weights, tau2, "dis_loss"
-    )
-    return (w, pq), _backward(model, acts, [-dz for dz in dzs], backbone=False)
+    return x
 
 
 def close_loss(
@@ -597,7 +645,8 @@ def close_loss(
     ``weights`` overrides the internally computed constants (useful for
     numerical gradient checking, where they must stay frozen).
     """
-    (w, (p, q)), grads = _close_grads(model, x, tau1, weights)
+    x = _unlabeled_batch(model, x, "close_loss")
+    (w, (p, q)), grads = _close_grads(model, x, tau1, weights=weights)
     return float((w * np.atleast_1d(jsd(p, q))).sum()), grads
 
 
@@ -609,7 +658,8 @@ def dis_loss(
 ) -> tuple[float, list[np.ndarray]]:
     """Weighted (1 - JSD) between the heads, differentiated through the
     two heads only; backbone gradient entries are exactly zero."""
-    (w, (p, q)), grads = _dis_grads(model, x, tau2, weights)
+    x = _unlabeled_batch(model, x, "dis_loss")
+    (w, (p, q)), grads = _dis_grads(model, x, tau2, weights=weights)
     return float((w * (1.0 - np.atleast_1d(jsd(p, q)))).sum()), grads
 
 
@@ -633,28 +683,30 @@ def sgd_step(
 
     The subset is one contiguous slice of the model's parameter and
     velocity buffers, updated in one pass; parameters and velocities
-    outside it are untouched (bitwise).  Raises on non-finite gradients
-    in the subset, naming the first offending array.
+    outside it are untouched (bitwise).  ``grads`` is a list shaped like
+    ``flat_params()``, whose subset is copied into one array, or the
+    model's own ``grad_views``, whose slice of ``grad_buffer`` is read
+    in place and used as scratch.  Raises on non-finite gradients in the
+    subset, naming the first offending array.
     """
-    params = model.flat_params()
-    if [np.shape(g) for g in grads] != [p.shape for p in params]:
-        raise ValueError("gradient list does not match parameter list")
-    lr = learning_rate_at(epoch, cfg)
     idx = model.trainable_indices(trainable)
-    g = np.concatenate(grads[idx.start : idx.stop], axis=None)
+    lo, hi = model.offsets[idx.start], model.offsets[idx.stop]
+    if grads is model.grad_views:
+        g = model.grad_buffer[lo:hi]
+    else:
+        if [np.shape(g) for g in grads] != [p.shape for p in model.flat_params()]:
+            raise ValueError("gradient list does not match parameter list")
+        g = np.concatenate(grads[idx.start : idx.stop], axis=None)
     if not np.isfinite(g).all():
         i = next(i for i in idx if not np.isfinite(grads[i]).all())
         raise FloatingPointError(
-            f"non-finite gradient in parameter {i} (shape {params[i].shape}) at epoch {epoch}"
+            f"non-finite gradient in parameter {i} (shape {grads[i].shape}) at epoch {epoch}"
         )
-    lo, hi = model.offsets[idx.start], model.offsets[idx.stop]
     p, v = model.param_buffer[lo:hi], model.velocity_buffer[lo:hi]
     v *= cfg.momentum
-    step = cfg.weight_decay * p
-    step += g
-    v += step
-    np.multiply(v, lr, out=step)
-    p -= step
+    g += cfg.weight_decay * p
+    v += g
+    p -= np.multiply(v, learning_rate_at(epoch, cfg), out=g)
     return model
 
 
@@ -683,25 +735,30 @@ def train_cycle(
     ``cfg.runs_discrepancy``.
 
     Each step computes only the gradient its update reads: the loss
-    values are never evaluated.  Labels are validated and one-hot encoded
-    once, before any parameter changes.
+    values are never evaluated.  The inputs are checked, and the labels
+    validated and one-hot encoded, once, before any parameter changes.
+    Every step writes its gradient into the model's ``grad_views`` and
+    ``sgd_step`` reads it from there, so a step allocates no gradient
+    list.
     """
-    x_labeled = _as_batch(x_labeled)
+    x_labeled = _model_batch(model, x_labeled)
     if x_labeled.shape[0] == 0:
         raise ValueError("train_cycle requires a non-empty labeled pool")
     yy = _one_hot(y_labeled, model.num_classes, x_labeled.shape[0])
+    if cfg.runs_discrepancy:
+        x_unlabeled = _model_batch(model, x_unlabeled)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
+    buffer = model.grad_views
     grad_fn = _edl_grads if cfg.train_loss == "edl" else _cross_entropy_grads
     batch = min(cfg.batch_size, x_labeled.shape[0])
     for epoch in range(cfg.epochs):
         for idx in _epoch_batches(x_labeled.shape[0], batch, rng):
-            _, grads = grad_fn(model, x_labeled[idx], yy[idx])
+            _, grads = grad_fn(model, x_labeled[idx], yy[idx], buffer)
             sgd_step(model, grads, epoch, cfg, trainable="all")
 
     if not cfg.runs_discrepancy:
         return model
-    x_unlabeled = _as_batch(x_unlabeled)
     ubatch = min(cfg.batch_size, max(x_unlabeled.shape[0], 1))
     for k in range(cfg.discrepancy_epochs):
         if k % 2 == 0:
@@ -709,7 +766,7 @@ def train_cycle(
         else:
             grad_fn, tau, trainable = _dis_grads, cfg.tau2, "heads"
         for idx in _epoch_batches(x_unlabeled.shape[0], ubatch, rng):
-            _, grads = grad_fn(model, x_unlabeled[idx], tau)
+            _, grads = grad_fn(model, x_unlabeled[idx], tau, buffer)
             sgd_step(model, grads, cfg.epochs + k, cfg, trainable=trainable)
     return model
 

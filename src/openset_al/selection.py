@@ -186,19 +186,43 @@ class GmmModel:
         sum over axis 0 of an (n, 2) array takes.  That order is kept on
         purpose: a 1-D ``sum`` adds pairwise, which rounds the component
         totals, and so the fitted means and the selections, differently.
+
+        A point whose squared deviation from both means overflows has both
+        log-joints at -inf; ``_far_columns`` decides its responsibilities,
+        and its log-likelihood reads nan.
         """
         log_norm = -0.5 * np.log(2.0 * np.pi * self.variances)
-        c0, c1 = (
-            log_w + (log_n - 0.5 * (x - m) ** 2 / v)
-            for log_w, log_n, m, v in zip(
-                np.log(self.weights), log_norm, self.means, self.variances
+        with np.errstate(over="ignore", invalid="ignore"):
+            c0, c1 = (
+                log_w + (log_n - 0.5 * (x - m) ** 2 / v)
+                for log_w, log_n, m, v in zip(
+                    np.log(self.weights), log_norm, self.means, self.variances
+                )
             )
-        )
-        shift = np.maximum(c0, c1)
-        j0 = np.exp(c0 - shift)
-        j1 = np.exp(c1 - shift)
+            shift = np.maximum(c0, c1)
+            j0 = np.exp(c0 - shift)
+            j1 = np.exp(c1 - shift)
         total = j0 + j1
-        return (j0 / total, j1 / total), float((shift + np.log(total)).mean())
+        r0, r1 = j0 / total, j1 / total
+        far = shift == -np.inf
+        if far.any():
+            r0[far], r1[far] = self._far_columns(x[far])
+        return (r0, r1), float((shift + np.log(total)).mean())
+
+    def _far_columns(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Responsibility columns of points too far out for their log-joints
+        to be formed.  There the log-joint difference c0 - c1 follows its
+        leading term: -x^2 (1/v0 - 1/v1) / 2, so the larger variance takes
+        the point; at equal variances x (m0 - m1) / v, so the component on
+        the point's side does.  Only signs are compared, so nothing
+        overflows; two identical components split by weight."""
+        (m0, m1), (v0, v1) = self.means, self.variances
+        if v0 != v1:
+            lead = np.full(x.shape, np.sign(v0 - v1))
+        else:
+            lead = np.sign(x) * np.sign(m0 - m1)
+        r0 = np.where(lead == 0, self.weights[0], (lead > 0).astype(float))
+        return r0, 1.0 - r0
 
     def _posterior_columns(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Responsibility columns of data-unit x, each point on its own."""
@@ -235,6 +259,8 @@ def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
     the responsibilities and the per-point mean log-likelihood from one
     logsumexp pass; the log-likelihood is non-decreasing across
     iterations and the fit stops when it improves by less than ``tol``.
+    A fit that reaches ``max_iter`` first logs a warning with the
+    iteration count and the last gain.
 
     Data large enough in magnitude for a squared deviation divided by the
     variance floor, or the summed squared deviations, to overflow is
@@ -281,6 +307,15 @@ def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
             )
             / counts,
             VARIANCE_FLOOR,
+        )
+    else:
+        lls = model.log_likelihoods
+        logger.warning(
+            "gmm_fit: EM stopped after %d iterations without converging; "
+            "the last log-likelihood gain was %.3g (tol %.3g)",
+            len(lls),
+            lls[-1] - lls[-2] if len(lls) > 1 else np.inf,
+            tol,
         )
     return model
 

@@ -194,7 +194,8 @@ def reference_train_cycle(model, x_labeled, y_labeled, x_unlabeled, cfg, rng):
         order = rng.permutation(n)
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            reference_sgd_step(model, grad_fn(model, x_labeled[idx], yy[idx]), epoch, cfg, "all")
+            grads = grad_fn(model, x_labeled[idx], yy[idx])
+            reference_sgd_step(model, grads, epoch, cfg, "all")
     if not (cfg.use_discrepancy and cfg.discrepancy_epochs > 0):
         return model
     n = len(x_unlabeled)
@@ -204,7 +205,8 @@ def reference_train_cycle(model, x_labeled, y_labeled, x_unlabeled, cfg, rng):
         tau, subset = (cfg.tau1, "backbone") if close else (cfg.tau2, "heads")
         order = rng.permutation(n)
         for start in range(0, n, batch):
-            grads = reference_jsd_grads(model, x_unlabeled[order[start : start + batch]], tau, close)
+            idx = order[start : start + batch]
+            grads = reference_jsd_grads(model, x_unlabeled[idx], tau, close)
             reference_sgd_step(model, grads, cfg.epochs + k, cfg, subset)
     return model
 

@@ -312,6 +312,25 @@ class TestCmdCheck:
         failed = {name for name, ok, _ in run_checks() if not ok}
         assert failed == {"gradient_spot_check"}
 
+    def test_stale_gradient_buffer_fails_training_step(self, monkeypatch):
+        """Fault injection: a backward pass that adds to the gradient it is
+        given instead of overwriting it.  The public losses start from
+        zeros and are unchanged; ``train_cycle`` reuses the model's buffer
+        and carries each step's gradient into the next.  Only the
+        buffered-step row may fail."""
+        real = model._backward
+
+        def accumulating(mdl, acts, dz, grads=None, **kwargs):
+            before = None if grads is None else [g.copy() for g in grads]
+            grads = real(mdl, acts, dz, grads, **kwargs)
+            for g, old in zip(grads, before or ()):
+                g += old
+            return grads
+
+        monkeypatch.setattr(model, "_backward", accumulating)
+        failed = {name for name, ok, _ in run_checks() if not ok}
+        assert failed == {"training_step_bitwise"}
+
     def test_config_seed_used(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seeds": [5]}))

@@ -604,6 +604,14 @@ class TestTrainCycle:
             train_cycle(m, xl, bad, xu, cfg, rng=np.random.default_rng(0))
         assert state_bytes(m) == before
 
+    def test_pool_of_wrong_dim_rejected_before_training(self, small_split):
+        xl, yl = small_split.labeled_arrays()
+        m = init_model(xl.shape[1], 3, hidden_widths=(16,), seed=2)
+        before = state_bytes(m)
+        with pytest.raises(ValueError, match="input dim"):
+            train_cycle(m, xl, yl, np.zeros((10, xl.shape[1] + 1)), quick_cfg(epochs=2))
+        assert state_bytes(m) == before
+
     def test_label_count_must_match_examples(self, small_split):
         xl, yl = small_split.labeled_arrays()
         m = init_model(xl.shape[1], 3, hidden_widths=(16,), seed=2)

@@ -174,11 +174,48 @@ class TestGmmProperties:
         the others: they read bitwise what they read on their own."""
         model = gmm_fit(np.array([0.0, 1.0, 5.0, 6.0]))
         alone = gmm_posterior_low(model, np.array([0.0, 3.0]))
-        # the far points' squared deviations overflow; only they read nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            post = gmm_posterior_low(model, np.array([0.0, 1e200, -1e200, 3.0]))
+        post = gmm_posterior_low(model, np.array([0.0, 1e200, -1e200, 3.0]))
         assert post[[0, 3]].tobytes() == alone.tobytes()
-        assert np.isnan(post[[1, 2]]).all()
+        # the far points' squared deviations overflow; at equal variances
+        # each goes to the component on its side
+        np.testing.assert_array_equal(post[[1, 2]], [0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "data, far, expected",
+        [
+            # equal variances (0.25 each): the component on the point's side
+            ([0.0, 1.0, 5.0, 6.0], [1.7e308, -np.inf], [0.0, 1.0]),
+            # the high component's variance is larger: it takes both sides
+            ([0.0, 0.1, 0.2, 10.0, 14.0, 18.0], [1e200, -1e200, np.inf], [0.0, 0.0, 0.0]),
+            # the low component's variance is larger
+            ([0.0, 4.0, 8.0, 20.0, 20.1, 20.2], [1e200, -1e200], [1.0, 1.0]),
+        ],
+    )
+    def test_overflowing_point_goes_to_its_leading_term(self, data, far, expected):
+        """A point whose squared deviation from both means overflows gets
+        posterior 0 or 1 from the leading term of the log-joint
+        difference, with no RuntimeWarning; the responsibilities still
+        sum to 1."""
+        model = gmm_fit(np.array(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            post = gmm_posterior_low(model, np.array(far))
+            resp = model.responsibilities(np.array(far))
+        np.testing.assert_array_equal(post, expected)
+        np.testing.assert_array_equal(resp.sum(axis=1), 1.0)
+
+    def test_unconverged_fit_logs_a_warning(self, caplog):
+        x = np.concatenate([np.linspace(0.0, 1.0, 50), np.linspace(3.0, 9.0, 50)])
+        with caplog.at_level("WARNING", logger="openset_al.selection"):
+            model = gmm_fit(x, max_iter=2)
+        assert len(model.log_likelihoods) == 2
+        gain = model.log_likelihoods[1] - model.log_likelihoods[0]
+        assert "2 iterations without converging" in caplog.text
+        assert f"{gain:.3g}" in caplog.text
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="openset_al.selection"):
+            gmm_fit(x)
+        assert caplog.text == ""
 
 
 def reference_e_step(model, x):
