@@ -202,15 +202,19 @@ def _check_blocked_forward(rng):
 
 def _check_streamed_scores(rng):
     """``score_pool`` gathers a pool's rows through their ids and scores
-    them block by block in reused buffers; each score must be the
-    evidential closed form on the gathered pool, bit for bit.  The pool
-    is two blocks of 4,146 rows, so a partition other than ``forward``'s
-    leaves a short tail, which BLAS rounds differently."""
+    them block by block in reused buffers, on two workers; each score
+    must be the evidential closed form on the gathered pool, bit for bit.
+    The pool is two blocks of 4,146 rows, so a partition other than
+    ``forward``'s leaves a short tail, which BLAS rounds differently."""
     m = model.init_model(32, 10, seed=int(rng.integers(1 << 31)), head_init_scale=3.0)
     n = 2 * model._forward_block_rows(m) + 100
     x = rng.normal(0.0, 8.0, size=(n + 99, 32))
     rows = rng.permutation(len(x))[:n]
-    got = selection.score_pool(m, x, rows=rows, buffers=model.BlockBuffers())
+    saved, selection._workers = selection._workers, 2
+    try:
+        got = selection.score_pool(m, x, rows=rows, buffers=model.BlockBuffers())
+    finally:
+        selection._workers = saved
     a1, a2 = model._forward_cached(m, x[rows])[2]
     avg = 0.5 * (a1 + a2)
     expected = (
@@ -221,7 +225,7 @@ def _check_streamed_scores(rng):
     differ = np.zeros(n, dtype=bool)
     for a, b in zip(got, expected):
         differ |= a.view(np.int64) != b.view(np.int64)
-    return not differ.any(), f"{differ.sum()} of {n} rows differ in 2 row blocks"
+    return not differ.any(), f"{differ.sum()} of {n} rows differ in 2 row blocks on 2 workers"
 
 
 CHECKS = {

@@ -40,6 +40,7 @@ from .harness import (
     write_metrics_csv,
 )
 from .model import TrainConfig
+from .selection import _share_cpus
 
 __all__ = ["main", "resolve_config", "ConfigError"]
 
@@ -276,8 +277,15 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
         product(resolved["strategies"], resolved["openness_ratios"], resolved["seeds"])
     )
     # One job runs the cells in-process, in order, so they can be traced.
+    # With more, each cell process narrows its pool passes to its share
+    # of the CPUs.
     try:
-        with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        pool = (
+            ProcessPoolExecutor(max_workers=jobs, initializer=_share_cpus, initargs=(jobs,))
+            if jobs > 1
+            else nullcontext()
+        )
+        with pool:
             run_map = pool.map if jobs > 1 else map
             for tag in run_map(partial(_execute_run, resolved), *zip(*cells)):
                 print(f"completed {tag}")

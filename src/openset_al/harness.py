@@ -29,6 +29,7 @@ from .model import BlockBuffers, ModelParams, TrainConfig, init_model, train_cyc
 from .selection import (
     BASELINE_STRATEGIES,
     averaged_probs,
+    baseline_rank,
     baseline_select,
     coarse_to_fine_select,
     score_pool,
@@ -102,13 +103,16 @@ def evaluate_accuracy(
     x_test: np.ndarray,
     y_test: np.ndarray,
     buffers: BlockBuffers | None = None,
+    rows: np.ndarray | None = None,
 ) -> float:
     """Fraction of test examples whose averaged-head prediction matches;
-    argmax ties resolve to the lowest class index.  ``buffers`` is passed
-    on to ``averaged_probs``."""
-    if len(x_test) == 0:
+    argmax ties resolve to the lowest class index.  With ``rows``, the
+    test set is those rows of the feature store ``x_test``, streamed
+    through ``averaged_probs`` without being gathered, and ``y_test`` is
+    aligned with ``rows``.  ``buffers`` is passed on to ``averaged_probs``."""
+    if (len(x_test) if rows is None else len(rows)) == 0:
         raise ValueError("empty test set")
-    probs = averaged_probs(model, x_test, buffers=buffers)
+    probs = averaged_probs(model, x_test, rows=rows, buffers=buffers)
     return float((probs.argmax(axis=1) == np.asarray(y_test)).mean())
 
 
@@ -134,8 +138,11 @@ def _select(
             threshold=cfg.coarse_threshold,
             use_discrepancy=cfg.use_discrepancy,
         )
-    probs = averaged_probs(model, split.features, rows=ids, buffers=buffers)
-    return baseline_select(strategy, probs, ids, budget, seed=seed)
+    # random reads no model output, so it runs no pool pass
+    rank = None
+    if strategy != "random":
+        rank = baseline_rank(strategy, model, split.features, rows=ids, buffers=buffers)
+    return baseline_select(strategy, None, ids, budget, seed=seed, rank=rank)
 
 
 def run_experiment(
@@ -146,12 +153,15 @@ def run_experiment(
 
     One ``BlockBuffers`` set serves every pool and test-set pass of the
     run, so their block-sized arrays are allocated once, not per cycle.
+    Both are read through their ids from ``split.features``; neither is
+    gathered whole.
     """
     cfg.validate()
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     cycle_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.num_cycles + 1)
-    x_test, y_test = split.test_arrays()
+    test_ids = split.ids(Pool.TEST)
+    y_test = split.model_labels(test_ids)
     buffers = BlockBuffers()
     metrics = []
     for cycle, cycle_seed in enumerate(cycle_seeds):
@@ -188,7 +198,9 @@ def run_experiment(
             CycleMetrics(
                 cycle=cycle,
                 query_precision=query_precision,
-                test_accuracy=evaluate_accuracy(model, x_test, y_test, buffers),
+                test_accuracy=evaluate_accuracy(
+                    model, split.features, y_test, buffers, rows=test_ids
+                ),
                 labeled_size=len(split.labeled_ids),
                 unlabeled_size=len(split.unlabeled_ids),
                 discarded_unknown=len(split.ids(Pool.DISCARDED)),

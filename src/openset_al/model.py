@@ -287,14 +287,15 @@ def _model_batch(model: ModelParams, x) -> np.ndarray:
     return x
 
 
-def _forward_cached(model: ModelParams, x: np.ndarray):
+def _forward_cached(model: ModelParams, x: np.ndarray, evidence: bool = True):
     """Forward pass keeping every intermediate needed by backprop, on a
     batch already checked by ``_model_batch``.
 
     The heads' logits, evidence and boolean clip masks (true where the
     logit lies inside the clip interval) come back as (2, n, C) arrays,
     head i in row i, so the elementwise algebra of a step can run on both
-    heads at once.
+    heads at once.  With ``evidence`` False, for a loss that reads only
+    the logits, the evidence and masks are not built and come back None.
     """
     h = x
     acts = [h]
@@ -307,6 +308,8 @@ def _forward_cached(model: ModelParams, x: np.ndarray):
     for (w, b), z in zip(model.heads, logits):
         np.matmul(h, w, out=z)
         z += b
+    if not evidence:
+        return acts, logits, None, None
     alphas = np.maximum(logits, -LOGIT_CLIP)
     np.minimum(alphas, LOGIT_CLIP, out=alphas)
     np.exp(alphas, out=alphas)
@@ -348,6 +351,16 @@ class BlockBuffers:
 
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
+        self._children: dict[int, BlockBuffers] = {}
+
+    def child(self, key: int) -> BlockBuffers:
+        """A second set kept with this one under ``key``, for a worker
+        that runs row blocks beside the caller; it is reused like the
+        arrays, so a run's passes share one set per worker."""
+        kid = self._children.get(key)
+        if kid is None:
+            kid = self._children[key] = BlockBuffers()
+        return kid
 
     def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         size = math.prod(shape)
@@ -357,20 +370,48 @@ class BlockBuffers:
         return buf[:size].reshape(shape)
 
 
-def _forward_rows(model: ModelParams, h: np.ndarray, alphas, buffers) -> None:
+def _activations(buffers: BlockBuffers, layer: int, shape) -> np.ndarray:
+    """Layer ``layer``'s activations in a row block, taken from ``buffers``.
+
+    Layers alternate between two buffers, ``hidden0`` and ``hidden1``,
+    each reading the one the layer before wrote, so a block of any depth
+    needs two.  Layer -1 is the block's input, which a caller may gather
+    there: layer 0 reads it, and it is dead once layer 0 has run.  Once
+    the last layer L - 1 has run, layer L's buffer is free for the
+    evidence, and after the heads have run layer L - 1's is free too.
+    """
+    return buffers.take(f"hidden{layer % 2}", shape)
+
+
+def _reserve_activations(model: ModelParams, buffers: BlockBuffers, rows: int, width: int):
+    """Grow both activation buffers of ``buffers`` to hold everything
+    ``_activations`` hands out for a block of up to ``rows`` rows of
+    ``width`` inputs: the gathered input, each layer's activations and
+    the evidence."""
+    widths = [w.shape[1] for w, _ in model.backbone]
+    size = rows * max(width, 2 * model.num_classes, *widths)
+    for layer in (0, 1):
+        _activations(buffers, layer, (size,))
+
+
+def _forward_rows(model: ModelParams, h: np.ndarray, alphas, buffers):
     """The inference loop on one row block; head i's evidence is written
-    into ``alphas[i]``, and layer i's activations into the ``hidden<i>``
-    buffer when ``buffers`` is given."""
+    into ``alphas[i]`` and ``alphas`` returned.  With ``buffers``, layer
+    i's activations go into ``_activations(buffers, i)``, and ``alphas``
+    None takes the evidence from the buffer the last layer left free."""
     for i, (w, b) in enumerate(model.backbone):
-        out = None if buffers is None else buffers.take(f"hidden{i}", (len(h), w.shape[1]))
+        out = None if buffers is None else _activations(buffers, i, (len(h), w.shape[1]))
         h = np.matmul(h, w, out=out)
         h += b
         np.maximum(h, 0.0, out=h)
+    if alphas is None:
+        alphas = _activations(buffers, len(model.backbone), (2, len(h), model.num_classes))
     for (w, b), z in zip(model.heads, alphas):
         np.matmul(h, w, out=z)
         z += b
         np.clip(z, -LOGIT_CLIP, LOGIT_CLIP, out=z)
         np.exp(z, out=z)
+    return alphas
 
 
 def forward(
@@ -388,15 +429,21 @@ def forward(
     is bitwise the same.
 
     With ``buffers``, the evidence and every layer's activations are
-    written into arrays taken from them (``evidence`` and ``hidden<i>``)
-    and nothing is allocated; the returned arrays are views on the
-    buffers, valid until they are next used.  A caller that passes one
-    row block at a time keeps the buffers block-sized.
+    written into arrays taken from them (``_activations``) and nothing is
+    allocated; the returned arrays are views on the buffers, valid until
+    they are next used.  A batch of one block may lie in the layer -1
+    buffer, and its evidence takes the buffer its last layer left free;
+    a longer batch, which must not lie in the buffers, writes its
+    evidence into the ``evidence`` buffer.  A caller that passes one row
+    block at a time keeps the buffers block-sized.
     """
     x = _model_batch(model, x)
-    n, shape = x.shape[0], (2, x.shape[0], model.num_classes)
+    blocks = _row_blocks(model, len(x))
+    if buffers is not None and len(blocks) == 1:
+        return tuple(_forward_rows(model, x, None, buffers))
+    shape = (2, len(x), model.num_classes)
     alphas = np.empty(shape) if buffers is None else buffers.take("evidence", shape)
-    for lo, hi in _row_blocks(model, n):
+    for lo, hi in blocks:
         _forward_rows(model, x[lo:hi], alphas[:, lo:hi], buffers)
     return alphas[0], alphas[1]
 
@@ -546,7 +593,7 @@ def _cross_entropy_grads(model: ModelParams, x: np.ndarray, yy: np.ndarray, grad
     """One forward pass and the flat gradient of ``cross_entropy_loss``,
     written into ``grads`` as ``_backward`` does; returns (both heads'
     (2, n, C) log-softmax, gradients)."""
-    acts, logp, _, _ = _forward_cached(model, x)
+    acts, logp, _, _ = _forward_cached(model, x, evidence=False)
     # the row max, one class column at a time: a max is exact in any order
     zmax = logp[..., :1].copy()
     for j in range(1, model.num_classes):

@@ -19,6 +19,8 @@ deterministic and invariant to pool ordering.
 from __future__ import annotations
 
 import logging
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -35,7 +37,15 @@ from .evidential import (  # noqa: F401
     distribution_uncertainty,
     expected_probs,
 )
-from .model import BlockBuffers, ModelParams, _model_batch, _row_blocks, forward
+from .model import (
+    BlockBuffers,
+    ModelParams,
+    _activations,
+    _model_batch,
+    _reserve_activations,
+    _row_blocks,
+    forward,
+)
 
 __all__ = [
     "PoolScores",
@@ -48,6 +58,7 @@ __all__ = [
     "fine_select",
     "coarse_to_fine_select",
     "baseline_select",
+    "baseline_rank",
     "BASELINE_STRATEGIES",
 ]
 
@@ -70,12 +81,48 @@ class PoolScores(NamedTuple):
     s_dis: np.ndarray
 
 
-def _pool_evidence(model: ModelParams, x, rows, buffers: BlockBuffers):
-    """Both heads' evidence on the pool, one ``forward`` row block at a
-    time: yields (lo, hi, (alpha1, alpha2) of pool rows lo:hi, as views on
-    ``buffers``).  The pool is ``x``, or the rows ``rows`` of it in that
-    order, gathered block by block into the ``pool_rows`` buffer; every
-    id is range-checked before the first block runs."""
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+# Workers a pool pass may use; None means one per CPU in the affinity mask.
+# ``openset-al run --jobs N`` sets it in each of its worker processes.
+_workers: int | None = None
+
+
+def _share_cpus(jobs: int) -> None:
+    """Leave this process 1/jobs of the CPUs for its pool passes, so that
+    ``jobs`` processes together run no more compute threads than there
+    are CPUs."""
+    global _workers
+    _workers = max(1, _cpu_count() // jobs)
+
+
+def _pool_width(blocks: int) -> int:
+    """Workers for a pass of ``blocks`` row blocks."""
+    return min(_workers or _cpu_count(), blocks)
+
+
+def _pool_pass(model: ModelParams, x, rows, buffers: BlockBuffers, block_fn) -> None:
+    """Run the pool through ``forward`` one row block at a time, calling
+    ``block_fn(lo, hi, (alpha1, alpha2), scratch)`` on the evidence of pool
+    rows lo:hi.  The pool is ``x``, or the rows ``rows`` of it in that
+    order, gathered block by block into the buffer of ``forward``'s layer
+    -1 (``_activations``); every id is range-checked before the first
+    block runs.
+
+    The blocks run on ``_pool_width`` workers: the calling thread, with
+    ``buffers`` as its scratch set, and threads started and joined here,
+    each with its own child set.  Workers take the next block in index
+    order, so once a block fails every lower one has been taken and is
+    finished; the lowest failing block's error is raised, as a serial loop
+    would raise it.  The partition and each block's operations do not
+    depend on the width, so neither do the results.
+    """
     if rows is not None:
         rows = np.asarray(rows, dtype=np.intp)
         if rows.ndim != 1:
@@ -83,28 +130,72 @@ def _pool_evidence(model: ModelParams, x, rows, buffers: BlockBuffers):
         outside = rows[(rows < 0) | (rows >= len(x))]
         if outside.size:
             raise IndexError(f"row ids outside [0, {len(x)}): {outside[:5].tolist()}")
-    for lo, hi in _row_blocks(model, len(x) if rows is None else len(rows)):
+    blocks = _row_blocks(model, len(x) if rows is None else len(rows))
+
+    def run(lo, hi, scratch):
         block = x[lo:hi]
         if rows is not None:
             # "clip" writes straight into ``out``; "raise" would buffer the
             # block first, and the ids are already checked
-            out = buffers.take("pool_rows", (hi - lo, x.shape[1]))
+            out = _activations(scratch, -1, (hi - lo, x.shape[1]))
             block = np.take(x, rows[lo:hi], axis=0, out=out, mode="clip")
-        yield lo, hi, forward(model, block, buffers)
+        block_fn(lo, hi, forward(model, block, scratch), scratch)
+
+    width = _pool_width(len(blocks))
+    if width < 2:
+        for lo, hi in blocks:
+            run(lo, hi, buffers)
+        return
+    tasks = iter(enumerate(blocks))
+    lock = threading.Lock()
+    failures: dict[int, BaseException] = {}
+
+    def drain(scratch):
+        while True:
+            with lock:
+                task = None if failures else next(tasks, None)
+            if task is None:
+                return
+            i, (lo, hi) = task
+            try:
+                run(lo, hi, scratch)
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
+                return
+
+    # A thread's allocations come from a malloc arena of its own, which
+    # keeps what it frees mapped (about 6 MB more peak RSS on wide_pool),
+    # so each worker's activation buffers are allocated here, up front
+    rows_most = max(hi - lo for lo, hi in blocks)
+    started = []
+    try:
+        for k in range(1, width):
+            scratch = buffers.child(k)
+            _reserve_activations(model, scratch, rows_most, x.shape[1])
+            thread = threading.Thread(target=drain, args=(scratch,))
+            thread.start()
+            started.append(thread)
+        drain(buffers)
+    finally:
+        for thread in started:
+            thread.join()
+    if failures:
+        raise failures[min(failures)]
 
 
-def _score_block(alphas, buffers: BlockBuffers, u_data, u_dist, s_dis) -> None:
+def _score_block(alphas, avg, buffers: BlockBuffers, u_data, u_dist, s_dis) -> None:
     """The three scores of one row block, written into the given columns.
 
     The operations, their order and the checks are those of
     ``data_uncertainty``, ``entropy(expected_probs(.))`` and
     ``discrepancy_score`` on the averaged evidence, so every score has
-    their bits; the temporaries are ``buffers`` and the heads' evidence,
-    which is overwritten.  A non-finite head makes the average
+    their bits; the temporaries are ``avg``, ``buffers`` and the heads'
+    evidence, which is overwritten.  A non-finite head makes the average
     non-finite, so checking the average covers the heads too.
     """
     a1, a2 = alphas
-    avg = np.add(a1, a2, out=buffers.take("avg", a1.shape))
+    avg = np.add(a1, a2, out=avg)
     avg *= 0.5
     _validate_alpha(avg)
     d = np.subtract(a1, a2, out=a1)
@@ -150,8 +241,14 @@ def score_pool(
     x = _model_batch(model, x)
     n = len(x) if rows is None else len(rows)
     scores = PoolScores(np.empty(n), np.empty(n), np.empty(n))
-    for lo, hi, alphas in _pool_evidence(model, x, rows, buffers):
-        _score_block(alphas, buffers, *(col[lo:hi] for col in scores))
+
+    last = len(model.backbone) - 1  # its buffer is free once the heads have run
+
+    def score(lo, hi, alphas, scratch):
+        avg = _activations(scratch, last, alphas[0].shape)
+        _score_block(alphas, avg, scratch, *(col[lo:hi] for col in scores))
+
+    _pool_pass(model, x, rows, buffers, score)
     return scores
 
 
@@ -420,20 +517,40 @@ def coarse_to_fine_select(
     return query
 
 
+RANKED_STRATEGIES = BASELINE_STRATEGIES[1:]
+
+
+def _rank_rows(strategy: str, p: np.ndarray) -> np.ndarray:
+    """Per-row rank of averaged expected probabilities p (m, C) under a
+    ranked baseline; the highest is queried first.  entropy: prediction
+    entropy; least_confidence: 1 - max p; margin: minus the gap between
+    the two largest probabilities."""
+    if strategy == "entropy":
+        return entropy(p)
+    if strategy == "least_confidence":
+        return 1.0 - p.max(axis=1)
+    part = np.sort(p, axis=1)
+    return -(part[:, -1] - part[:, -2])
+
+
 def baseline_select(
     strategy: str,
-    scores_probs: np.ndarray,
+    scores_probs: np.ndarray | None,
     ids: np.ndarray,
     budget: int,
     seed=None,
+    rank: np.ndarray | None = None,
 ) -> np.ndarray:
     """Classical pool-based strategies over averaged expected probabilities.
 
-    random: uniform without replacement; entropy: top-b by prediction
-    entropy; least_confidence: top-b by 1 - max p; margin: top-b by the
-    smallest gap between the two largest probabilities.  Deterministic
-    given the seed; ties break by ascending id.
+    random: uniform without replacement, reading no scores; entropy,
+    least_confidence and margin: the top b by ``_rank_rows`` of
+    ``scores_probs``, or by ``rank`` when given (``baseline_rank`` streams
+    it from a model).  Deterministic given the seed; ties break by
+    ascending id.
     """
+    if strategy not in BASELINE_STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}")
     ids = np.asarray(ids)
     if ids.size == 0:
         raise ValueError("baseline_select requires a non-empty pool")
@@ -442,18 +559,24 @@ def baseline_select(
         rng = np.random.default_rng(seed)
         order = np.argsort(ids)
         return np.sort(rng.choice(ids[order], size=budget, replace=False))
-    p = np.asarray(scores_probs, dtype=float)
-    if strategy == "entropy":
-        rank = entropy(p)
-    elif strategy == "least_confidence":
-        rank = 1.0 - p.max(axis=1)
-    elif strategy == "margin":
-        part = np.sort(p, axis=1)
-        rank = -(part[:, -1] - part[:, -2])
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    if rank is None:
+        rank = _rank_rows(strategy, np.asarray(scores_probs, dtype=float))
     order = np.lexsort((ids, -rank))
     return ids[order[:budget]]
+
+
+def _mean_probs(alphas, buffers: BlockBuffers, out: np.ndarray) -> np.ndarray:
+    """``0.5 * (expected_probs(alpha1) + expected_probs(alpha2))`` of one
+    row block, with its checks, written into ``out``; the heads' evidence
+    is overwritten."""
+    a1, a2 = alphas
+    for a in (a1, a2):
+        _validate_alpha(a)
+        s = np.sum(a, axis=1, keepdims=True, out=buffers.take("avg_sum", (len(a), 1)))
+        np.divide(a, s, out=a)
+    out = np.add(a1, a2, out=out)
+    out *= 0.5
+    return out
 
 
 def averaged_probs(
@@ -462,8 +585,8 @@ def averaged_probs(
     rows: np.ndarray | None = None,
     buffers: BlockBuffers | None = None,
 ) -> np.ndarray:
-    """Mean of the two heads' expected probabilities, used by baselines
-    and for test accuracy.
+    """Mean of the two heads' expected probabilities, used for test
+    accuracy.
 
     Streamed like ``score_pool``: ``rows`` selects and orders the rows of
     x, and every block-sized array is taken from ``buffers`` (a fresh set
@@ -475,11 +598,37 @@ def averaged_probs(
     x = _model_batch(model, x)
     n = len(x) if rows is None else len(rows)
     probs = np.empty((n, model.num_classes))
-    for lo, hi, (a1, a2) in _pool_evidence(model, x, rows, buffers):
-        for a in (a1, a2):
-            _validate_alpha(a)
-            s = np.sum(a, axis=1, keepdims=True, out=buffers.take("avg_sum", (len(a), 1)))
-            np.divide(a, s, out=a)
-        out = np.add(a1, a2, out=probs[lo:hi])
-        out *= 0.5
+
+    def mean_block(lo, hi, alphas, scratch):
+        _mean_probs(alphas, scratch, probs[lo:hi])
+
+    _pool_pass(model, x, rows, buffers, mean_block)
     return probs
+
+
+def baseline_rank(
+    strategy: str,
+    model: ModelParams,
+    x: np.ndarray,
+    rows: np.ndarray | None = None,
+    buffers: BlockBuffers | None = None,
+) -> np.ndarray:
+    """The per-row rank a ranked baseline queries by, on the averaged
+    probabilities of x (or of its rows ``rows``), for
+    ``baseline_select(..., rank=)``.
+
+    Streamed like ``averaged_probs``, whose block values it ranks in place
+    with ``_rank_rows``, so no (n, C) array is built and the rank is
+    bitwise ``_rank_rows`` of the whole pool's averaged probabilities.
+    """
+    if strategy not in RANKED_STRATEGIES:
+        raise ValueError(f"unknown ranked strategy {strategy!r}")
+    buffers = BlockBuffers() if buffers is None else buffers
+    x = _model_batch(model, x)
+    rank = np.empty(len(x) if rows is None else len(rows))
+
+    def rank_block(lo, hi, alphas, scratch):
+        rank[lo:hi] = _rank_rows(strategy, _mean_probs(alphas, scratch, alphas[0]))
+
+    _pool_pass(model, x, rows, buffers, rank_block)
+    return rank

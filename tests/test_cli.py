@@ -3,13 +3,19 @@ outputs, aggregation arithmetic, and fault injection into the checker."""
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import write_idx_images, write_idx_labels
 
-from openset_al import cli, evidential, model
+from openset_al import cli, evidential, model, selection
 from openset_al.checks import CHECK_NAMES, run_checks
 from openset_al.datasets import BlobSpec
 from openset_al.model import TrainConfig
@@ -171,6 +177,50 @@ class TestCmdRun:
         assert "--jobs" in capsys.readouterr().err
         assert not (tmp_path / "results").exists()
 
+    def test_jobs_after_a_threaded_pass_finish(self, tmp_path):
+        """Fork safety: a process that ran a two-worker pool pass then runs
+        ``run --jobs 2``, whose forked cell processes run two-worker passes
+        of their own over a two-block pool.  A thread left running, or a
+        lock it held, would hang the grid; its CSVs must match the serial
+        run's."""
+        path = minimal_config(
+            tmp_path,
+            data={"num_known": 10, "num_unknown": 10, "dim": 16, "per_class": 600},
+            train={"epochs": 1, "lr_milestones": [], "discrepancy_epochs": 0},
+            query_size=50,
+            num_cycles=1,
+            strategies=["coarse_to_fine", "entropy"],
+        )
+        script = textwrap.dedent(
+            """
+            import json, sys
+            from pathlib import Path
+            import numpy as np
+            from openset_al import cli, selection
+            from openset_al.model import init_model
+            selection._pool_width = lambda blocks: min(2, blocks)
+            m = init_model(16, 10, seed=0)
+            selection.score_pool(m, np.random.default_rng(0).normal(size=(9000, 16)))
+            config = json.loads(Path(sys.argv[1]).read_text())
+            for jobs in ("2", "1"):
+                config["output_dir"] = sys.argv[1] + jobs
+                Path(config["output_dir"] + ".json").write_text(json.dumps(config))
+                if cli.main(["run", "--config", config["output_dir"] + ".json", "--jobs", jobs]):
+                    sys.exit(1)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        forked, serial = Path(f"{path}2"), Path(f"{path}1")
+        names = sorted(p.name for p in serial.glob("metrics_*.csv"))
+        assert len(names) == 2
+        for name in names:
+            assert (forked / name).read_bytes() == (serial / name).read_bytes()
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         serial = minimal_config(tmp_path, seeds=[0, 1], output_dir=str(tmp_path / "s"))
         assert cli.main(["run", "--config", str(serial)]) == 0
@@ -330,6 +380,23 @@ class TestCmdCheck:
         monkeypatch.setattr(model, "_backward", accumulating)
         failed = {name for name, ok, _ in run_checks() if not ok}
         assert failed == {"training_step_bitwise"}
+
+    def test_streamed_scores_row_runs_two_workers(self, monkeypatch):
+        """The row's pool runs on two workers whatever the CPU count: one
+        thread beside the caller."""
+        monkeypatch.setattr(selection, "_cpu_count", lambda: 1)
+        started = []
+        real = threading.Thread.start
+
+        def counted(self):
+            started.append(self)
+            real(self)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        results = {name: ok for name, ok, _ in run_checks()}
+        assert results["streamed_scores_bitwise"]
+        assert len(started) == 1
+        assert selection._workers is None
 
     def test_config_seed_used(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -197,6 +197,16 @@ class TestEvaluateAccuracy:
         with pytest.raises(ValueError):
             evaluate_accuracy(init_model(2, 2, hidden_widths=()), np.zeros((0, 2)), [])
 
+    def test_rows_read_the_feature_store_without_gathering(self):
+        m = init_model(4, 3, hidden_widths=(8,), seed=3)
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(50, 4))
+        ids = rng.permutation(50)[:30]
+        y = rng.integers(0, 3, 30)
+        assert evaluate_accuracy(m, x, y, rows=ids) == evaluate_accuracy(m, x[ids], y)
+        with pytest.raises(ValueError, match="empty test set"):
+            evaluate_accuracy(m, x, [], rows=ids[:0])
+
 
 def quick_cfg(**kw):
     base = dict(
@@ -302,6 +312,16 @@ class TestRunExperiment:
         monkeypatch.setattr(DatasetSplit, "unlabeled_features", gather)
         metrics = run_experiment(small_split, quick_cfg(discrepancy_epochs=0), strategy)
         assert len(metrics) == 3 and metrics == expected
+
+    def test_random_runs_no_pool_pass(self, small_split, monkeypatch):
+        expected = run_experiment(small_split, quick_cfg(), "random")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("random scored the pool")
+
+        for name in ("score_pool", "baseline_rank"):
+            monkeypatch.setattr(harness, name, refuse)
+        assert run_experiment(small_split, quick_cfg(), "random") == expected
 
     def test_unknown_strategy_rejected(self, small_split):
         with pytest.raises(ValueError, match="unknown strategy"):

@@ -126,6 +126,15 @@ class TestInferenceForward:
         for a, b in zip(out, alphas):
             assert a.tobytes() == b.tobytes()
 
+    def test_logits_only_pass_builds_no_evidence(self):
+        m = init_model(16, 4, hidden_widths=(64, 64), seed=5, head_init_scale=3.0)
+        x = np.random.default_rng(0).normal(0.0, 8.0, size=(128, 16))
+        acts, logits, _, _ = _forward_cached(m, x)
+        acts2, logits2, alphas, mask = _forward_cached(m, x, evidence=False)
+        assert alphas is None and mask is None
+        assert logits2.tobytes() == logits.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(acts, acts2))
+
     @pytest.mark.parametrize("widths", [(64, 64), ()])
     def test_input_left_unmodified(self, widths):
         """The in-place updates never write through to the caller's array,

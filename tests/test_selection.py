@@ -1,6 +1,9 @@
 """Selection tests: EM fit against synthetic mixture oracles, the
 coarse/fine stages against brute-force sorting, and baseline strategies."""
 
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -22,7 +25,9 @@ from openset_al.selection import (
     DegenerateDataError,
     GmmModel,
     PoolScores,
+    RANKED_STRATEGIES,
     averaged_probs,
+    baseline_rank,
     baseline_select,
     coarse_select,
     coarse_to_fine_select,
@@ -719,3 +724,202 @@ class TestStreamedScores:
         score_pool(m, x, rows=rows, buffers=BlockBuffers())
         averaged_probs(m, x, rows=rows)
         assert x.tobytes() == before
+
+
+def pool_passes(m, x, rows, buffers=None):
+    """Every pool pass on the same pool: the three scores, the averaged
+    probabilities and each ranked baseline's rank."""
+    out = list(score_pool(m, x, rows=rows, buffers=buffers))
+    out.append(averaged_probs(m, x, rows=rows, buffers=buffers))
+    out.extend(baseline_rank(s, m, x, rows=rows, buffers=buffers) for s in RANKED_STRATEGIES)
+    return out
+
+
+def force_width(monkeypatch, width):
+    monkeypatch.setattr(selection, "_pool_width", width)
+
+
+class TestPoolWorkers:
+    """The pool pass runs ``forward``'s row blocks on ``_pool_width``
+    workers.  Any width gives the one-worker bytes and errors, and no
+    thread outlives a pass."""
+
+    @pytest.mark.parametrize("classes", [4, 10])
+    @pytest.mark.parametrize("n", [1504, 8292, 12_289, 47_700])
+    def test_bitwise_equal_to_one_worker(self, monkeypatch, n, classes):
+        m, x, rows = stream_case(n, classes)
+        force_width(monkeypatch, lambda blocks: 1)
+        serial = pool_passes(m, x, rows, BlockBuffers())
+        force_width(monkeypatch, lambda blocks: min(2, blocks))
+        buffers = BlockBuffers()
+        assert same_bytes(pool_passes(m, x, rows, buffers), serial)
+        # a second pass reuses the workers' scratch sets
+        assert same_bytes(pool_passes(m, x, rows, buffers), serial)
+
+    @pytest.mark.parametrize("widths", [(), (48,), (64, 64, 64)])
+    def test_any_depth_keeps_the_unbuffered_bits(self, monkeypatch, widths):
+        """The gathered rows, the layers, the evidence and the average
+        share two activation buffers; at any depth, and on one worker or
+        two, every pass keeps the bits of an unbuffered forward."""
+        m = init_model(32, 10, widths, seed=7, head_init_scale=3.0)
+        rng = np.random.default_rng(7)
+        x = rng.normal(0.0, 8.0, size=(20_037, 32))
+        rows = rng.permutation(len(x))[:20_000]
+        a1, a2 = forward(m, x[rows])
+        avg = 0.5 * (a1 + a2)
+        probs = 0.5 * (expected_probs(a1) + expected_probs(a2))
+        expected = [
+            np.maximum(data_uncertainty(avg), 0.0),
+            np.maximum(distribution_uncertainty(avg), 0.0),
+            discrepancy_score(a1, a2),
+            probs,
+            *(selection._rank_rows(s, probs) for s in RANKED_STRATEGIES),
+        ]
+        for width in (1, 2):
+            force_width(monkeypatch, lambda blocks, width=width: min(width, blocks))
+            assert same_bytes(pool_passes(m, x, rows, BlockBuffers()), expected)
+
+    def test_worker_sets_are_reused_across_passes(self, monkeypatch):
+        m, x, rows = stream_case(12_289, 10)
+        force_width(monkeypatch, lambda blocks: 2)
+        buffers = BlockBuffers()
+        pool_passes(m, x, rows, buffers)
+        held = dict(buffers.child(1)._arrays)
+        assert {"hidden0", "hidden1"} <= set(held)
+        pool_passes(m, x, rows, buffers)
+        assert all(buffers.child(1)._arrays[k] is v for k, v in held.items())
+
+    def test_stress_more_workers_than_cpus(self, monkeypatch):
+        """Eight workers share a queue of 400 ten-row blocks under a very
+        short thread switch interval: each block runs once, and the
+        scores keep the one-worker bytes of the same partition."""
+        m, x, rows = stream_case(4000, 10)
+        monkeypatch.setattr(
+            selection, "_row_blocks",
+            lambda model, n: [(lo, min(lo + 10, n)) for lo in range(0, n, 10)],
+        )
+        force_width(monkeypatch, lambda blocks: 1)
+        serial = score_pool(m, x, rows=rows)
+        force_width(monkeypatch, lambda blocks: 8)
+        calls = []
+        real_forward = selection.forward
+
+        def counted(*args):
+            calls.append(None)
+            return real_forward(*args)
+
+        monkeypatch.setattr(selection, "forward", counted)
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: result.append(score_pool(m, x, rows=rows)))
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert len(calls) == 400
+        assert same_bytes(result[0], serial)
+
+    def test_width_above_block_count(self, monkeypatch):
+        m, x, rows = stream_case(8292, 10)
+        force_width(monkeypatch, lambda blocks: 1)
+        serial = pool_passes(m, x, rows)
+        force_width(monkeypatch, lambda blocks: blocks + 3)
+        assert same_bytes(pool_passes(m, x, rows), serial)
+
+    @pytest.mark.parametrize("fn", [score_pool, averaged_probs])
+    def test_nan_in_last_block_raises_as_one_worker(self, monkeypatch, fn):
+        m, x, rows = stream_case(12_289, 10)
+        x[rows[-1], 3] = np.nan
+        messages = []
+        for width in (1, 2):
+            force_width(monkeypatch, lambda blocks, width=width: width)
+            with pytest.raises(ValueError, match="alpha must be finite") as err:
+                fn(m, x, rows=rows, buffers=BlockBuffers())
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_lowest_failing_block_raises(self, monkeypatch):
+        """Block 0 fails late and block 1 at once; the serial loop would
+        raise block 0's error, and so must two workers."""
+        m, x, _ = stream_case(20_001, 10)
+        force_width(monkeypatch, lambda blocks: 2)
+
+        def block_fn(lo, hi, alphas, scratch):
+            if lo == 0:
+                time.sleep(0.05)
+            if lo < 10_000:
+                raise ValueError(f"block at {lo}")
+
+        with pytest.raises(ValueError, match="block at 0$"):
+            selection._pool_pass(m, x, None, BlockBuffers(), block_fn)
+
+    @pytest.mark.parametrize("fn", [score_pool, averaged_probs])
+    def test_bad_id_raises_before_any_block(self, monkeypatch, fn):
+        m, x, rows = stream_case(12_289, 10)
+        rows[0] = -1
+        force_width(monkeypatch, lambda blocks: 2)
+        blocks = []
+        monkeypatch.setattr(selection, "forward", lambda *a: blocks.append(a))
+        with pytest.raises(IndexError, match="outside"):
+            fn(m, x, rows=rows, buffers=BlockBuffers())
+        assert blocks == []
+
+    def test_no_thread_outlives_a_pass(self, monkeypatch):
+        m, x, rows = stream_case(12_289, 10)
+        force_width(monkeypatch, lambda blocks: 2)
+        before = threading.active_count()
+        pool_passes(m, x, rows)
+        assert threading.active_count() == before
+        x[rows[-1], 0] = np.nan
+        with pytest.raises(ValueError):
+            score_pool(m, x, rows=rows)
+        assert threading.active_count() == before
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        """A pool below two blocks, such as every desk pool and test set,
+        runs inline whatever the CPU count."""
+        monkeypatch.setattr(selection, "_cpu_count", lambda: 8)
+
+        def refuse(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        m, x, rows = stream_case(6000, 10)
+        pool_passes(m, x, rows)
+
+    @pytest.mark.parametrize("cpus, jobs, width", [(4, 2, 2), (2, 2, 1), (2, 8, 1), (8, 3, 2)])
+    def test_grid_jobs_share_the_cpus(self, monkeypatch, cpus, jobs, width):
+        monkeypatch.setattr(selection, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(selection, "_workers", None)
+        assert selection._pool_width(11) == min(cpus, 11)
+        selection._share_cpus(jobs)
+        assert selection._pool_width(11) == width
+        assert selection._pool_width(1) == 1
+
+
+class TestBaselineRank:
+    @pytest.mark.parametrize("strategy", RANKED_STRATEGIES)
+    @pytest.mark.parametrize("n", [1504, 12_289])
+    def test_streamed_rank_selects_as_the_probabilities(self, strategy, n):
+        m, x, rows = stream_case(n, 10)
+        probs = averaged_probs(m, x, rows=rows)
+        rank = baseline_rank(strategy, m, x, rows=rows, buffers=BlockBuffers())
+        assert rank.tobytes() == selection._rank_rows(strategy, probs).tobytes()
+        ids = rows + 1000
+        np.testing.assert_array_equal(
+            baseline_select(strategy, None, ids, 60, rank=rank),
+            baseline_select(strategy, probs, ids, 60),
+        )
+
+    @pytest.mark.parametrize("strategy", ["random", "badge"])
+    def test_unranked_strategy_rejected(self, strategy):
+        m, x, rows = stream_case(10, 4)
+        with pytest.raises(ValueError, match="unknown ranked strategy"):
+            baseline_rank(strategy, m, x, rows=rows)
+
+    def test_random_reads_no_scores(self):
+        out = baseline_select("random", None, np.arange(40), 10, seed=3)
+        assert len(set(out)) == 10
