@@ -9,7 +9,6 @@ query experiments against classical baselines, entirely in numpy/scipy.
 from .datasets import BlobSpec, DatasetSplit, IdxFormatError, Pool, load_idx, make_blobs
 from .evidential import (
     data_uncertainty,
-    digamma,
     discrepancy_score,
     distribution_uncertainty,
     entropy,
@@ -17,7 +16,6 @@ from .evidential import (
     expected_probs,
     jsd,
     kl_dirichlet_to_uniform,
-    log_gamma,
 )
 from .harness import (
     STRATEGIES,
@@ -75,7 +73,6 @@ __all__ = [
     "coarse_to_fine_select",
     "cross_entropy_loss",
     "data_uncertainty",
-    "digamma",
     "dis_loss",
     "discrepancy_score",
     "distribution_uncertainty",
@@ -93,7 +90,6 @@ __all__ = [
     "learning_rate_at",
     "load_checkpoint",
     "load_idx",
-    "log_gamma",
     "make_blobs",
     "oracle_label",
     "run_experiment",

@@ -22,6 +22,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -87,10 +88,12 @@ def _as_int(field: str, value) -> int:
 
 
 def _as_float(field: str, value) -> float:
-    """Any int or float; bools and strings are rejected."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    """Any finite int or float; bools, strings and the NaN and Infinity
+    that Python's json accepts are rejected."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and math.isfinite(value):
         return float(value)
-    raise ConfigError(f"field '{field}' must be a number, got {value!r}")
+    raise ConfigError(f"field '{field}' must be a finite number, got {value!r}")
 
 
 def _typed(field: str, default, value):

@@ -14,10 +14,14 @@ plus the divergences used by the dual-head training losses
 (``jsd``, ``kl_dirichlet_to_uniform``) and the head-disagreement score
 (``discrepancy_score``).
 
-All functions are pure and broadcast over leading axes: an input of shape
-``(..., C)`` yields an output of shape ``(...)`` (or ``(..., C)`` for the
-vector-valued ones).  Entropies are in nats except ``jsd``, which uses a
-base-2 logarithm so its value is bounded by 1.
+All public functions are pure and broadcast over leading axes: an input
+of shape ``(..., C)`` yields an output of shape ``(...)`` (or ``(..., C)``
+for the vector-valued ones).  Entropies are in nats except ``jsd``, which
+uses a base-2 logarithm so its value is bounded by 1.
+
+Each closed form the model and the selector use has one body, an
+unchecked private kernel with optional ``out`` and scratch arrays, which
+the checked public function, the forward passes and the pool scores call.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ from scipy import special
 
 __all__ = [
     "LOGIT_CLIP",
-    "digamma",
-    "log_gamma",
     "evidence_from_logits",
     "expected_probs",
     "entropy",
@@ -51,35 +53,66 @@ def _as_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
-def digamma(x) -> np.ndarray | float:
-    """Digamma function psi(x) = d/dx ln Gamma(x) for x > 0.
+def _evidence(z, out=None) -> np.ndarray:
+    """exp(clip(z, -LOGIT_CLIP, LOGIT_CLIP)), written into ``out`` (which
+    may be z; None allocates, for z of ndim >= 1) and returned.  The clip
+    is a maximum then a minimum: the same values as ``np.clip``, at less
+    call overhead."""
+    out = np.maximum(z, -LOGIT_CLIP, out=out)
+    np.minimum(out, LOGIT_CLIP, out=out)
+    return np.exp(out, out=out)
 
-    Raises ValueError if any component is non-positive or non-finite.
+
+def _dirichlet_mean(a, out=None, s=None) -> tuple[np.ndarray, np.ndarray]:
+    """(p, S): the mean p = a / S of evidence a (..., C), written into
+    ``out`` (which may be a), and its row sums S (..., 1), written into
+    ``s``.  Unchecked."""
+    s = np.sum(a, axis=-1, keepdims=True, out=s)
+    return np.divide(a, s, out=out), s
+
+
+def _uncertainties(a, u_data=None, u_dist=None, p=None, s=None, psi=None, mutual=True):
+    """(u_data, u_dist) of evidence a (..., C), each written into the
+    array given for it; u_dist is None unless ``mutual``.  Unchecked.
+
+    u_data = sum_c p_c (psi(S + 1) - psi(a_c + 1)) and
+    u_dist = -sum_c p_c ln p_c - u_data.  ``p`` (..., C), ``s`` (..., 1)
+    and ``psi`` (..., C) are scratch for the mean, the row sums and the
+    digamma terms; ``psi`` may be a, which is then overwritten.
     """
-    arr = _as_float_array(x, "x")
-    if np.any(arr <= 0):
-        raise ValueError(f"digamma requires x > 0, got {arr!r}")
-    out = special.digamma(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    p, s = _dirichlet_mean(a, p, s)
+    psi_s = special.digamma(np.add(s, 1.0, out=s), out=s)
+    psi_a = special.digamma(np.add(a, 1.0, out=psi), out=psi)
+    terms = np.subtract(psi_s, psi_a, out=psi_a)
+    terms *= p
+    u_data = np.sum(terms, axis=-1, out=u_data)
+    if not mutual:
+        return u_data, None
+    h = np.sum(special.xlogy(p, p, out=terms), axis=-1, out=u_dist)
+    u_dist = np.negative(h, out=u_dist)
+    u_dist -= u_data
+    return u_data, u_dist
 
 
-def log_gamma(x) -> np.ndarray | float:
-    """Natural log of the Gamma function for x > 0."""
-    arr = _as_float_array(x, "x")
-    if np.any(arr <= 0):
-        raise ValueError(f"log_gamma requires x > 0, got {arr!r}")
-    out = special.gammaln(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+def _head_distance(a1, a2, out=None, diff=None) -> np.ndarray:
+    """||a1 - a2||_2 over the last axis, written into ``out``; the
+    difference goes into ``diff``, which may be a1.  Unchecked."""
+    d = np.subtract(a1, a2, out=diff)
+    return np.sqrt(np.sum(np.square(d, out=d), axis=-1, out=out), out=out)
 
 
-def evidence_from_logits(logits) -> np.ndarray:
+def _scalar_or_array(out) -> np.ndarray | float:
+    return float(out) if out.ndim == 0 else out
+
+
+def evidence_from_logits(logits) -> np.ndarray | float:
     """Map raw logits to positive Dirichlet evidence, exp(clip(logit)).
 
     Clamping to [-LOGIT_CLIP, +LOGIT_CLIP] prevents overflow; ordering of
     components is preserved.  Output is strictly positive.
     """
     z = _as_float_array(logits, "logits")
-    return np.exp(np.clip(z, -LOGIT_CLIP, LOGIT_CLIP))
+    return _scalar_or_array(_evidence(z, np.empty(z.shape)))
 
 
 def _validate_alpha(alpha) -> np.ndarray:
@@ -98,27 +131,13 @@ def expected_probs(alpha) -> np.ndarray:
     more information than a softmax prediction; the uncertainty measures
     below are what distinguish evidence vectors with equal means.
     """
-    a = _validate_alpha(alpha)
-    return a / a.sum(axis=-1, keepdims=True)
+    return _dirichlet_mean(_validate_alpha(alpha))[0]
 
 
 def entropy(p) -> np.ndarray | float:
     """Shannon entropy of a categorical distribution, in nats."""
     arr = np.asarray(p, dtype=float)
-    out = -special.xlogy(arr, arr).sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
-
-
-def _normalized(alpha) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Checked evidence, its sum S over the last axis (kept) and its mean
-    p = alpha / S, as ``expected_probs`` computes it."""
-    a = _validate_alpha(alpha)
-    s = a.sum(axis=-1, keepdims=True)
-    return a, s, a / s
-
-
-def _expected_entropy(a, s, p) -> np.ndarray:
-    return (p * (special.digamma(s + 1.0) - special.digamma(a + 1.0))).sum(axis=-1)
+    return _scalar_or_array(-special.xlogy(arr, arr).sum(axis=-1))
 
 
 def data_uncertainty(alpha) -> np.ndarray | float:
@@ -128,8 +147,7 @@ def data_uncertainty(alpha) -> np.ndarray | float:
     S = sum(alpha) and p = expected_probs(alpha).  Lies in [0, ln C] and
     increases toward the entropy of the mean as evidence accumulates.
     """
-    out = _expected_entropy(*_normalized(alpha))
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(_uncertainties(_validate_alpha(alpha), mutual=False)[0])
 
 
 def distribution_uncertainty(alpha) -> np.ndarray | float:
@@ -137,14 +155,12 @@ def distribution_uncertainty(alpha) -> np.ndarray | float:
 
     Closed form: sum_c p_c * (psi(alpha_c + 1) - psi(S + 1)) - sum_c p_c ln p_c,
     which is computed as entropy(expected_probs) - data_uncertainty.  The
-    first sum is exactly -data_uncertainty, so both forms round the same.
-    The evidence is checked and normalized once, and both terms share p.
-    Vanishes as evidence grows, so it measures how little evidence has
-    been collected.
+    first sum is exactly -data_uncertainty: ``_uncertainties`` evaluates
+    the pair together, and ``score_pool`` calls it on the averaged
+    evidence of each row block.  Vanishes as evidence grows, so it
+    measures how little evidence has been collected.
     """
-    a, s, p = _normalized(alpha)
-    out = -special.xlogy(p, p).sum(axis=-1) - _expected_entropy(a, s, p)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(_uncertainties(_validate_alpha(alpha))[1])
 
 
 def jsd(p, q) -> np.ndarray | float:
@@ -162,8 +178,7 @@ def jsd(p, q) -> np.ndarray | float:
     m = 0.5 * (pa + qa)
     kl_pm = (special.xlogy(pa, pa) - special.xlogy(pa, m)).sum(axis=-1)
     kl_qm = (special.xlogy(qa, qa) - special.xlogy(qa, m)).sum(axis=-1)
-    out = 0.5 * (kl_pm + kl_qm) / np.log(2.0)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(0.5 * (kl_pm + kl_qm) / np.log(2.0))
 
 
 def kl_dirichlet_to_uniform(alpha_tilde) -> np.ndarray | float:
@@ -183,7 +198,7 @@ def kl_dirichlet_to_uniform(alpha_tilde) -> np.ndarray | float:
         - special.gammaln(a).sum(axis=-1)
         + ((a - 1.0) * (special.digamma(a) - special.digamma(s)[..., None])).sum(axis=-1)
     )
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(out)
 
 
 def discrepancy_score(alpha1, alpha2) -> np.ndarray | float:
@@ -194,5 +209,4 @@ def discrepancy_score(alpha1, alpha2) -> np.ndarray | float:
         raise ValueError(
             f"dimension mismatch: {a1.shape[-1]} vs {a2.shape[-1]} classes"
         )
-    out = np.sqrt(((a1 - a2) ** 2).sum(axis=-1))
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(_head_distance(a1, a2))

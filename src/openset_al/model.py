@@ -2,8 +2,8 @@
 
 The network is a small ReLU MLP backbone feeding two independently
 initialized linear classifier heads.  Each head's logits are mapped to
-Dirichlet evidence with ``evidence_from_logits``.  Three objectives drive
-training:
+Dirichlet evidence by the kernel behind ``evidence_from_logits``.  Three
+objectives drive training:
 
 * ``edl_loss``    on labeled data: negative log marginal likelihood of the
   label under the Dirichlet prior, plus a KL regularizer that pushes the
@@ -44,6 +44,8 @@ from scipy import special
 
 from .evidential import (
     LOGIT_CLIP,
+    _dirichlet_mean,
+    _evidence,
     data_uncertainty,
     distribution_uncertainty,
     jsd,
@@ -119,6 +121,8 @@ class TrainConfig:
             raise ValueError("cycle/epoch counts must be nonnegative")
         if any(w <= 0 for w in self.hidden_widths):
             raise ValueError("hidden_widths must be positive")
+        if self.head_init_scale < 0:
+            raise ValueError("head_init_scale must be nonnegative")
 
     @property
     def runs_discrepancy(self) -> bool:
@@ -297,23 +301,11 @@ def _forward_cached(model: ModelParams, x: np.ndarray, evidence: bool = True):
     heads at once.  With ``evidence`` False, for a loss that reads only
     the logits, the evidence and masks are not built and come back None.
     """
-    h = x
-    acts = [h]
-    for w, b in model.backbone:
-        h = h @ w
-        h += b
-        np.maximum(h, 0.0, out=h)
-        acts.append(h)
-    logits = np.empty((2, h.shape[0], model.num_classes))
-    for (w, b), z in zip(model.heads, logits):
-        np.matmul(h, w, out=z)
-        z += b
+    acts = [x]
+    logits = _layers(model, x, np.empty((2, len(x), model.num_classes)), acts=acts)
     if not evidence:
         return acts, logits, None, None
-    alphas = np.maximum(logits, -LOGIT_CLIP)
-    np.minimum(alphas, LOGIT_CLIP, out=alphas)
-    np.exp(alphas, out=alphas)
-    return acts, logits, alphas, np.abs(logits) < LOGIT_CLIP
+    return acts, logits, _evidence(logits), np.abs(logits) < LOGIT_CLIP
 
 
 # A row block of ``forward`` has at least this many rows, and at least
@@ -394,24 +386,32 @@ def _reserve_activations(model: ModelParams, buffers: BlockBuffers, rows: int, w
         _activations(buffers, layer, (size,))
 
 
-def _forward_rows(model: ModelParams, h: np.ndarray, alphas, buffers):
-    """The inference loop on one row block; head i's evidence is written
-    into ``alphas[i]`` and ``alphas`` returned.  With ``buffers``, layer
-    i's activations go into ``_activations(buffers, i)``, and ``alphas``
-    None takes the evidence from the buffer the last layer left free."""
+def _layers(model: ModelParams, h: np.ndarray, logits, buffers=None, acts=None):
+    """The backbone and both heads on a batch h; head i's logits are
+    written into ``logits[i]`` and ``logits`` returned.  With ``buffers``,
+    layer i's activations go into ``_activations(buffers, i)``, and
+    ``logits`` None takes the buffer the last layer left free; with
+    ``acts``, each layer's activations are appended to it."""
     for i, (w, b) in enumerate(model.backbone):
         out = None if buffers is None else _activations(buffers, i, (len(h), w.shape[1]))
         h = np.matmul(h, w, out=out)
         h += b
         np.maximum(h, 0.0, out=h)
-    if alphas is None:
-        alphas = _activations(buffers, len(model.backbone), (2, len(h), model.num_classes))
-    for (w, b), z in zip(model.heads, alphas):
+        if acts is not None:
+            acts.append(h)
+    if logits is None:
+        logits = _activations(buffers, len(model.backbone), (2, len(h), model.num_classes))
+    for (w, b), z in zip(model.heads, logits):
         np.matmul(h, w, out=z)
         z += b
-        np.clip(z, -LOGIT_CLIP, LOGIT_CLIP, out=z)
-        np.exp(z, out=z)
-    return alphas
+    return logits
+
+
+def _forward_rows(model: ModelParams, h: np.ndarray, alphas, buffers):
+    """The inference pass on one row block: ``_layers``, with the logits
+    mapped to evidence in place; returns the (2, n, C) evidence."""
+    alphas = _layers(model, h, alphas, buffers)
+    return _evidence(alphas, out=alphas)
 
 
 def forward(
@@ -421,30 +421,23 @@ def forward(
 
     Inference only: each layer's output is updated in place and nothing is
     kept for backprop.  A batch of at least two blocks of
-    ``_forward_block_rows`` rows is split into ``n // block`` near-equal
-    contiguous row blocks (``_row_blocks``), so a pool's intermediates
-    stay small enough to remain in cache; each block writes into the
-    preallocated outputs.  The arithmetic is ``_forward_cached``'s and
-    every block is large enough to keep its BLAS kernel, so the evidence
-    is bitwise the same.
+    ``_forward_block_rows`` rows runs in ``_row_blocks``'s near-equal
+    contiguous row blocks, so a pool's intermediates stay in cache; every
+    block is large enough to keep its BLAS kernel, so the evidence is
+    bitwise ``_forward_cached``'s.
 
-    With ``buffers``, the evidence and every layer's activations are
-    written into arrays taken from them (``_activations``) and nothing is
-    allocated; the returned arrays are views on the buffers, valid until
-    they are next used.  A batch of one block may lie in the layer -1
-    buffer, and its evidence takes the buffer its last layer left free;
-    a longer batch, which must not lie in the buffers, writes its
-    evidence into the ``evidence`` buffer.  A caller that passes one row
-    block at a time keeps the buffers block-sized.
+    With ``buffers``, x is one row block (each block of
+    ``selection._pool_pass``), which may lie in the layer -1 buffer: every
+    layer and the evidence go into the buffers (``_activations``), nothing
+    is allocated, and the returned views are valid until the buffers are
+    next used.
     """
     x = _model_batch(model, x)
-    blocks = _row_blocks(model, len(x))
-    if buffers is not None and len(blocks) == 1:
+    if buffers is not None:
         return tuple(_forward_rows(model, x, None, buffers))
-    shape = (2, len(x), model.num_classes)
-    alphas = np.empty(shape) if buffers is None else buffers.take("evidence", shape)
-    for lo, hi in blocks:
-        _forward_rows(model, x[lo:hi], alphas[:, lo:hi], buffers)
+    alphas = np.empty((2, len(x), model.num_classes))
+    for lo, hi in _row_blocks(model, len(x)):
+        _forward_rows(model, x[lo:hi], alphas[:, lo:hi], None)
     return alphas[0], alphas[1]
 
 
@@ -645,7 +638,7 @@ def _weighted_jsd(model: ModelParams, x: np.ndarray, weights, weight_fn, tau):
     (2, n, C) array and its weighted logit gradient of JSD(p, q)."""
     acts, _, alphas, mask = _forward_cached(model, x)
     w = weight_fn(alphas, tau) if weights is None else np.asarray(weights)
-    pq = alphas / alphas.sum(axis=2, keepdims=True)
+    pq = _dirichlet_mean(alphas, out=alphas)[0]
     m = pq[0] + pq[1]
     m *= 0.5
     # d JSD / d logit of each head: r (g - sum_c r_c g_c), g = log2(r / m) / 2

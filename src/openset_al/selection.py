@@ -25,12 +25,16 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
-from .evidential import _validate_alpha, entropy
+from .evidential import (
+    _dirichlet_mean,
+    _head_distance,
+    _uncertainties,
+    _validate_alpha,
+    entropy,
+)
 
-# perfbench/spans.py wraps these names in this module; the pool passes
-# below evaluate the same closed forms block by block, in buffers
+# perfbench/spans.py wraps these names here; the pool passes call their kernels
 from .evidential import (  # noqa: F401
     data_uncertainty,
     discrepancy_score,
@@ -107,22 +111,27 @@ def _pool_width(blocks: int) -> int:
     return min(_workers or _cpu_count(), blocks)
 
 
-def _pool_pass(model: ModelParams, x, rows, buffers: BlockBuffers, block_fn) -> None:
+def _pool_pass(model: ModelParams, x, rows, buffers, block_fn, columns=()) -> list:
     """Run the pool through ``forward`` one row block at a time, calling
-    ``block_fn(lo, hi, (alpha1, alpha2), scratch)`` on the evidence of pool
-    rows lo:hi.  The pool is ``x``, or the rows ``rows`` of it in that
-    order, gathered block by block into the buffer of ``forward``'s layer
-    -1 (``_activations``); every id is range-checked before the first
-    block runs.
+    ``block_fn(lo, hi, (alpha1, alpha2), scratch, *cols)`` on the evidence
+    of pool rows lo:hi.  The pool is ``x``, checked by ``_model_batch``,
+    or the rows ``rows`` of it in that order, gathered block by block into
+    the buffer of ``forward``'s layer -1 (``_activations``); every id is
+    range-checked before the first block runs.  One (n, *shape) array per
+    shape in ``columns`` is allocated and returned; ``cols`` are their
+    rows lo:hi.
 
     The blocks run on ``_pool_width`` workers: the calling thread, with
-    ``buffers`` as its scratch set, and threads started and joined here,
-    each with its own child set.  Workers take the next block in index
-    order, so once a block fails every lower one has been taken and is
-    finished; the lowest failing block's error is raised, as a serial loop
-    would raise it.  The partition and each block's operations do not
-    depend on the width, so neither do the results.
+    ``buffers`` (a fresh set when None) as its scratch set, and threads
+    started and joined here, each with its own child set.  Workers take
+    the next block in index order, so once a block fails every lower one
+    has been taken and is finished; the lowest failing block's error is
+    raised, as a serial loop would raise it.  The partition and each
+    block's operations do not depend on the width, so neither do the
+    results.
     """
+    buffers = BlockBuffers() if buffers is None else buffers
+    x = _model_batch(model, x)
     if rows is not None:
         rows = np.asarray(rows, dtype=np.intp)
         if rows.ndim != 1:
@@ -130,7 +139,9 @@ def _pool_pass(model: ModelParams, x, rows, buffers: BlockBuffers, block_fn) -> 
         outside = rows[(rows < 0) | (rows >= len(x))]
         if outside.size:
             raise IndexError(f"row ids outside [0, {len(x)}): {outside[:5].tolist()}")
-    blocks = _row_blocks(model, len(x) if rows is None else len(rows))
+    n = len(x) if rows is None else len(rows)
+    outputs = [np.empty((n, *shape)) for shape in columns]
+    blocks = _row_blocks(model, n)
 
     def run(lo, hi, scratch):
         block = x[lo:hi]
@@ -139,13 +150,13 @@ def _pool_pass(model: ModelParams, x, rows, buffers: BlockBuffers, block_fn) -> 
             # block first, and the ids are already checked
             out = _activations(scratch, -1, (hi - lo, x.shape[1]))
             block = np.take(x, rows[lo:hi], axis=0, out=out, mode="clip")
-        block_fn(lo, hi, forward(model, block, scratch), scratch)
+        block_fn(lo, hi, forward(model, block, scratch), scratch, *(c[lo:hi] for c in outputs))
 
     width = _pool_width(len(blocks))
     if width < 2:
         for lo, hi in blocks:
             run(lo, hi, buffers)
-        return
+        return outputs
     tasks = iter(enumerate(blocks))
     lock = threading.Lock()
     failures: dict[int, BaseException] = {}
@@ -182,35 +193,26 @@ def _pool_pass(model: ModelParams, x, rows, buffers: BlockBuffers, block_fn) -> 
             thread.join()
     if failures:
         raise failures[min(failures)]
+    return outputs
 
 
 def _score_block(alphas, avg, buffers: BlockBuffers, u_data, u_dist, s_dis) -> None:
     """The three scores of one row block, written into the given columns.
 
-    The operations, their order and the checks are those of
-    ``data_uncertainty``, ``entropy(expected_probs(.))`` and
-    ``discrepancy_score`` on the averaged evidence, so every score has
-    their bits; the temporaries are ``avg``, ``buffers`` and the heads'
-    evidence, which is overwritten.  A non-finite head makes the average
-    non-finite, so checking the average covers the heads too.
+    The check is ``data_uncertainty``'s and the scores come from the
+    kernels behind ``data_uncertainty``, ``distribution_uncertainty`` and
+    ``discrepancy_score``, with both uncertainties clipped at 0; the
+    scratch is ``avg``, ``buffers`` and the heads' evidence, which is
+    overwritten.  A non-finite head makes the average non-finite, so
+    checking the average covers the heads too.
     """
     a1, a2 = alphas
     avg = np.add(a1, a2, out=avg)
     avg *= 0.5
     _validate_alpha(avg)
-    d = np.subtract(a1, a2, out=a1)
-    np.sqrt(np.sum(np.square(d, out=d), axis=1, out=s_dis), out=s_dis)
-    s = np.sum(avg, axis=1, keepdims=True, out=buffers.take("avg_sum", (len(avg), 1)))
-    p = np.divide(avg, s, out=a1)
-    # u_data = sum_c p_c (psi(S + 1) - psi(alpha_c + 1))
-    psi_s = special.digamma(np.add(s, 1.0, out=s), out=s)
-    psi_a = special.digamma(np.add(avg, 1.0, out=avg), out=avg)
-    terms = np.subtract(psi_s, psi_a, out=psi_a)
-    terms *= p
-    np.sum(terms, axis=1, out=u_data)
-    # u_dist = entropy(p) - u_data, both clipped at 0 afterwards
-    np.negative(np.sum(special.xlogy(p, p, out=a2), axis=1, out=u_dist), out=u_dist)
-    u_dist -= u_data
+    _head_distance(a1, a2, out=s_dis, diff=a1)
+    s = buffers.take("avg_sum", (len(avg), 1))
+    _uncertainties(avg, u_data, u_dist, p=a1, s=s, psi=avg)
     np.maximum(u_data, 0.0, out=u_data)
     np.maximum(u_dist, 0.0, out=u_dist)
 
@@ -237,19 +239,12 @@ def score_pool(
     the result is bitwise the closed forms on the whole of ``x[rows]``.
     An out-of-range id raises IndexError before any block runs.
     """
-    buffers = BlockBuffers() if buffers is None else buffers
-    x = _model_batch(model, x)
-    n = len(x) if rows is None else len(rows)
-    scores = PoolScores(np.empty(n), np.empty(n), np.empty(n))
-
     last = len(model.backbone) - 1  # its buffer is free once the heads have run
 
-    def score(lo, hi, alphas, scratch):
-        avg = _activations(scratch, last, alphas[0].shape)
-        _score_block(alphas, avg, scratch, *(col[lo:hi] for col in scores))
+    def score(lo, hi, alphas, scratch, *cols):
+        _score_block(alphas, _activations(scratch, last, alphas[0].shape), scratch, *cols)
 
-    _pool_pass(model, x, rows, buffers, score)
-    return scores
+    return PoolScores(*_pool_pass(model, x, rows, buffers, score, ((), (), ())))
 
 
 @dataclass
@@ -572,8 +567,7 @@ def _mean_probs(alphas, buffers: BlockBuffers, out: np.ndarray) -> np.ndarray:
     a1, a2 = alphas
     for a in (a1, a2):
         _validate_alpha(a)
-        s = np.sum(a, axis=1, keepdims=True, out=buffers.take("avg_sum", (len(a), 1)))
-        np.divide(a, s, out=a)
+        _dirichlet_mean(a, out=a, s=buffers.take("avg_sum", (len(a), 1)))
     out = np.add(a1, a2, out=out)
     out *= 0.5
     return out
@@ -594,16 +588,11 @@ def averaged_probs(
     expected_probs(alpha2))`` in place, with its checks, so the result is
     bitwise the whole-pool value.
     """
-    buffers = BlockBuffers() if buffers is None else buffers
-    x = _model_batch(model, x)
-    n = len(x) if rows is None else len(rows)
-    probs = np.empty((n, model.num_classes))
 
-    def mean_block(lo, hi, alphas, scratch):
-        _mean_probs(alphas, scratch, probs[lo:hi])
+    def mean_block(lo, hi, alphas, scratch, out):
+        _mean_probs(alphas, scratch, out)
 
-    _pool_pass(model, x, rows, buffers, mean_block)
-    return probs
+    return _pool_pass(model, x, rows, buffers, mean_block, ((model.num_classes,),))[0]
 
 
 def baseline_rank(
@@ -623,12 +612,8 @@ def baseline_rank(
     """
     if strategy not in RANKED_STRATEGIES:
         raise ValueError(f"unknown ranked strategy {strategy!r}")
-    buffers = BlockBuffers() if buffers is None else buffers
-    x = _model_batch(model, x)
-    rank = np.empty(len(x) if rows is None else len(rows))
 
-    def rank_block(lo, hi, alphas, scratch):
-        rank[lo:hi] = _rank_rows(strategy, _mean_probs(alphas, scratch, alphas[0]))
+    def rank_block(lo, hi, alphas, scratch, out):
+        out[:] = _rank_rows(strategy, _mean_probs(alphas, scratch, alphas[0]))
 
-    _pool_pass(model, x, rows, buffers, rank_block)
-    return rank
+    return _pool_pass(model, x, rows, buffers, rank_block, ((),))[0]

@@ -125,6 +125,13 @@ class TestCmdRun:
             ({"data": {"init_labeled_fraction": 2}}, "'data.init_labeled_fraction'"),
             ({"num_cycles": 1.7}, "'num_cycles'"),
             ({"train": {"lr": "fast"}}, "'train.lr'"),
+            # json reads NaN and Infinity; training would fail on them
+            ({"train": {"lr": float("nan")}}, "'train.lr'"),
+            ({"train": {"momentum": float("nan")}}, "'train.momentum'"),
+            ({"train": {"tau1": float("nan")}}, "'train.tau1'"),
+            ({"train": {"lr": float("inf")}}, "'train.lr'"),
+            ({"data": {"radius": float("nan")}}, "'data.radius'"),
+            ({"train": {"head_init_scale": -1.0}}, "head_init_scale"),
         ],
     )
     def test_config_error_exits_2_before_any_cell(

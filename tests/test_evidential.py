@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from openset_al.evidential import (
     LOGIT_CLIP,
     data_uncertainty,
-    digamma,
     discrepancy_score,
     distribution_uncertainty,
     entropy,
@@ -25,10 +24,7 @@ from openset_al.evidential import (
     expected_probs,
     jsd,
     kl_dirichlet_to_uniform,
-    log_gamma,
 )
-
-EULER_GAMMA = 0.5772156649015329
 
 # Two logit vectors whose softmax outputs nearly coincide while their total
 # evidence differs by a factor of ~2; used throughout as a worked example.
@@ -51,51 +47,6 @@ def alpha_vectors(min_classes=2, max_classes=10):
             st.floats(-10.0, 10.0, allow_nan=False), min_size=c, max_size=c
         ).map(lambda logs: np.exp(np.array(logs)))
     )
-
-
-class TestDigamma:
-    def test_reference_values(self):
-        """Frozen 15-digit mpmath references."""
-        assert digamma(1.0) == pytest.approx(-0.577215664901533, abs=1e-10)
-        assert digamma(0.5) == pytest.approx(-1.96351002602142, abs=1e-10)
-
-    def test_half_identity(self):
-        """psi(1/2) = -gamma - 2 ln 2."""
-        assert digamma(0.5) == pytest.approx(-EULER_GAMMA - 2 * math.log(2), abs=1e-12)
-
-    def test_recurrence(self):
-        """psi(x + 1) = psi(x) + 1/x across eight decades."""
-        x = np.logspace(-2, 4, 500)
-        np.testing.assert_allclose(digamma(x + 1), digamma(x) + 1 / x, atol=1e-10)
-
-    def test_unit_step(self):
-        assert digamma(2.0) == pytest.approx(digamma(1.0) + 1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
-    def test_domain_errors(self, bad):
-        with pytest.raises(ValueError):
-            digamma(bad)
-
-
-class TestLogGamma:
-    def test_integer_values(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == 0.0
-
-    def test_half(self):
-        """ln Gamma(1/2) = ln sqrt(pi), frozen mpmath reference."""
-        assert log_gamma(0.5) == pytest.approx(0.5723649429247, abs=1e-10)
-
-    def test_recurrence(self):
-        """ln Gamma(x + 1) = ln Gamma(x) + ln x."""
-        x = np.logspace(-2, 4, 500)
-        np.testing.assert_allclose(
-            log_gamma(x + 1), log_gamma(x) + np.log(x), atol=1e-10
-        )
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            log_gamma(-0.5)
 
 
 class TestEvidenceFromLogits:
