@@ -1,8 +1,8 @@
 """Fast self-check suite: closed-form identities, special-function
 recurrences, gradient spot checks on a tiny network, and the numeric
 kernels whose results depend on the machine (the trigamma kernel, the
-buffered training step, the row-blocked pool forward and the pool scores
-streamed through it).
+buffered training step, and the averaged probabilities and pool scores
+streamed through the pool pass's row blocks).
 
 Each check returns (name, passed, detail) so the CLI can print one line
 per property.  The whole suite runs in a few seconds.  Checks call the
@@ -186,45 +186,53 @@ def _check_training_step(rng):
     return differ == 0, f"{differ} of {total} parameter and velocity arrays differ"
 
 
-def _check_blocked_forward(rng):
-    """``forward`` splits a pool into row blocks; each block must keep the
-    BLAS kernel of the one-pass training forward, bit for bit."""
+def _two_worker_pass(rng, pass_fn):
+    """``pass_fn`` on two workers over the shuffled rows of a pool of 2B
+    + 100 rows (B = 4,096), which the pool pass splits into two blocks,
+    and the pool's ``_forward_cached`` evidence.  A partition with a short
+    tail rounds the tail through another BLAS kernel."""
     m = model.init_model(32, 10, seed=int(rng.integers(1 << 31)), head_init_scale=3.0)
-    rows = 2 * model._forward_block_rows(m) + 1
-    x = rng.normal(0.0, 8.0, size=(rows, 32))
-    differ = np.zeros(rows, dtype=bool)
-    for a, b in zip(model.forward(m, x), model._forward_cached(m, x)[2]):
-        differ |= (a.view(np.int64) != b.view(np.int64)).any(axis=1)
-    return not differ.any(), f"{differ.sum()} of {rows} rows differ in 2 row blocks"
-
-
-def _check_streamed_scores(rng):
-    """``score_pool`` gathers a pool's rows through their ids and scores
-    them block by block in reused buffers, on two workers; each score
-    must be the evidential closed form on the gathered pool, bit for bit.
-    Both call the same kernels, so this guards the row partition: the
-    pool is two blocks of 4,146 rows, and a partition other than
-    ``forward``'s leaves a short tail, which BLAS rounds differently."""
-    m = model.init_model(32, 10, seed=int(rng.integers(1 << 31)), head_init_scale=3.0)
-    n = 2 * model._forward_block_rows(m) + 100
+    n = 2 * selection._forward_block_rows(m) + 100
     x = rng.normal(0.0, 8.0, size=(n + 99, 32))
     rows = rng.permutation(len(x))[:n]
     saved, selection._workers = selection._workers, 2
     try:
-        got = selection.score_pool(m, x, rows=rows, buffers=model.BlockBuffers())
+        got = pass_fn(m, x, rows=rows, buffers=model.BlockBuffers())
     finally:
         selection._workers = saved
-    a1, a2 = model._forward_cached(m, x[rows])[2]
+    return got, model._forward_cached(m, x[rows])[2]
+
+
+def _same_rows(got, expected):
+    """(passed, detail) of comparing ``got`` with ``expected`` row by row."""
+    differ = np.zeros(len(got[0]), dtype=bool)
+    for a, b in zip(got, expected):
+        differ |= (a.view(np.int64) != b.view(np.int64)).reshape(len(a), -1).any(axis=1)
+    detail = f"{differ.sum()} of {len(differ)} rows differ in 2 row blocks on 2 workers"
+    return not differ.any(), detail
+
+
+def _check_blocked_forward(rng):
+    """``averaged_probs`` runs a pool's row blocks through ``forward``;
+    each block must keep the one-pass BLAS kernel, so the result is the
+    closed form on the training forward's evidence, bit for bit."""
+    got, (a1, a2) = _two_worker_pass(rng, selection.averaged_probs)
+    expected = 0.5 * (evidential.expected_probs(a1) + evidential.expected_probs(a2))
+    return _same_rows([got], [expected])
+
+
+def _check_streamed_scores(rng):
+    """``score_pool`` scores a pool block by block; each score must be the
+    evidential closed form on the pool, bit for bit.  Both call the same
+    kernels, so this guards the row partition."""
+    got, (a1, a2) = _two_worker_pass(rng, selection.score_pool)
     avg = 0.5 * (a1 + a2)
     expected = (
         np.maximum(evidential.data_uncertainty(avg), 0.0),
         np.maximum(evidential.distribution_uncertainty(avg), 0.0),
         evidential.discrepancy_score(a1, a2),
     )
-    differ = np.zeros(n, dtype=bool)
-    for a, b in zip(got, expected):
-        differ |= a.view(np.int64) != b.view(np.int64)
-    return not differ.any(), f"{differ.sum()} of {n} rows differ in 2 row blocks on 2 workers"
+    return _same_rows(got, expected)
 
 
 CHECKS = {

@@ -176,9 +176,13 @@ def resolve_config(raw: dict) -> dict:
     if idx:
         if not isinstance(idx, dict):
             raise ConfigError("field 'data.idx' must be a JSON object")
-        for field in ("images", "labels", "known_classes"):
+        idx = data["idx"] = dict(idx)
+        for field, default in (("images", ""), ("labels", ""), ("known_classes", ())):
             if field not in idx:
                 raise ConfigError(f"missing required field 'data.idx.{field}'")
+            idx[field] = _typed(f"data.idx.{field}", default, idx[field])
+        if not idx["known_classes"]:
+            raise ConfigError("field 'data.idx.known_classes' must list at least one class")
     else:
         try:
             _blob_spec(data, seed=seeds[0]).validate()

@@ -60,8 +60,8 @@ class BlobSpec:
             raise ValueError("num_unknown must be nonnegative")
         if self.dim <= 0 or self.per_class <= 0:
             raise ValueError("dim and per_class must be positive")
-        if self.cluster_std <= 0 or self.radius <= 0:
-            raise ValueError("cluster_std and radius must be positive")
+        if not (0 < self.cluster_std < np.inf and 0 < self.radius < np.inf):
+            raise ValueError("cluster_std and radius must be positive and finite")
 
 
 class Pool(IntEnum):

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -105,7 +105,11 @@ class TrainConfig:
     use_discrepancy: bool = True
 
     def validate(self) -> None:
-        if self.lr <= 0 or self.momentum < 0 or self.weight_decay < 0:
+        # float fields must be finite; each range check below fails on NaN
+        for f in fields(self):
+            if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
+        if not (self.lr > 0 and self.momentum >= 0 and self.weight_decay >= 0):
             raise ValueError("rates must be positive (lr) / nonnegative")
         if not 0 < self.coarse_threshold < 1 and self.coarse_threshold != 0:
             raise ValueError("coarse_threshold must lie in [0, 1)")
@@ -121,7 +125,7 @@ class TrainConfig:
             raise ValueError("cycle/epoch counts must be nonnegative")
         if any(w <= 0 for w in self.hidden_widths):
             raise ValueError("hidden_widths must be positive")
-        if self.head_init_scale < 0:
+        if not self.head_init_scale >= 0:
             raise ValueError("head_init_scale must be nonnegative")
 
     @property
@@ -308,28 +312,6 @@ def _forward_cached(model: ModelParams, x: np.ndarray, evidence: bool = True):
     return acts, logits, _evidence(logits), np.abs(logits) < LOGIT_CLIP
 
 
-# A row block of ``forward`` has at least this many rows, and at least
-# enough that its smallest matmul does FORWARD_BLOCK_WORK multiply-adds.
-# OpenBLAS takes a small-matrix kernel, which rounds differently, once
-# M*N*K drops to about 1e6; blocks above that keep the one-pass bits.
-FORWARD_MIN_BLOCK = 4096
-FORWARD_BLOCK_WORK = 2**21
-
-
-def _forward_block_rows(model: ModelParams) -> int:
-    smallest = min(w.size for w, _ in model.backbone + model.heads)
-    return max(FORWARD_MIN_BLOCK, -(-FORWARD_BLOCK_WORK // smallest))
-
-
-def _row_blocks(model: ModelParams, n: int) -> list[tuple[int, int]]:
-    """``forward``'s partition of n rows: one block below two blocks of
-    ``_forward_block_rows``, else ``n // block`` near-equal contiguous
-    blocks."""
-    blocks = max(n // _forward_block_rows(model), 1)
-    bounds = [i * n // blocks for i in range(blocks + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
 class BlockBuffers:
     """Scratch arrays for row-block passes, reused from call to call.
 
@@ -407,37 +389,24 @@ def _layers(model: ModelParams, h: np.ndarray, logits, buffers=None, acts=None):
     return logits
 
 
-def _forward_rows(model: ModelParams, h: np.ndarray, alphas, buffers):
-    """The inference pass on one row block: ``_layers``, with the logits
-    mapped to evidence in place; returns the (2, n, C) evidence."""
-    alphas = _layers(model, h, alphas, buffers)
-    return _evidence(alphas, out=alphas)
-
-
 def forward(
     model: ModelParams, x: np.ndarray, buffers: BlockBuffers | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evidence vectors (alpha1, alpha2) for a batch of inputs.
+    """Evidence vectors (alpha1, alpha2) for a batch of inputs, in one pass.
 
-    Inference only: each layer's output is updated in place and nothing is
-    kept for backprop.  A batch of at least two blocks of
-    ``_forward_block_rows`` rows runs in ``_row_blocks``'s near-equal
-    contiguous row blocks, so a pool's intermediates stay in cache; every
-    block is large enough to keep its BLAS kernel, so the evidence is
-    bitwise ``_forward_cached``'s.
+    Inference only: ``_layers`` runs once over the whole batch, and each
+    layer's output and the evidence are computed in place, keeping
+    nothing for backprop; the evidence is bitwise ``_forward_cached``'s.
 
-    With ``buffers``, x is one row block (each block of
-    ``selection._pool_pass``), which may lie in the layer -1 buffer: every
-    layer and the evidence go into the buffers (``_activations``), nothing
-    is allocated, and the returned views are valid until the buffers are
-    next used.
+    With ``buffers``, x is one row block of ``selection._pool_pass``,
+    which may lie in the layer -1 buffer: every layer and the evidence go
+    into the buffers (``_activations``), nothing is allocated, and the
+    returned views are valid until the buffers are next used.
     """
     x = _model_batch(model, x)
-    if buffers is not None:
-        return tuple(_forward_rows(model, x, None, buffers))
-    alphas = np.empty((2, len(x), model.num_classes))
-    for lo, hi in _row_blocks(model, len(x)):
-        _forward_rows(model, x[lo:hi], alphas[:, lo:hi], None)
+    logits = None if buffers is not None else np.empty((2, len(x), model.num_classes))
+    alphas = _layers(model, x, logits, buffers)
+    _evidence(alphas, out=alphas)
     return alphas[0], alphas[1]
 
 

@@ -47,7 +47,6 @@ from .model import (
     _activations,
     _model_batch,
     _reserve_activations,
-    _row_blocks,
     forward,
 )
 
@@ -111,24 +110,45 @@ def _pool_width(blocks: int) -> int:
     return min(_workers or _cpu_count(), blocks)
 
 
+# A row block of the pool pass has at least this many rows, and at least
+# enough that its smallest matmul does FORWARD_BLOCK_WORK multiply-adds.
+# OpenBLAS takes a small-matrix kernel, which rounds differently, once
+# M*N*K drops to about 1e6; blocks above that keep the one-pass bits.
+FORWARD_MIN_BLOCK = 4096
+FORWARD_BLOCK_WORK = 2**21
+
+
+def _forward_block_rows(model: ModelParams) -> int:
+    smallest = min(w.size for w, _ in model.backbone + model.heads)
+    return max(FORWARD_MIN_BLOCK, -(-FORWARD_BLOCK_WORK // smallest))
+
+
+def _row_blocks(model: ModelParams, n: int) -> list[tuple[int, int]]:
+    """The pool pass's partition of n rows: one block below two blocks of
+    ``_forward_block_rows``, else ``n // block`` near-equal ones."""
+    blocks = max(n // _forward_block_rows(model), 1)
+    bounds = [i * n // blocks for i in range(blocks + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def _pool_pass(model: ModelParams, x, rows, buffers, block_fn, columns=()) -> list:
-    """Run the pool through ``forward`` one row block at a time, calling
-    ``block_fn(lo, hi, (alpha1, alpha2), scratch, *cols)`` on the evidence
-    of pool rows lo:hi.  The pool is ``x``, checked by ``_model_batch``,
-    or the rows ``rows`` of it in that order, gathered block by block into
-    the buffer of ``forward``'s layer -1 (``_activations``); every id is
-    range-checked before the first block runs.  One (n, *shape) array per
-    shape in ``columns`` is allocated and returned; ``cols`` are their
-    rows lo:hi.
+    """Run the pool through ``forward`` in ``_row_blocks``'s blocks, the
+    only row partition in the package, calling ``block_fn(lo, hi, (alpha1,
+    alpha2), scratch, *cols)`` on the evidence of pool rows lo:hi.  The
+    pool is ``x``, checked by ``_model_batch``, or the rows ``rows`` of it
+    in that order, gathered block by block into the buffer of
+    ``forward``'s layer -1 (``_activations``); every id is range-checked
+    before the first block runs.  One (n, *shape) array per shape in
+    ``columns`` is allocated and returned; ``cols`` are their rows lo:hi.
 
     The blocks run on ``_pool_width`` workers: the calling thread, with
-    ``buffers`` (a fresh set when None) as its scratch set, and threads
-    started and joined here, each with its own child set.  Workers take
-    the next block in index order, so once a block fails every lower one
-    has been taken and is finished; the lowest failing block's error is
-    raised, as a serial loop would raise it.  The partition and each
-    block's operations do not depend on the width, so neither do the
-    results.
+    ``buffers`` (a fresh set when None) as its scratch set, and one thread
+    per further worker, started and joined here, each with its own child
+    set, so a pass of one block starts no thread.  Workers take the next
+    block in index order, so once a block fails every lower one has been
+    taken and is finished; the lowest failing block's error is raised, as
+    a serial loop would raise it.  The partition and each block's
+    operations do not depend on the width, so neither do the results.
     """
     buffers = BlockBuffers() if buffers is None else buffers
     x = _model_batch(model, x)
@@ -143,20 +163,6 @@ def _pool_pass(model: ModelParams, x, rows, buffers, block_fn, columns=()) -> li
     outputs = [np.empty((n, *shape)) for shape in columns]
     blocks = _row_blocks(model, n)
 
-    def run(lo, hi, scratch):
-        block = x[lo:hi]
-        if rows is not None:
-            # "clip" writes straight into ``out``; "raise" would buffer the
-            # block first, and the ids are already checked
-            out = _activations(scratch, -1, (hi - lo, x.shape[1]))
-            block = np.take(x, rows[lo:hi], axis=0, out=out, mode="clip")
-        block_fn(lo, hi, forward(model, block, scratch), scratch, *(c[lo:hi] for c in outputs))
-
-    width = _pool_width(len(blocks))
-    if width < 2:
-        for lo, hi in blocks:
-            run(lo, hi, buffers)
-        return outputs
     tasks = iter(enumerate(blocks))
     lock = threading.Lock()
     failures: dict[int, BaseException] = {}
@@ -169,7 +175,14 @@ def _pool_pass(model: ModelParams, x, rows, buffers, block_fn, columns=()) -> li
                 return
             i, (lo, hi) = task
             try:
-                run(lo, hi, scratch)
+                block = x[lo:hi]
+                if rows is not None:
+                    # "clip" writes straight into ``out``; "raise" would
+                    # buffer the block first, and the ids are already checked
+                    out = _activations(scratch, -1, (hi - lo, x.shape[1]))
+                    block = np.take(x, rows[lo:hi], axis=0, out=out, mode="clip")
+                alphas = forward(model, block, scratch)
+                block_fn(lo, hi, alphas, scratch, *(c[lo:hi] for c in outputs))
             except BaseException as exc:
                 with lock:
                     failures[i] = exc
@@ -181,7 +194,7 @@ def _pool_pass(model: ModelParams, x, rows, buffers, block_fn, columns=()) -> li
     rows_most = max(hi - lo for lo, hi in blocks)
     started = []
     try:
-        for k in range(1, width):
+        for k in range(1, _pool_width(len(blocks))):
             scratch = buffers.child(k)
             _reserve_activations(model, scratch, rows_most, x.shape[1])
             thread = threading.Thread(target=drain, args=(scratch,))
@@ -232,7 +245,7 @@ def score_pool(
     same ``u_data`` so the digamma terms are evaluated once.  Tiny
     negative values from floating-point cancellation are clipped to 0.
 
-    The pool is streamed through ``forward``'s row blocks: each block's
+    The pool is streamed in ``_row_blocks``'s row blocks: each block's
     rows are gathered, run forward and scored in arrays taken from
     ``buffers`` (a fresh set when None), so nothing pool-sized is built
     but the three score columns.  Every score is computed row by row, so
@@ -490,6 +503,8 @@ def coarse_to_fine_select(
     ``use_discrepancy=False`` the head-discrepancy score is dropped from
     the coarse combination (the score-ablated variant).
     """
+    if budget <= 0:
+        raise ValueError("budget must be positive")
     ids = np.asarray(ids)
     eff = scores if use_discrepancy else scores._replace(
         s_dis=np.zeros_like(scores.s_dis)
@@ -544,6 +559,8 @@ def baseline_select(
     it from a model).  Deterministic given the seed; ties break by
     ascending id.
     """
+    if budget <= 0:
+        raise ValueError("budget must be positive")
     if strategy not in BASELINE_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     ids = np.asarray(ids)

@@ -20,6 +20,9 @@ from openset_al.checks import CHECK_NAMES, run_checks
 from openset_al.datasets import BlobSpec
 from openset_al.model import TrainConfig
 
+# a well-formed IDX data section; the files need not exist to be rejected
+IDX = {"images": "images.idx", "labels": "labels.idx", "known_classes": [0, 1]}
+
 
 def minimal_config(tmp_path, **overrides):
     cfg = {
@@ -132,6 +135,14 @@ class TestCmdRun:
             ({"train": {"lr": float("inf")}}, "'train.lr'"),
             ({"data": {"radius": float("nan")}}, "'data.radius'"),
             ({"train": {"head_init_scale": -1.0}}, "head_init_scale"),
+            # the IDX paths are strings and the known classes integers
+            ({"data": {"idx": {**IDX, "images": 5}}}, "'data.idx.images'"),
+            ({"data": {"idx": {**IDX, "labels": ["y"]}}}, "'data.idx.labels'"),
+            ({"data": {"idx": {**IDX, "known_classes": []}}}, "'data.idx.known_classes'"),
+            ({"data": {"idx": {**IDX, "known_classes": 3}}}, "'data.idx.known_classes'"),
+            ({"data": {"idx": {**IDX, "known_classes": "01"}}}, "'data.idx.known_classes'"),
+            ({"data": {"idx": {**IDX, "known_classes": [0, 1.5]}}}, "'data.idx.known_classes'"),
+            ({"data": {"idx": {**IDX, "known_classes": [True]}}}, "'data.idx.known_classes'"),
         ],
     )
     def test_config_error_exits_2_before_any_cell(
@@ -389,8 +400,8 @@ class TestCmdCheck:
         assert failed == {"training_step_bitwise"}
 
     def test_streamed_scores_row_runs_two_workers(self, monkeypatch):
-        """The row's pool runs on two workers whatever the CPU count: one
-        thread beside the caller."""
+        """The pools of both pool-pass rows run on two workers whatever
+        the CPU count: one thread beside the caller in each."""
         monkeypatch.setattr(selection, "_cpu_count", lambda: 1)
         started = []
         real = threading.Thread.start
@@ -402,8 +413,20 @@ class TestCmdCheck:
         monkeypatch.setattr(threading.Thread, "start", counted)
         results = {name: ok for name, ok, _ in run_checks()}
         assert results["streamed_scores_bitwise"]
-        assert len(started) == 1
+        assert results["blocked_forward_bitwise"]
+        assert len(started) == 2
         assert selection._workers is None
+
+    def test_short_tail_partition_fails_pool_rows(self, monkeypatch):
+        """Fault injection: fixed 4,096-row blocks leave the checks' pool
+        of 8,292 rows a 100-row tail, which BLAS rounds through another
+        kernel.  Both pool-pass rows must fail, and nothing else."""
+        monkeypatch.setattr(
+            selection, "_row_blocks",
+            lambda model, n: [(lo, min(lo + 4096, n)) for lo in range(0, n, 4096)],
+        )
+        failed = {name for name, ok, _ in run_checks() if not ok}
+        assert failed == {"blocked_forward_bitwise", "streamed_scores_bitwise"}
 
     def test_config_seed_used(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -79,6 +79,14 @@ class TestMakeBlobs:
         assert np.all(np.isfinite(split.features))
 
 
+class TestBlobSpec:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+    @pytest.mark.parametrize("field", ["radius", "cluster_std"])
+    def test_non_finite_or_non_positive_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            BlobSpec(**{field: value}).validate()
+
+
 class TestValidate:
     @pytest.fixture
     def split(self):

@@ -20,7 +20,7 @@ from openset_al.evidential import (
     entropy,
     expected_probs,
 )
-from openset_al.model import BlockBuffers, forward, init_model
+from openset_al.model import BlockBuffers, _forward_cached, forward, init_model
 from openset_al.selection import (
     DegenerateDataError,
     GmmModel,
@@ -453,6 +453,15 @@ class TestCoarseToFine:
         query = coarse_to_fine_select(scores, np.arange(8), budget=50)
         assert len(query) == 8
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize("threshold", [0.5, 1.0])
+    def test_non_positive_budget_rejected(self, budget, threshold):
+        """Rejected up front, also when the coarse stage keeps nothing
+        (threshold 1.0) and the fine stage never runs."""
+        scores = make_scores(100, seed=3)
+        with pytest.raises(ValueError, match="budget must be positive"):
+            coarse_to_fine_select(scores, np.arange(100), budget=budget, threshold=threshold)
+
     def test_topup_fills_small_subset(self):
         """A tiny low cluster forces the top-up path to spend the budget.
         The top-up equals its ``isin`` form: the best posteriors among the
@@ -572,6 +581,12 @@ class TestBaselineSelect:
         with pytest.raises(ValueError):
             baseline_select("random", np.zeros((0, 3)), np.array([]), 5)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    @pytest.mark.parametrize("strategy", selection.BASELINE_STRATEGIES)
+    def test_non_positive_budget_rejected(self, strategy, budget):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            baseline_select(strategy, self.probs(), np.arange(40), budget)
+
 
 class TestScorePool:
     def test_identical_heads_zero_discrepancy(self):
@@ -654,6 +669,46 @@ def stream_case(n, classes):
 
 def same_bytes(a, b):
     return all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
+
+
+class TestBlockedForward:
+    """The pool pass splits a pool of at least two blocks into
+    ``n // block`` row blocks, one ``forward`` call each; every block
+    keeps the one-pass bits.  The block is 4096 rows for
+    32 -> 64 -> 64 -> 10, 8192 for 16 -> 64 -> 64 -> 4 and 2^21 / 24 for
+    5 -> 8 -> 8 -> 3, whose 10,000 rows stay one block."""
+
+    @pytest.mark.parametrize(
+        "d_in, widths, classes, rows, blocks",
+        [
+            (32, (64, 64), 10, 8191, 1),
+            (32, (64, 64), 10, 8192, 2),
+            (32, (64, 64), 10, 12_289, 3),
+            (32, (64, 64), 10, 47_700, 11),
+            (16, (64, 64), 4, 16_384, 2),
+            (16, (64, 64), 4, 20_001, 2),
+            (5, (8, 8), 3, 10_000, 1),
+        ],
+    )
+    def test_bitwise_equal_to_training_forward(
+        self, monkeypatch, d_in, widths, classes, rows, blocks
+    ):
+        m = init_model(d_in, classes, hidden_widths=widths, seed=5, head_init_scale=3.0)
+        x = np.random.default_rng(rows).normal(0.0, 8.0, size=(rows, d_in))
+        calls = []
+        real = selection.forward
+        monkeypatch.setattr(
+            selection, "forward", lambda *a: (calls.append(1), real(*a))[1]
+        )
+
+        def keep_evidence(lo, hi, alphas, scratch, *cols):
+            for col, a in zip(cols, alphas):
+                col[:] = a
+
+        got = selection._pool_pass(m, x, None, None, keep_evidence, ((classes,),) * 2)
+        assert len(calls) == blocks
+        for a, b in zip(got, _forward_cached(m, x)[2]):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestStreamedScores:

@@ -1,11 +1,15 @@
 """perfbench's tracer patches library functions at the module attributes
 their callers look up (``perfbench/spans.py``).  ``Tracer.install`` reads
 ``owner.__dict__[attr]``, so a refactor that drops one of those names
-would break a traced benchmark run; this test catches it in the suite."""
+would break a traced benchmark run; the first test catches it in the
+suite.  A refactor that leaves a span with no caller empties a per-layer
+benchmark metric; the second test catches that."""
 
 import importlib.util
 import sys
 from pathlib import Path
+
+from openset_al import datasets, harness, model, selection
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -23,3 +27,67 @@ def test_every_patch_site_resolves(monkeypatch):
     ]
     assert spans.ALL_SITES
     assert missing == []
+
+
+def load_spans(monkeypatch):
+    """perfbench/spans.py as a module, as it stands."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+# The library spans a grid never crosses: training calls the losses'
+# gradient helpers, not the public losses; the discrepancy weights read the
+# training forward's evidence, not ``model.forward``; and the pool pass
+# computes these three closed forms through evidential.py's kernels.
+NEVER_CROSSED = {
+    "model.edl_loss",
+    "model.cross_entropy_loss",
+    "model.close_loss",
+    "model.dis_loss",
+    "model.forward",
+    "evidential.jsd",
+    "evidential.expected_probs",
+    "evidential.discrepancy_score",
+}
+
+# (strategy, train_loss) of each cell of the traced grid
+GRID = [
+    ("coarse_to_fine", "edl"),
+    ("entropy", "edl"),
+    ("random", "edl"),
+    ("coarse_to_fine", "cross_entropy"),
+]
+
+
+def test_traced_grid_crosses_every_other_span(monkeypatch):
+    """A tiny traced grid crosses every library span but NEVER_CROSSED,
+    and ``selection.forward`` once per row block of the pool passes."""
+    spans = load_spans(monkeypatch)
+    blocks = []
+    real_blocks = selection._row_blocks
+
+    def counted_blocks(m, n):
+        out = real_blocks(m, n)
+        blocks.extend(out)
+        return out
+
+    monkeypatch.setattr(selection, "_row_blocks", counted_blocks)
+    spec = datasets.BlobSpec(num_known=3, num_unknown=3, dim=6, per_class=40, seed=11)
+    tracer = spans.Tracer()
+    tracer.install(spans.LIBRARY_SITES)
+    try:
+        for strategy, train_loss in GRID:
+            split = datasets.make_blobs(spec, r=0.5)
+            cfg = model.TrainConfig(
+                epochs=15, lr_milestones=(10,), discrepancy_epochs=2, query_size=12,
+                num_cycles=1, hidden_widths=(16,), train_loss=train_loss,
+            )
+            harness.run_experiment(split, cfg, strategy)
+    finally:
+        tracer.restore()
+    assert tracer.counts["selection.forward.calls"] == len(blocks) > 0
+    crossed = {name for name, *_ in tracer.spans}
+    assert {site.span for site in spans.LIBRARY_SITES} - crossed == NEVER_CROSSED
