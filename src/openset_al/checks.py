@@ -1,8 +1,9 @@
 """Fast self-check suite: closed-form identities, special-function
 recurrences, gradient spot checks on a tiny network, and the numeric
 kernels whose results depend on the machine (the trigamma kernel, the
-buffered training step, and the averaged probabilities and pool scores
-streamed through the pool pass's row blocks).
+buffered training step, the averaged probabilities and pool scores
+streamed through the pool pass's row blocks, and the EM fit on two
+threads).
 
 Each check returns (name, passed, detail) so the CLI can print one line
 per property.  The whole suite runs in a few seconds.  Checks call the
@@ -12,6 +13,8 @@ watch the right property fail.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 from scipy import special
@@ -186,29 +189,44 @@ def _check_training_step(rng):
     return differ == 0, f"{differ} of {total} parameter and velocity arrays differ"
 
 
+@contextlib.contextmanager
+def _workers_at(workers: int):
+    """Set ``selection._workers`` for a ``with`` block."""
+    saved, selection._workers = selection._workers, workers
+    try:
+        yield
+    finally:
+        selection._workers = saved
+
+
 def _two_worker_pass(rng, pass_fn):
     """``pass_fn`` on two workers over the shuffled rows of a pool of 2B
     + 100 rows (B = 4,096), which the pool pass splits into two blocks,
-    and the pool's ``_forward_cached`` evidence.  A partition with a short
-    tail rounds the tail through another BLAS kernel."""
+    the pool's ``_forward_cached`` evidence, and the pass's block and
+    worker counts.  A partition with a short tail rounds the tail through
+    another BLAS kernel."""
     m = model.init_model(32, 10, seed=int(rng.integers(1 << 31)), head_init_scale=3.0)
     n = 2 * selection._forward_block_rows(m) + 100
     x = rng.normal(0.0, 8.0, size=(n + 99, 32))
     rows = rng.permutation(len(x))[:n]
-    saved, selection._workers = selection._workers, 2
-    try:
+    blocks = len(selection._row_blocks(m, n))
+    with _workers_at(2):
         got = pass_fn(m, x, rows=rows, buffers=model.BlockBuffers())
-    finally:
-        selection._workers = saved
-    return got, model._forward_cached(m, x[rows])[2]
+        workers = selection._pool_width(blocks)
+    return got, model._forward_cached(m, x[rows])[2], (blocks, workers)
 
 
-def _same_rows(got, expected):
-    """(passed, detail) of comparing ``got`` with ``expected`` row by row."""
+def _same_rows(got, expected, partition):
+    """(passed, detail) of comparing ``got`` with ``expected`` row by row,
+    computed in ``partition``'s (blocks, workers)."""
     differ = np.zeros(len(got[0]), dtype=bool)
     for a, b in zip(got, expected):
         differ |= (a.view(np.int64) != b.view(np.int64)).reshape(len(a), -1).any(axis=1)
-    detail = f"{differ.sum()} of {len(differ)} rows differ in 2 row blocks on 2 workers"
+    blocks, workers = partition
+    detail = (
+        f"{differ.sum()} of {len(differ)} rows differ in {blocks} row blocks "
+        f"on {workers} workers"
+    )
     return not differ.any(), detail
 
 
@@ -216,23 +234,45 @@ def _check_blocked_forward(rng):
     """``averaged_probs`` runs a pool's row blocks through ``forward``;
     each block must keep the one-pass BLAS kernel, so the result is the
     closed form on the training forward's evidence, bit for bit."""
-    got, (a1, a2) = _two_worker_pass(rng, selection.averaged_probs)
+    got, (a1, a2), partition = _two_worker_pass(rng, selection.averaged_probs)
     expected = 0.5 * (evidential.expected_probs(a1) + evidential.expected_probs(a2))
-    return _same_rows([got], [expected])
+    return _same_rows([got], [expected], partition)
 
 
 def _check_streamed_scores(rng):
     """``score_pool`` scores a pool block by block; each score must be the
     evidential closed form on the pool, bit for bit.  Both call the same
     kernels, so this guards the row partition."""
-    got, (a1, a2) = _two_worker_pass(rng, selection.score_pool)
+    got, (a1, a2), partition = _two_worker_pass(rng, selection.score_pool)
     avg = 0.5 * (a1 + a2)
     expected = (
         np.maximum(evidential.data_uncertainty(avg), 0.0),
         np.maximum(evidential.distribution_uncertainty(avg), 0.0),
         evidential.discrepancy_score(a1, a2),
     )
-    return _same_rows(got, expected)
+    return _same_rows(got, expected, partition)
+
+
+def _check_threaded_em(rng):
+    """``gmm_fit`` runs each EM iteration on two threads once the data
+    holds 2 * FORWARD_MIN_BLOCK points; its fit and posterior must equal
+    the one-thread fit's, bit for bit.  A shuffled two-mode pool of 2B +
+    101 points (B = 4,096), with a heavy tail, on one worker and on two."""
+    n = 2 * selection.FORWARD_MIN_BLOCK + 101
+    k = int(rng.integers(n // 4, 3 * n // 4))
+    x = np.concatenate([rng.normal(0.0, 0.3, k), np.exp(rng.normal(1.0, 1.0, n - k))])
+    x = rng.permutation(x)
+    fields = ("means", "variances", "weights", "log_likelihoods", "exponent")
+    fits = []
+    for workers in (1, 2):
+        with _workers_at(workers):
+            fit = selection.gmm_fit(x)
+        got = {name: np.asarray(getattr(fit, name)).tobytes() for name in fields}
+        got["posterior"] = selection.gmm_posterior_low(fit, x).tobytes()
+        fits.append(got)
+    differ = ", ".join(name for name in fits[0] if fits[0][name] != fits[1][name])
+    detail = f"{len(fit.log_likelihoods)} EM iterations on {n} points; differ: {differ or 'none'}"
+    return not differ, detail
 
 
 CHECKS = {
@@ -246,6 +286,7 @@ CHECKS = {
     "training_step_bitwise": _check_training_step,
     "blocked_forward_bitwise": _check_blocked_forward,
     "streamed_scores_bitwise": _check_streamed_scores,
+    "threaded_em_bitwise": _check_threaded_em,
 }
 CHECK_NAMES = tuple(CHECKS)
 

@@ -28,6 +28,10 @@ from .datasets import DatasetSplit, Pool
 from .model import BlockBuffers, ModelParams, TrainConfig, init_model, train_cycle
 from .selection import (
     BASELINE_STRATEGIES,
+    FORWARD_MIN_BLOCK,
+    _Pair,
+    _pool_workers,
+    _reserve_pass,
     averaged_probs,
     baseline_rank,
     baseline_select,
@@ -65,7 +69,14 @@ METRICS_COLUMNS = (
 @dataclass
 class CycleMetrics:
     """Bookkeeping for one cycle; wall_time is excluded from equality so
-    reruns with the same seed compare equal."""
+    reruns with the same seed compare equal.
+
+    ``wall_time`` is the seconds of the cycle's own selection, oracle and
+    training, plus the wait for its test accuracy once it was needed: all
+    of the evaluation when it runs alone, only what is left of it when it
+    runs beside the next cycle's training.  It never counts another
+    cycle's work, so a run's cycles sum to its critical path.
+    """
 
     cycle: int
     query_precision: float | None
@@ -155,15 +166,35 @@ def run_experiment(
     run, so their block-sized arrays are allocated once, not per cycle.
     Both are read through their ids from ``split.features``; neither is
     gathered whole.
+
+    Each model's test accuracy is measured once the next cycle has made
+    its query, beside that cycle's training: on a thread of a threaded
+    ``_Pair`` when the test set holds at least ``FORWARD_MIN_BLOCK`` rows
+    and the process may use two workers, else on the calling thread once
+    the training is done.  Its row is appended then; the last model is
+    evaluated after the loop.  Evaluation reads nothing training writes,
+    so the rows do not depend on the threading.
     """
     cfg.validate()
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     cycle_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.num_cycles + 1)
+    features = split.features
     test_ids = split.ids(Pool.TEST)
     y_test = split.model_labels(test_ids)
     buffers = BlockBuffers()
+    threaded = len(test_ids) >= FORWARD_MIN_BLOCK and _pool_workers() >= 2
     metrics = []
+    # the newest model, with its row's fields and own seconds, until its
+    # test accuracy is read
+    newest = None
+
+    def evaluate(model):
+        return evaluate_accuracy(model, features, y_test, buffers, rows=test_ids)
+
+    def record(row, own, accuracy, wait):
+        metrics.append(CycleMetrics(**row, test_accuracy=accuracy, wall_time=own + wait))
+
     for cycle, cycle_seed in enumerate(cycle_seeds):
         if cycle and len(split.unlabeled_ids) == 0:
             break
@@ -182,32 +213,43 @@ def run_experiment(
             split = oracle_label(query, split)
             split.validate(check_openness=False)
         init_seq, shuffle_seq = cycle_seed.spawn(2)
-        model = init_model(
-            split.features.shape[1],
-            split.num_classes,
-            hidden_widths=cfg.hidden_widths,
-            seed=init_seq,
-            head_init_scale=cfg.head_init_scale,
-        )
         x_lab, y_lab = split.labeled_arrays()
         x_unl = split.unlabeled_features() if cfg.runs_discrepancy else None
-        model = train_cycle(
-            model, x_lab, y_lab, x_unl, cfg, rng=np.random.default_rng(shuffle_seq)
-        )
-        metrics.append(
-            CycleMetrics(
-                cycle=cycle,
-                query_precision=query_precision,
-                test_accuracy=evaluate_accuracy(
-                    model, split.features, y_test, buffers, rows=test_ids
-                ),
-                labeled_size=len(split.labeled_ids),
-                unlabeled_size=len(split.unlabeled_ids),
-                discarded_unknown=len(split.ids(Pool.DISCARDED)),
-                truncated=truncated,
-                wall_time=time.perf_counter() - t0,
+
+        def train():
+            fresh = init_model(
+                features.shape[1],
+                split.num_classes,
+                hidden_widths=cfg.hidden_widths,
+                seed=init_seq,
+                head_init_scale=cfg.head_init_scale,
             )
+            return train_cycle(
+                fresh, x_lab, y_lab, x_unl, cfg, rng=np.random.default_rng(shuffle_seq)
+            )
+
+        if newest is None:
+            model, wait = train(), 0.0
+        else:
+            row, own, previous = newest
+            # the evaluation's scratch is allocated here, before a helper starts
+            _reserve_pass(previous, buffers, len(test_ids), features.shape[1])
+            with _Pair(threaded) as pair:
+                model, accuracy, wait = pair.run(train, lambda: evaluate(previous))
+            record(row, own, accuracy, wait)
+        row = dict(
+            cycle=cycle,
+            query_precision=query_precision,
+            labeled_size=len(split.labeled_ids),
+            unlabeled_size=len(split.unlabeled_ids),
+            discarded_unknown=len(split.ids(Pool.DISCARDED)),
+            truncated=truncated,
         )
+        newest = row, time.perf_counter() - t0 - wait, model
+    row, own, model = newest
+    start = time.perf_counter()
+    accuracy = evaluate(model)
+    record(row, own, accuracy, time.perf_counter() - start)
     return metrics
 
 

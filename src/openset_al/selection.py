@@ -21,7 +21,9 @@ from __future__ import annotations
 import logging
 import os
 import threading
+import time
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -105,9 +107,82 @@ def _share_cpus(jobs: int) -> None:
     _workers = max(1, _cpu_count() // jobs)
 
 
+def _pool_workers() -> int:
+    """Workers this process's passes may use: ``_workers``, else one per
+    CPU in the affinity mask."""
+    return _workers or _cpu_count()
+
+
 def _pool_width(blocks: int) -> int:
     """Workers for a pass of ``blocks`` row blocks."""
-    return min(_workers or _cpu_count(), blocks)
+    return min(_pool_workers(), blocks)
+
+
+class _Pair:
+    """The calling thread and, when ``threaded``, one helper thread beside
+    it, for ``run`` to hand work to.  The helper is started on entering a
+    ``with`` block and joined on leaving it, so it never outlives the call
+    that holds the pair, and it runs under the caller's ``np.errstate``,
+    which numpy keeps per thread.  A pair that is not threaded runs both
+    callables of ``run`` on the calling thread, one after the other.
+    """
+
+    def __init__(self, threaded: bool):
+        self._thread = None
+        if threaded:
+            self._thread = threading.Thread(target=self._serve, args=(np.geterr(),))
+        self._go = threading.Semaphore(0)
+        self._done = threading.Semaphore(0)
+        self._task = None
+        self._result = None
+
+    def __enter__(self) -> _Pair:
+        if self._thread is not None:
+            self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._thread is not None:
+            self._task = None
+            self._go.release()
+            self._thread.join()
+
+    def _serve(self, errstate: dict) -> None:
+        with np.errstate(**errstate):
+            while True:
+                self._go.acquire()
+                task = self._task
+                if task is None:
+                    return
+                try:
+                    self._result = task(), None
+                except BaseException as exc:
+                    self._result = None, exc
+                self._done.release()
+
+    def run(self, here, there):
+        """``here()`` on the calling thread while ``there()`` runs on the
+        helper, or after ``here()`` returns without one.  Returns both
+        values and the seconds spent waiting for ``there`` once ``here``
+        returned.  On a helper, both finish before an error of either is
+        raised, ``here``'s first.
+        """
+        if self._thread is None:
+            value = here()
+            start = time.perf_counter()
+            return value, there(), time.perf_counter() - start
+        self._task = there
+        self._go.release()
+        try:
+            value = here()
+        finally:
+            start = time.perf_counter()
+            self._done.acquire()
+        wait = time.perf_counter() - start
+        other, error = self._result
+        if error is not None:
+            raise error
+        return value, other, wait
 
 
 # A row block of the pool pass has at least this many rows, and at least
@@ -123,12 +198,32 @@ def _forward_block_rows(model: ModelParams) -> int:
     return max(FORWARD_MIN_BLOCK, -(-FORWARD_BLOCK_WORK // smallest))
 
 
+def _block_count(model: ModelParams, n: int) -> int:
+    """Blocks in the pool pass's partition of n rows: one below two blocks
+    of ``_forward_block_rows``, else ``n // block``."""
+    return max(n // _forward_block_rows(model), 1)
+
+
 def _row_blocks(model: ModelParams, n: int) -> list[tuple[int, int]]:
-    """The pool pass's partition of n rows: one block below two blocks of
-    ``_forward_block_rows``, else ``n // block`` near-equal ones."""
-    blocks = max(n // _forward_block_rows(model), 1)
+    """The pool pass's partition of n rows into ``_block_count`` near-equal
+    blocks; the largest holds ceil(n / count) rows."""
+    blocks = _block_count(model, n)
     bounds = [i * n // blocks for i in range(blocks + 1)]
     return list(zip(bounds, bounds[1:]))
+
+
+def _reserve_pass(model: ModelParams, buffers: BlockBuffers, n: int, width: int) -> None:
+    """Grow ``buffers`` to hold all that one worker of a pool pass over n
+    rows of ``width`` inputs takes from it: the activations
+    (``_reserve_activations``) and the evidence sums of its largest block.
+
+    A thread's allocations come from a malloc arena of its own, which
+    keeps what it frees mapped (about 6 MB more peak RSS on wide_pool), so
+    a set that another thread will use is reserved on the calling thread.
+    """
+    rows = -(-n // _block_count(model, n))  # the largest of _row_blocks's blocks
+    _reserve_activations(model, buffers, rows, width)
+    buffers.take("avg_sum", (rows, 1))
 
 
 def _pool_pass(model: ModelParams, x, rows, buffers, block_fn, columns=()) -> list:
@@ -188,15 +283,11 @@ def _pool_pass(model: ModelParams, x, rows, buffers, block_fn, columns=()) -> li
                     failures[i] = exc
                 return
 
-    # A thread's allocations come from a malloc arena of its own, which
-    # keeps what it frees mapped (about 6 MB more peak RSS on wide_pool),
-    # so each worker's activation buffers are allocated here, up front
-    rows_most = max(hi - lo for lo, hi in blocks)
     started = []
     try:
         for k in range(1, _pool_width(len(blocks))):
             scratch = buffers.child(k)
-            _reserve_activations(model, scratch, rows_most, x.shape[1])
+            _reserve_pass(model, scratch, n, x.shape[1])
             thread = threading.Thread(target=drain, args=(scratch,))
             thread.start()
             started.append(thread)
@@ -278,41 +369,48 @@ class GmmModel:
     log_likelihoods: list[float]  # per-iteration mean log-likelihood
     exponent: int = 0
 
-    def _e_step(self, x: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], float]:
-        """Both responsibility columns of 1-D x, in the model's units, and
-        its mean log-likelihood, from one max-shifted logsumexp of the two
-        components' log-joints, so a point far from both components cannot
-        underflow to log(0).
+    def _e_step(self, x: np.ndarray, cols: np.ndarray, far: np.ndarray) -> None:
+        """Both responsibility columns of 1-D x, in the model's units, into
+        ``cols[0]`` and ``cols[1]``, and each point's log-likelihood into
+        ``cols[2]``, from one max-shifted logsumexp of the two components'
+        log-joints, so a point far from both components cannot underflow to
+        log(0).  ``cols[3]`` and the boolean ``far`` are scratch; every
+        array is as long as x, and everything is computed in place.
 
         Each component's log-joint is one contiguous column; the shift is
         the columns' element-wise maximum and the total their sum, which is
-        what a max and a sum along a length-2 row give.  ``gmm_fit`` then
-        sums each column sequentially, in pool order, which is the order a
-        sum over axis 0 of an (n, 2) array takes.  That order is kept on
-        purpose: a 1-D ``sum`` adds pairwise, which rounds the component
-        totals, and so the fitted means and the selections, differently.
+        what a max and a sum along a length-2 row give.  Every operation is
+        element-wise, so the columns of a slice of x are the same slice of
+        the columns of x.
 
         A point whose squared deviation from both means overflows has both
         log-joints at -inf; ``_far_columns`` decides its responsibilities,
         and its log-likelihood reads nan.
         """
+        r0, r1, ll, total = cols
         log_norm = -0.5 * np.log(2.0 * np.pi * self.variances)
         with np.errstate(over="ignore", invalid="ignore"):
-            c0, c1 = (
-                log_w + (log_n - 0.5 * (x - m) ** 2 / v)
-                for log_w, log_n, m, v in zip(
-                    np.log(self.weights), log_norm, self.means, self.variances
-                )
-            )
-            shift = np.maximum(c0, c1)
-            j0 = np.exp(c0 - shift)
-            j1 = np.exp(c1 - shift)
-        total = j0 + j1
-        r0, r1 = j0 / total, j1 / total
-        far = shift == -np.inf
+            for c, log_w, log_n, m, v in zip(
+                (r0, r1), np.log(self.weights), log_norm, self.means, self.variances
+            ):
+                # log_w + (log_n - 0.5 * (x - m) ** 2 / v)
+                np.subtract(x, m, out=c)
+                np.square(c, out=c)
+                c *= 0.5
+                c /= v
+                np.subtract(log_n, c, out=c)
+                c += log_w
+            shift = np.maximum(r0, r1, out=ll)
+            for c in (r0, r1):
+                c -= shift
+                np.exp(c, out=c)
+        np.equal(shift, -np.inf, out=far)
+        np.add(r0, r1, out=total)
+        r0 /= total
+        r1 /= total
+        ll += np.log(total, out=total)
         if far.any():
             r0[far], r1[far] = self._far_columns(x[far])
-        return (r0, r1), float((shift + np.log(total)).mean())
 
     def _far_columns(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Responsibility columns of points too far out for their log-joints
@@ -329,9 +427,12 @@ class GmmModel:
         r0 = np.where(lead == 0, self.weights[0], (lead > 0).astype(float))
         return r0, 1.0 - r0
 
-    def _posterior_columns(self, x) -> tuple[np.ndarray, np.ndarray]:
+    def _posterior_columns(self, x) -> np.ndarray:
         """Responsibility columns of data-unit x, each point on its own."""
-        return self._e_step(np.ldexp(x, -self.exponent))[0]
+        x = np.ldexp(x, -self.exponent)
+        cols = np.empty((4, x.size))
+        self._e_step(x, cols, np.empty(x.size, dtype=bool))
+        return cols[:2]
 
     def responsibilities(self, x: np.ndarray) -> np.ndarray:
         """Posterior component probabilities, shape (n, 2)."""
@@ -350,10 +451,31 @@ def _rescale_exponent(peak: float, n: int) -> int:
     return int(np.frexp(peak)[1])
 
 
-def _sequential_sum(col: np.ndarray) -> float:
-    """Left-to-right sum of a column, as a row-by-row (n, 2) sum takes it;
-    that sum starts from +0.0, so an all -0.0 column sums to +0.0."""
-    return np.add.accumulate(col)[-1] + 0.0
+def _sequential_sum(col: np.ndarray, acc: np.ndarray) -> float:
+    """Left-to-right sum of a column, as a row-by-row (n, 2) sum takes it,
+    with ``acc`` as scratch; that sum starts from +0.0, so an all -0.0
+    column sums to +0.0."""
+    return np.add.accumulate(col, out=acc)[-1] + 0.0
+
+
+def _m_step(x: np.ndarray, r: np.ndarray, scratch: np.ndarray):
+    """Count, mean and floored variance of the component whose
+    responsibilities are r, from sequential sums in pool order; the two
+    rows of ``scratch`` are as long as x.
+
+    That order is kept on purpose: a 1-D ``sum`` adds pairwise, which
+    rounds the component totals, and so the fitted means and the
+    selections, differently.
+    """
+    tmp, acc = scratch
+    count = _sequential_sum(r, acc)
+    mean = _sequential_sum(np.multiply(r, x, out=tmp), acc) / count
+    # r * (x - mean) ** 2
+    np.subtract(x, mean, out=tmp)
+    np.square(tmp, out=tmp)
+    tmp *= r
+    variance = np.maximum(_sequential_sum(tmp, acc) / count, VARIANCE_FLOOR)
+    return count, mean, variance
 
 
 def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
@@ -365,18 +487,31 @@ def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
     logsumexp pass; the log-likelihood is non-decreasing across
     iterations and the fit stops when it improves by less than ``tol``.
     A fit that reaches ``max_iter`` first logs a warning with the
-    iteration count and the last gain.
+    iteration count and the last gain.  Non-finite data raises
+    ValueError naming its first such index; fewer than two distinct
+    values raise ``DegenerateDataError``.
 
     Data large enough in magnitude for a squared deviation divided by the
     variance floor, or the summed squared deviations, to overflow is
     fitted divided by a power of two 2^e, which is exact, and the model
     keeps e as its ``exponent``: its parameters, the variance floor and
     the log-likelihoods are all in those scaled units.
+
+    Each iteration runs on a ``_Pair``, threaded when the data holds at
+    least ``2 * FORWARD_MIN_BLOCK`` points and the process may use two
+    workers: the E-step on the two halves of the data, into one set of
+    full-length columns allocated here, then the M-step one component
+    each.  Every operation is element-wise or one component's sequential
+    sum, so the fit does not depend on the threading.
     """
     x = np.asarray(scores, dtype=float)
     if x.ndim != 1:
         raise ValueError("gmm_fit expects 1-D data")
-    if np.unique(x).size < 2:
+    finite = np.isfinite(x)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"gmm_fit expects finite data; index {i} holds {x[i]}")
+    if x.size == 0 or (x == x[0]).all():
         raise DegenerateDataError(
             "need at least 2 distinct values to fit a two-mode mixture"
         )
@@ -396,32 +531,37 @@ def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
     weights = np.array([0.5, 0.5])
 
     model = GmmModel(means, variances, weights, [], e)
+    # rows: both responsibilities, the log-likelihoods and the E-step's
+    # scratch, which the M-step shares with two more rows
+    cols = np.empty((6, x.size))
+    far = np.empty(x.size, dtype=bool)
+    halves = slice(None, x.size // 2), slice(x.size // 2, None)
+    e_steps = [partial(model._e_step, x[h], cols[:4, h], far[h]) for h in halves]
+    m_steps = [partial(_m_step, x, cols[0], cols[2:4]), partial(_m_step, x, cols[1], cols[4:])]
+    threaded = x.size >= 2 * FORWARD_MIN_BLOCK and _pool_workers() >= 2
+
     prev = -np.inf
-    for _ in range(max_iter):
-        resp, ll = model._e_step(x)
-        model.log_likelihoods.append(ll)
-        if ll - prev < tol and np.isfinite(prev):
-            break
-        prev = ll
-        counts = np.array([_sequential_sum(r) for r in resp])
-        model.weights = counts / x.size
-        model.means = np.array([_sequential_sum(r * x) for r in resp]) / counts
-        model.variances = np.maximum(
-            np.array(
-                [_sequential_sum(r * (x - m) ** 2) for r, m in zip(resp, model.means)]
+    with _Pair(threaded) as pair:
+        for _ in range(max_iter):
+            pair.run(*e_steps)
+            ll = float(cols[2].mean())
+            model.log_likelihoods.append(ll)
+            if ll - prev < tol and np.isfinite(prev):
+                break
+            prev = ll
+            (c0, m0, v0), (c1, m1, v1), _ = pair.run(*m_steps)
+            model.weights = np.array([c0, c1]) / x.size
+            model.means = np.array([m0, m1])
+            model.variances = np.array([v0, v1])
+        else:
+            lls = model.log_likelihoods
+            logger.warning(
+                "gmm_fit: EM stopped after %d iterations without converging; "
+                "the last log-likelihood gain was %.3g (tol %.3g)",
+                len(lls),
+                lls[-1] - lls[-2] if len(lls) > 1 else np.inf,
+                tol,
             )
-            / counts,
-            VARIANCE_FLOOR,
-        )
-    else:
-        lls = model.log_likelihoods
-        logger.warning(
-            "gmm_fit: EM stopped after %d iterations without converging; "
-            "the last log-likelihood gain was %.3g (tol %.3g)",
-            len(lls),
-            lls[-1] - lls[-2] if len(lls) > 1 else np.inf,
-            tol,
-        )
     return model
 
 
@@ -429,6 +569,23 @@ def gmm_posterior_low(model: GmmModel, x: np.ndarray) -> np.ndarray:
     """Posterior probability of the lower-mean component for each value."""
     low = int(np.argmin(model.means))
     return model._posterior_columns(x)[low]
+
+
+def _top(ids: np.ndarray, rank: np.ndarray, b: int) -> np.ndarray:
+    """The first b of ``ids`` sorted by ``rank`` descending, then id
+    ascending, as ``ids[np.lexsort((ids, -rank))][:b]`` gives them.
+
+    Only the ids whose rank ties or beats the b-th one are sorted, found
+    with a partition; when the b-th rank is NaN (NaN ranks sort last),
+    every id is.
+    """
+    neg = -rank
+    if b < neg.size:
+        cut = np.partition(neg, b - 1)[b - 1]
+        if not np.isnan(cut):
+            keep = np.flatnonzero(neg <= cut)
+            ids, neg = ids[keep], neg[keep]
+    return ids[np.lexsort((ids, neg))[:b]]
 
 
 def coarse_select(
@@ -482,8 +639,7 @@ def fine_select(
     if sub_ids.size == 0:
         raise ValueError("fine_select requires a non-empty coarse subset")
     rank = beta_coef * scores.u_data[sub_mask] + scores.u_dist[sub_mask]
-    order = np.lexsort((sub_ids, -rank))
-    return sub_ids[order[:budget]]
+    return _top(sub_ids, rank, budget)
 
 
 def coarse_to_fine_select(
@@ -521,9 +677,8 @@ def coarse_to_fine_select(
         query = fine_select(eff, ids, sub_mask, beta_coef=beta_coef, budget=budget)
     if query.size < budget:
         # a query shorter than the budget already holds every survivor
-        rest_ids = ids[~sub_mask]
-        order = np.lexsort((rest_ids, -posterior[~sub_mask]))
-        query = np.concatenate([query, rest_ids[order[: budget - query.size]]])
+        rest = _top(ids[~sub_mask], posterior[~sub_mask], budget - query.size)
+        query = np.concatenate([query, rest])
     return query
 
 
@@ -573,8 +728,7 @@ def baseline_select(
         return np.sort(rng.choice(ids[order], size=budget, replace=False))
     if rank is None:
         rank = _rank_rows(strategy, np.asarray(scores_probs, dtype=float))
-    order = np.lexsort((ids, -rank))
-    return ids[order[:budget]]
+    return _top(ids, rank, budget)
 
 
 def _mean_probs(alphas, buffers: BlockBuffers, out: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared numerical oracles and file writers for the test suite."""
 
 import struct
+import threading
 
 import numpy as np
 from scipy import special
@@ -241,3 +242,17 @@ def write_idx_labels(path, labels):
     with open(path, "wb") as fh:
         fh.write(struct.pack(">II", 0x00000801, len(labels)))
         fh.write(np.asarray(labels, dtype=np.uint8).tobytes())
+
+
+def count_started_threads(monkeypatch):
+    """A list that collects every thread started while ``monkeypatch`` is
+    active."""
+    started = []
+    real = threading.Thread.start
+
+    def counted(self):
+        started.append(self)
+        real(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return started

@@ -401,7 +401,8 @@ class TestCmdCheck:
 
     def test_streamed_scores_row_runs_two_workers(self, monkeypatch):
         """The pools of both pool-pass rows run on two workers whatever
-        the CPU count: one thread beside the caller in each."""
+        the CPU count: one thread beside the caller in each.  The fit of
+        threaded_em_bitwise starts one more."""
         monkeypatch.setattr(selection, "_cpu_count", lambda: 1)
         started = []
         real = threading.Thread.start
@@ -414,7 +415,8 @@ class TestCmdCheck:
         results = {name: ok for name, ok, _ in run_checks()}
         assert results["streamed_scores_bitwise"]
         assert results["blocked_forward_bitwise"]
-        assert len(started) == 2
+        assert results["threaded_em_bitwise"]
+        assert len(started) == 3
         assert selection._workers is None
 
     def test_short_tail_partition_fails_pool_rows(self, monkeypatch):
@@ -427,6 +429,32 @@ class TestCmdCheck:
         )
         failed = {name for name, ok, _ in run_checks() if not ok}
         assert failed == {"blocked_forward_bitwise", "streamed_scores_bitwise"}
+
+    def test_pool_rows_report_the_partition_that_ran(self, monkeypatch):
+        """Fixed 4,096-row blocks cut the checks' pool of 8,292 rows into
+        three; the rows' detail says so."""
+        monkeypatch.setattr(
+            selection, "_row_blocks",
+            lambda model, n: [(lo, min(lo + 4096, n)) for lo in range(0, n, 4096)],
+        )
+        details = {name: detail for name, _, detail in run_checks()}
+        for name in ("blocked_forward_bitwise", "streamed_scores_bitwise"):
+            assert details[name].endswith("of 8292 rows differ in 3 row blocks on 2 workers")
+
+    def test_thread_dependent_e_step_fails_threaded_em(self, monkeypatch):
+        """Fault injection: an E-step whose log-likelihoods round up on any
+        thread but the caller's.  Only threaded_em_bitwise may fail."""
+        real = selection.GmmModel._e_step
+
+        def skewed(self, x, cols, far):
+            real(self, x, cols, far)
+            if threading.current_thread() is not threading.main_thread():
+                cols[2] = np.nextafter(cols[2], np.inf)
+
+        monkeypatch.setattr(selection.GmmModel, "_e_step", skewed)
+        results = {name: (ok, detail) for name, ok, detail in run_checks()}
+        assert {name for name, (ok, _) in results.items() if not ok} == {"threaded_em_bitwise"}
+        assert "log_likelihoods" in results["threaded_em_bitwise"][1]
 
     def test_config_seed_used(self, tmp_path):
         path = tmp_path / "cfg.json"

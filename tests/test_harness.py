@@ -5,13 +5,16 @@ accounting, and run-level determinism."""
 import csv
 import dataclasses
 import hashlib
+import threading
+import time
 
 import numpy as np
 import pytest
+from helpers import count_started_threads
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openset_al import harness
+from openset_al import harness, selection
 from openset_al.datasets import BlobSpec, DatasetSplit, Pool, make_blobs
 from openset_al.harness import (
     CycleMetrics,
@@ -342,6 +345,113 @@ class TestRunExperiment:
             for pool in (Pool.LABELED, Pool.TEST):
                 assert split.is_known(split.true_labels[split.ids(pool)]).all()
         assert len(split.ids(Pool.DISCARDED)) > 0
+
+
+@pytest.fixture(scope="module")
+def wide_split():
+    """A test set of 4,160 rows, above the gate for evaluating beside the
+    next training, and an open pool of about 33,000, above the threaded EM
+    fit's."""
+    spec = BlobSpec(num_known=4, num_unknown=4, dim=8, per_class=5200, seed=3)
+    split = make_blobs(spec, r=0.5, init_labeled_fraction=0.01)
+    assert len(split.ids(Pool.TEST)) >= selection.FORWARD_MIN_BLOCK
+    assert len(split.unlabeled_ids) >= 2 * selection.FORWARD_MIN_BLOCK
+    return split
+
+
+def wide_cfg(**kw):
+    return quick_cfg(
+        epochs=2, lr_milestones=(1,), discrepancy_epochs=0, query_size=50, **kw
+    )
+
+
+class TestEvaluationBesideTraining:
+    """Each model is evaluated on a second thread while the next one
+    trains, when the test set and the CPUs allow it."""
+
+    @pytest.mark.parametrize("strategy", ["coarse_to_fine", "entropy", "random"])
+    def test_same_rows_and_csv_bytes_on_one_and_two_workers(
+        self, wide_split, monkeypatch, tmp_path, strategy
+    ):
+        digests, runs = [], []
+        for workers in (1, 2):
+            monkeypatch.setattr(selection, "_workers", workers)
+            started = count_started_threads(monkeypatch)
+            metrics = run_experiment(wide_split, wide_cfg(), strategy)
+            path = tmp_path / f"{workers}.csv"
+            write_metrics_csv(path, metrics, strategy, 0, 0.5)
+            digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+            runs.append((metrics, len(started)))
+        (serial, serial_threads), (paired, paired_threads) = runs
+        assert paired == serial and [m.cycle for m in paired] == [0, 1, 2]
+        assert digests[0] == digests[1]
+        assert serial_threads == 0
+        # one evaluation per query cycle, and one EM helper per coarse fit
+        assert paired_threads == 2 * (2 if strategy == "coarse_to_fine" else 1)
+
+    def test_desk_run_starts_no_thread(self, small_split, monkeypatch):
+        monkeypatch.setattr(selection, "_workers", 2)
+        started = count_started_threads(monkeypatch)
+        for strategy in ("coarse_to_fine", "entropy"):
+            run_experiment(small_split, quick_cfg(), strategy)
+        assert started == []
+
+    def test_failing_deferred_evaluation_raises_and_leaves_no_thread(
+        self, wide_split, monkeypatch
+    ):
+        monkeypatch.setattr(selection, "_workers", 2)
+        real = harness.evaluate_accuracy
+
+        def failing(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("evaluation failed beside training")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "evaluate_accuracy", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="beside training"):
+            run_experiment(wide_split, wide_cfg(), "random")
+        assert threading.active_count() == before
+
+    def test_failing_training_joins_the_evaluation(self, wide_split, monkeypatch):
+        monkeypatch.setattr(selection, "_workers", 2)
+        calls = []
+        real = harness.train_cycle
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("training failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_cycle", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="training failed"):
+            run_experiment(wide_split, wide_cfg(), "random")
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("slow", ["train_cycle", "evaluate_accuracy"])
+    def test_cycle_times_sum_below_the_run_time(self, wide_split, monkeypatch, slow):
+        """A row's wall_time holds its own cycle and the wait for its
+        evaluation, never the next cycle's training nor a wait counted
+        twice, so the rows sum to less than the run, whichever of the two
+        overlapped calls takes longer."""
+        monkeypatch.setattr(selection, "_workers", 2)
+        real = getattr(harness, slow)
+
+        def delayed(*args, **kwargs):
+            time.sleep(0.3)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, slow, delayed)
+        start = time.perf_counter()
+        metrics = run_experiment(wide_split, wide_cfg(), "random")
+        outside = time.perf_counter() - start
+        assert len(metrics) == 3
+        assert sum(m.wall_time for m in metrics) < outside
+        # each cycle's own training, or the last evaluation, which runs alone
+        slowed = metrics if slow == "train_cycle" else metrics[-1:]
+        assert all(m.wall_time >= 0.3 for m in slowed)
 
 
 class TestMetricsCsv:

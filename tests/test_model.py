@@ -124,8 +124,10 @@ class TestForward:
 
 
 class TestInferenceForward:
-    """``forward`` runs its own in-place loop; ``_forward_cached``, the
-    training path, is the reference for its evidence."""
+    """``forward`` runs ``_layers`` once, the loop it shares with
+    ``_forward_cached``, and computes each layer and the evidence in
+    place; ``_forward_cached``, the training path, is the reference for
+    its evidence."""
 
     @pytest.mark.parametrize("rows", [1, 128, 10_000])
     def test_bitwise_equal_to_training_forward(self, rows):

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from helpers import closed_form_distribution_uncertainty
+from helpers import closed_form_distribution_uncertainty, count_started_threads
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -83,6 +83,22 @@ class TestGmmFit:
     def test_degenerate_input_rejected(self):
         with pytest.raises(DegenerateDataError):
             gmm_fit(np.full(50, 3.25))
+
+    @pytest.mark.parametrize("values", [[], [2.0], [-0.0, 0.0, 0.0]])
+    def test_fewer_than_two_distinct_values_rejected(self, values):
+        """-0.0 and 0.0 count as one value, as they compare equal."""
+        with pytest.raises(DegenerateDataError):
+            gmm_fit(np.array(values))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_raises_naming_its_index(self, bad):
+        """A non-finite score used to run all 200 iterations and return
+        nan means; it is rejected up front, as a plain ValueError, so the
+        coarse filter does not take it for a degenerate pool."""
+        x = np.array([0.0, 1.0, 5.0, bad, 6.0, bad])
+        with pytest.raises(ValueError, match="index 3") as info:
+            gmm_fit(x)
+        assert not isinstance(info.value, DegenerateDataError)
 
     def test_two_values_fit(self):
         model = gmm_fit(np.array([0.0, 0.0, 1.0, 1.0]))
@@ -365,6 +381,121 @@ class TestColumnEm:
         np.testing.assert_allclose(model.responsibilities(big).sum(axis=1), 1.0)
 
 
+def fit_fields(model, x):
+    """A fit's parameters, trace and posterior on x, as bytes."""
+    return [
+        np.asarray(v).tobytes()
+        for v in (
+            model.means, model.variances, model.weights, model.log_likelihoods,
+            model.exponent, gmm_posterior_low(model, x),
+        )
+    ]
+
+
+GATE = 2 * selection.FORWARD_MIN_BLOCK
+
+
+class TestThreadedEm:
+    """gmm_fit runs each EM iteration on two threads once the data holds
+    2 * FORWARD_MIN_BLOCK points and two workers are allowed; the fit is
+    the one-thread fit, bit for bit."""
+
+    @pytest.mark.parametrize("n", [GATE - 1, GATE, GATE + 1, 47_700])
+    @pytest.mark.parametrize(
+        "kind, scaled", [("mixture", False), ("mixture", True), ("lognormal", False)]
+    )
+    def test_bitwise_equal_at_widths_one_and_two(self, monkeypatch, n, kind, scaled):
+        """Pools just below and above the gate; the exponent (overflow)
+        path; log-normal scores with points far from both components; and
+        a posterior on points whose squared deviations overflow."""
+        x = em_sample(n, kind, n, scaled)
+        probe = np.concatenate([x, [1e300, -1e300, np.finfo(float).max]])
+        fits = []
+        for workers in (1, 2):
+            monkeypatch.setattr(selection, "_workers", workers)
+            started = count_started_threads(monkeypatch)
+            fits.append(fit_fields(gmm_fit(x), probe))
+            assert len(started) == (workers == 2 and n >= GATE)
+        assert fits[0] == fits[1]
+
+    def test_fit_stopped_at_max_iter(self, monkeypatch, caplog):
+        x = em_sample(GATE + 7, "lognormal", 5, False)
+        fits = []
+        for workers in (1, 2):
+            monkeypatch.setattr(selection, "_workers", workers)
+            with caplog.at_level("WARNING", logger="openset_al.selection"):
+                model = gmm_fit(x, max_iter=3)
+            assert len(model.log_likelihoods) == 3
+            fits.append(fit_fields(model, x))
+        assert fits[0] == fits[1]
+        assert caplog.text.count("3 iterations without converging") == 2
+
+    def test_helper_runs_under_the_callers_errstate(self):
+        """numpy keeps np.errstate per thread; the helper takes the
+        caller's."""
+        with np.errstate(under="raise", divide="ignore"):
+            with selection._Pair(True) as pair:
+                here, there, _ = pair.run(np.geterr, np.geterr)
+        assert there == here and here["under"] == "raise"
+
+    @pytest.mark.parametrize("fails", ["here", "there", "both"])
+    def test_pair_raises_once_both_finished(self, fails):
+        """The calling thread's error first; the helper's is raised after
+        both calls returned; no thread outlives the pair."""
+        finished = []
+
+        def call(name):
+            def run():
+                time.sleep(0.05 if name == "there" else 0.0)
+                finished.append(name)
+                if fails in (name, "both"):
+                    raise RuntimeError(name)
+            return run
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="here" if fails != "there" else "there"):
+            with selection._Pair(True) as pair:
+                pair.run(call("here"), call("there"))
+        assert sorted(finished) == ["here", "there"]
+        assert threading.active_count() == before
+
+    def test_stress_concurrent_fits(self, monkeypatch):
+        """Three fits at once, each with its own helper (six threads on
+        fewer CPUs), under a very short thread switch interval: every fit
+        keeps the one-thread bytes, so the pairs share no state."""
+        pools = [em_sample(GATE + 1 + k, "mixture", k, False) for k in range(3)]
+        monkeypatch.setattr(selection, "_workers", 1)
+        serial = [fit_fields(gmm_fit(x, max_iter=20), x) for x in pools]
+        monkeypatch.setattr(selection, "_workers", 2)
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runners = [
+                threading.Thread(
+                    target=lambda k=k: results.update(
+                        {k: fit_fields(gmm_fit(pools[k], max_iter=20), pools[k])}
+                    )
+                )
+                for k in range(3)
+            ]
+            for runner in runners:
+                runner.start()
+            for runner in runners:
+                runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(runner.is_alive() for runner in runners)
+        assert [results[k] for k in range(3)] == serial
+
+    def test_no_thread_on_one_cpu(self, monkeypatch):
+        monkeypatch.setattr(selection, "_workers", None)
+        monkeypatch.setattr(selection, "_cpu_count", lambda: 1)
+        started = count_started_threads(monkeypatch)
+        gmm_fit(em_sample(GATE + 1, "mixture", 0, False))
+        assert started == []
+
+
 class TestCoarseSelect:
     def test_identical_scores_fall_back_to_median(self, caplog):
         ids = np.arange(10)
@@ -435,7 +566,59 @@ class TestFineSelect:
             fine_select(make_scores(3), np.arange(3), np.ones(3, bool), budget=0)
 
 
+# ranks drawn from a few values, so most of them tie
+tied_ranks = st.lists(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.nan, np.inf, -np.inf]),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestTop:
+    @settings(max_examples=300)
+    @given(tied_ranks, st.integers(1, 70), st.randoms(use_true_random=False))
+    @example([np.nan, 1.0, np.nan], 2, None)
+    @example([0.0, -0.0, 0.0, -0.0], 3, None)
+    def test_equals_the_full_lexsort(self, values, b, random):
+        """Heavy ties, signed zeros and NaN ranks, ids in any order."""
+        rank = np.array(values)
+        ids = np.arange(100, 100 + 3 * rank.size, 3)
+        if random is not None:
+            random.shuffle(ids)
+        expected = ids[np.lexsort((ids, -rank))][:b]
+        got = selection._top(ids, rank, b)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_sorts_only_the_candidates(self, monkeypatch):
+        """47,700 ids for 400: only the ids at or above the 400th rank
+        reach the lexsort."""
+        rank = np.random.default_rng(0).normal(size=47_700)
+        sizes = []
+        real = np.lexsort
+
+        def recorded(keys):
+            sizes.append(len(keys[0]))
+            return real(keys)
+
+        monkeypatch.setattr(np, "lexsort", recorded)
+        ids = np.arange(rank.size)
+        got = selection._top(ids, rank, 400)
+        assert sizes == [400]
+        assert got.tobytes() == ids[real((ids, -rank))][:400].tobytes()
+
+
 class TestCoarseToFine:
+    def test_non_finite_score_raises(self):
+        """A nan score used to leave every posterior nan, and the query was
+        filled by ascending id: [0, 1] for this pool."""
+        scores = PoolScores(
+            u_data=np.array([0.0, 1.0, 5.0, 6.0, np.nan]),
+            u_dist=np.zeros(5),
+            s_dis=np.zeros(5),
+        )
+        with pytest.raises(ValueError, match="index 4"):
+            coarse_to_fine_select(scores, np.arange(5), budget=2)
+
     def test_query_within_coarse_subset_plus_topup(self):
         scores = make_scores(300, seed=2)
         ids = np.arange(300)
