@@ -2,8 +2,8 @@
 recurrences, gradient spot checks on a tiny network, and the numeric
 kernels whose results depend on the machine (the trigamma kernel, the
 buffered training step, the averaged probabilities and pool scores
-streamed through the pool pass's row blocks, and the EM fit on two
-threads).
+streamed through the pool pass's row blocks, and the EM fit's
+independence of the pool's order).
 
 Each check returns (name, passed, detail) so the CLI can print one line
 per property.  The whole suite runs in a few seconds.  Checks call the
@@ -13,8 +13,6 @@ watch the right property fail.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 from scipy import special
@@ -189,16 +187,6 @@ def _check_training_step(rng):
     return differ == 0, f"{differ} of {total} parameter and velocity arrays differ"
 
 
-@contextlib.contextmanager
-def _workers_at(workers: int):
-    """Set ``selection._workers`` for a ``with`` block."""
-    saved, selection._workers = selection._workers, workers
-    try:
-        yield
-    finally:
-        selection._workers = saved
-
-
 def _two_worker_pass(rng, pass_fn):
     """``pass_fn`` on two workers over the shuffled rows of a pool of 2B
     + 100 rows (B = 4,096), which the pool pass splits into two blocks,
@@ -210,9 +198,12 @@ def _two_worker_pass(rng, pass_fn):
     x = rng.normal(0.0, 8.0, size=(n + 99, 32))
     rows = rng.permutation(len(x))[:n]
     blocks = len(selection._row_blocks(m, n))
-    with _workers_at(2):
+    saved, selection._workers = selection._workers, 2
+    try:
         got = pass_fn(m, x, rows=rows, buffers=model.BlockBuffers())
         workers = selection._pool_width(blocks)
+    finally:
+        selection._workers = saved
     return got, model._forward_cached(m, x[rows])[2], (blocks, workers)
 
 
@@ -253,25 +244,27 @@ def _check_streamed_scores(rng):
     return _same_rows(got, expected, partition)
 
 
-def _check_threaded_em(rng):
-    """``gmm_fit`` runs each EM iteration on two threads once the data
-    holds 2 * FORWARD_MIN_BLOCK points; its fit and posterior must equal
-    the one-thread fit's, bit for bit.  A shuffled two-mode pool of 2B +
-    101 points (B = 4,096), with a heavy tail, on one worker and on two."""
+def _check_order_free_em(rng):
+    """``gmm_fit`` fits the sorted scores, so a pool and its reverse must
+    give the same fit and posterior, bit for bit.  A shuffled two-mode
+    pool of 2B + 101 points (B = 4,096), with a heavy tail; the reverse
+    moves every point but the middle one."""
     n = 2 * selection.FORWARD_MIN_BLOCK + 101
     k = int(rng.integers(n // 4, 3 * n // 4))
     x = np.concatenate([rng.normal(0.0, 0.3, k), np.exp(rng.normal(1.0, 1.0, n - k))])
     x = rng.permutation(x)
     fields = ("means", "variances", "weights", "log_likelihoods", "exponent")
     fits = []
-    for workers in (1, 2):
-        with _workers_at(workers):
-            fit = selection.gmm_fit(x)
+    for pool in (x, x[::-1]):
+        fit = selection.gmm_fit(pool)
         got = {name: np.asarray(getattr(fit, name)).tobytes() for name in fields}
         got["posterior"] = selection.gmm_posterior_low(fit, x).tobytes()
         fits.append(got)
     differ = ", ".join(name for name in fits[0] if fits[0][name] != fits[1][name])
-    detail = f"{len(fit.log_likelihoods)} EM iterations on {n} points; differ: {differ or 'none'}"
+    detail = (
+        f"{len(fit.log_likelihoods)} EM iterations on {n} points and their reverse; "
+        f"differ: {differ or 'none'}"
+    )
     return not differ, detail
 
 
@@ -286,7 +279,7 @@ CHECKS = {
     "training_step_bitwise": _check_training_step,
     "blocked_forward_bitwise": _check_blocked_forward,
     "streamed_scores_bitwise": _check_streamed_scores,
-    "threaded_em_bitwise": _check_threaded_em,
+    "order_free_em_bitwise": _check_order_free_em,
 }
 CHECK_NAMES = tuple(CHECKS)
 

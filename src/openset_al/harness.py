@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -29,7 +30,6 @@ from .model import BlockBuffers, ModelParams, TrainConfig, init_model, train_cyc
 from .selection import (
     BASELINE_STRATEGIES,
     FORWARD_MIN_BLOCK,
-    _Pair,
     _pool_workers,
     _reserve_pass,
     averaged_probs,
@@ -156,6 +156,36 @@ def _select(
     return baseline_select(strategy, None, ids, budget, seed=seed, rank=rank)
 
 
+def _beside(here, there):
+    """``here()`` on the calling thread while ``there()`` runs on one
+    thread, started and joined inside this call, under the caller's
+    ``np.errstate``, which numpy keeps per thread.  Returns both values
+    and the seconds spent waiting for ``there`` once ``here`` returned.
+    Both calls finish before an error of either is raised, ``here``'s
+    first."""
+    errstate, outcome = np.geterr(), []
+
+    def run():
+        with np.errstate(**errstate):
+            try:
+                outcome.append((there(), None))
+            except BaseException as exc:
+                outcome.append((None, exc))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    try:
+        value = here()
+    finally:
+        start = time.perf_counter()
+        thread.join()
+    wait = time.perf_counter() - start
+    other, error = outcome[0]
+    if error is not None:
+        raise error
+    return value, other, wait
+
+
 def run_experiment(
     split: DatasetSplit, cfg: TrainConfig, strategy: str
 ) -> list[CycleMetrics]:
@@ -168,12 +198,12 @@ def run_experiment(
     gathered whole.
 
     Each model's test accuracy is measured once the next cycle has made
-    its query, beside that cycle's training: on a thread of a threaded
-    ``_Pair`` when the test set holds at least ``FORWARD_MIN_BLOCK`` rows
-    and the process may use two workers, else on the calling thread once
-    the training is done.  Its row is appended then; the last model is
-    evaluated after the loop.  Evaluation reads nothing training writes,
-    so the rows do not depend on the threading.
+    its query: on a thread beside that cycle's training (``_beside``) when
+    the test set holds at least ``FORWARD_MIN_BLOCK`` rows and the process
+    may use two workers, else on the calling thread once the training is
+    done.  Its row is appended then; the last model is evaluated after the
+    loop.  Evaluation reads nothing training writes, so the rows do not
+    depend on the threading.
     """
     cfg.validate()
     if strategy not in STRATEGIES:
@@ -191,6 +221,10 @@ def run_experiment(
 
     def evaluate(model):
         return evaluate_accuracy(model, features, y_test, buffers, rows=test_ids)
+
+    def evaluate_alone(model):
+        start = time.perf_counter()
+        return evaluate(model), time.perf_counter() - start
 
     def record(row, own, accuracy, wait):
         metrics.append(CycleMetrics(**row, test_accuracy=accuracy, wall_time=own + wait))
@@ -234,8 +268,11 @@ def run_experiment(
             row, own, previous = newest
             # the evaluation's scratch is allocated here, before a helper starts
             _reserve_pass(previous, buffers, len(test_ids), features.shape[1])
-            with _Pair(threaded) as pair:
-                model, accuracy, wait = pair.run(train, lambda: evaluate(previous))
+            if threaded:
+                model, accuracy, wait = _beside(train, lambda: evaluate(previous))
+            else:
+                model = train()
+                accuracy, wait = evaluate_alone(previous)
             record(row, own, accuracy, wait)
         row = dict(
             cycle=cycle,
@@ -247,9 +284,7 @@ def run_experiment(
         )
         newest = row, time.perf_counter() - t0 - wait, model
     row, own, model = newest
-    start = time.perf_counter()
-    accuracy = evaluate(model)
-    record(row, own, accuracy, time.perf_counter() - start)
+    record(row, own, *evaluate_alone(model))
     return metrics
 
 

@@ -12,8 +12,9 @@ threshold.  The fine stage ranks survivors by
 from the best remaining coarse posteriors when the survivor set is
 smaller than the budget.
 
-All selectors break ties by ascending example id, which makes every query
-deterministic and invariant to pool ordering.
+All selectors break ties by ascending example id, and the mixture is fitted
+to the sorted scores, which makes every query deterministic and invariant
+to pool ordering.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from __future__ import annotations
 import logging
 import os
 import threading
-import time
 from dataclasses import dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -116,73 +115,6 @@ def _pool_workers() -> int:
 def _pool_width(blocks: int) -> int:
     """Workers for a pass of ``blocks`` row blocks."""
     return min(_pool_workers(), blocks)
-
-
-class _Pair:
-    """The calling thread and, when ``threaded``, one helper thread beside
-    it, for ``run`` to hand work to.  The helper is started on entering a
-    ``with`` block and joined on leaving it, so it never outlives the call
-    that holds the pair, and it runs under the caller's ``np.errstate``,
-    which numpy keeps per thread.  A pair that is not threaded runs both
-    callables of ``run`` on the calling thread, one after the other.
-    """
-
-    def __init__(self, threaded: bool):
-        self._thread = None
-        if threaded:
-            self._thread = threading.Thread(target=self._serve, args=(np.geterr(),))
-        self._go = threading.Semaphore(0)
-        self._done = threading.Semaphore(0)
-        self._task = None
-        self._result = None
-
-    def __enter__(self) -> _Pair:
-        if self._thread is not None:
-            self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._thread is not None:
-            self._task = None
-            self._go.release()
-            self._thread.join()
-
-    def _serve(self, errstate: dict) -> None:
-        with np.errstate(**errstate):
-            while True:
-                self._go.acquire()
-                task = self._task
-                if task is None:
-                    return
-                try:
-                    self._result = task(), None
-                except BaseException as exc:
-                    self._result = None, exc
-                self._done.release()
-
-    def run(self, here, there):
-        """``here()`` on the calling thread while ``there()`` runs on the
-        helper, or after ``here()`` returns without one.  Returns both
-        values and the seconds spent waiting for ``there`` once ``here``
-        returned.  On a helper, both finish before an error of either is
-        raised, ``here``'s first.
-        """
-        if self._thread is None:
-            value = here()
-            start = time.perf_counter()
-            return value, there(), time.perf_counter() - start
-        self._task = there
-        self._go.release()
-        try:
-            value = here()
-        finally:
-            start = time.perf_counter()
-            self._done.acquire()
-        wait = time.perf_counter() - start
-        other, error = self._result
-        if error is not None:
-            raise error
-        return value, other, wait
 
 
 # A row block of the pool pass has at least this many rows, and at least
@@ -451,58 +383,50 @@ def _rescale_exponent(peak: float, n: int) -> int:
     return int(np.frexp(peak)[1])
 
 
-def _sequential_sum(col: np.ndarray, acc: np.ndarray) -> float:
-    """Left-to-right sum of a column, as a row-by-row (n, 2) sum takes it,
-    with ``acc`` as scratch; that sum starts from +0.0, so an all -0.0
-    column sums to +0.0."""
-    return np.add.accumulate(col, out=acc)[-1] + 0.0
-
-
-def _m_step(x: np.ndarray, r: np.ndarray, scratch: np.ndarray):
+def _m_step(x: np.ndarray, r: np.ndarray, tmp: np.ndarray):
     """Count, mean and floored variance of the component whose
-    responsibilities are r, from sequential sums in pool order; the two
-    rows of ``scratch`` are as long as x.
-
-    That order is kept on purpose: a 1-D ``sum`` adds pairwise, which
-    rounds the component totals, and so the fitted means and the
-    selections, differently.
-    """
-    tmp, acc = scratch
-    count = _sequential_sum(r, acc)
-    mean = _sequential_sum(np.multiply(r, x, out=tmp), acc) / count
+    responsibilities are r; ``tmp`` is scratch as long as x.  Each total
+    is one 1-D ``np.sum`` over a contiguous column, which adds pairwise, so
+    on ``gmm_fit``'s sorted x it does not depend on the pool's order."""
+    count = r.sum()
+    mean = np.multiply(r, x, out=tmp).sum() / count
     # r * (x - mean) ** 2
     np.subtract(x, mean, out=tmp)
     np.square(tmp, out=tmp)
     tmp *= r
-    variance = np.maximum(_sequential_sum(tmp, acc) / count, VARIANCE_FLOOR)
+    variance = np.maximum(tmp.sum() / count, VARIANCE_FLOOR)
     return count, mean, variance
 
 
 def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
     """EM fit of a two-mode Gaussian mixture to 1-D data.
 
-    Initialization splits the data at its median (equal weights, pooled
-    variance), which makes the fit deterministic.  Each iteration takes
-    the responsibilities and the per-point mean log-likelihood from one
-    logsumexp pass; the log-likelihood is non-decreasing across
-    iterations and the fit stops when it improves by less than ``tol``.
-    A fit that reaches ``max_iter`` first logs a warning with the
-    iteration count and the last gain.  Non-finite data raises
-    ValueError naming its first such index; fewer than two distinct
-    values raise ``DegenerateDataError``.
+    The data is sorted once, so the fit depends only on the multiset of
+    scores, not on their order in the pool; the posterior
+    (``gmm_posterior_low``) is element-wise and is evaluated on the scores
+    as given.  Initialization splits the data at its median (equal
+    weights, pooled variance), which makes the fit deterministic.  Each
+    iteration takes the responsibilities and the per-point mean
+    log-likelihood from one logsumexp pass (``GmmModel._e_step``), then
+    each component's totals from pairwise sums (``_m_step``); the fit
+    stops when the log-likelihood improves by less than ``tol``.  A fit
+    that reaches ``max_iter`` first logs a warning with the iteration
+    count and the last gain.  Non-finite data raises ValueError naming its
+    first such index; fewer than two distinct values raise
+    ``DegenerateDataError``.
+
+    The log-likelihood is non-decreasing across iterations on scores up to
+    1e6 in magnitude, which covers what the selector produces.  Far out it
+    can fall: a component that collapses onto tied points can take the
+    square of one ulp of their value as its variance, and then one ulp of
+    rounding in its mean moves its density by a factor EM does not control
+    (three ties near 5.8e16 lose 5.7 nats at the fourth iteration).
 
     Data large enough in magnitude for a squared deviation divided by the
     variance floor, or the summed squared deviations, to overflow is
     fitted divided by a power of two 2^e, which is exact, and the model
     keeps e as its ``exponent``: its parameters, the variance floor and
     the log-likelihoods are all in those scaled units.
-
-    Each iteration runs on a ``_Pair``, threaded when the data holds at
-    least ``2 * FORWARD_MIN_BLOCK`` points and the process may use two
-    workers: the E-step on the two halves of the data, into one set of
-    full-length columns allocated here, then the M-step one component
-    each.  Every operation is element-wise or one component's sequential
-    sum, so the fit does not depend on the threading.
     """
     x = np.asarray(scores, dtype=float)
     if x.ndim != 1:
@@ -516,7 +440,7 @@ def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
             "need at least 2 distinct values to fit a two-mode mixture"
         )
     e = _rescale_exponent(np.abs(x).max(), x.size)
-    x = np.ldexp(x, -e)
+    x = np.sort(np.ldexp(x, -e))
     med = np.median(x)
     low, high = x[x <= med], x[x > med]
     if high.size == 0:
@@ -532,36 +456,30 @@ def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
 
     model = GmmModel(means, variances, weights, [], e)
     # rows: both responsibilities, the log-likelihoods and the E-step's
-    # scratch, which the M-step shares with two more rows
-    cols = np.empty((6, x.size))
+    # scratch, which the M-step reuses
+    cols = np.empty((4, x.size))
     far = np.empty(x.size, dtype=bool)
-    halves = slice(None, x.size // 2), slice(x.size // 2, None)
-    e_steps = [partial(model._e_step, x[h], cols[:4, h], far[h]) for h in halves]
-    m_steps = [partial(_m_step, x, cols[0], cols[2:4]), partial(_m_step, x, cols[1], cols[4:])]
-    threaded = x.size >= 2 * FORWARD_MIN_BLOCK and _pool_workers() >= 2
-
     prev = -np.inf
-    with _Pair(threaded) as pair:
-        for _ in range(max_iter):
-            pair.run(*e_steps)
-            ll = float(cols[2].mean())
-            model.log_likelihoods.append(ll)
-            if ll - prev < tol and np.isfinite(prev):
-                break
-            prev = ll
-            (c0, m0, v0), (c1, m1, v1), _ = pair.run(*m_steps)
-            model.weights = np.array([c0, c1]) / x.size
-            model.means = np.array([m0, m1])
-            model.variances = np.array([v0, v1])
-        else:
-            lls = model.log_likelihoods
-            logger.warning(
-                "gmm_fit: EM stopped after %d iterations without converging; "
-                "the last log-likelihood gain was %.3g (tol %.3g)",
-                len(lls),
-                lls[-1] - lls[-2] if len(lls) > 1 else np.inf,
-                tol,
-            )
+    for _ in range(max_iter):
+        model._e_step(x, cols, far)
+        ll = float(cols[2].mean())
+        model.log_likelihoods.append(ll)
+        if ll - prev < tol and np.isfinite(prev):
+            break
+        prev = ll
+        (c0, m0, v0), (c1, m1, v1) = (_m_step(x, r, cols[3]) for r in cols[:2])
+        model.weights = np.array([c0, c1]) / x.size
+        model.means = np.array([m0, m1])
+        model.variances = np.array([v0, v1])
+    else:
+        lls = model.log_likelihoods
+        logger.warning(
+            "gmm_fit: EM stopped after %d iterations without converging; "
+            "the last log-likelihood gain was %.3g (tol %.3g)",
+            len(lls),
+            lls[-1] - lls[-2] if len(lls) > 1 else np.inf,
+            tol,
+        )
     return model
 
 

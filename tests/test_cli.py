@@ -7,13 +7,12 @@ import os
 import subprocess
 import sys
 import textwrap
-import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import write_idx_images, write_idx_labels
+from helpers import count_started_threads, write_idx_images, write_idx_labels
 
 from openset_al import cli, evidential, model, selection
 from openset_al.checks import CHECK_NAMES, run_checks
@@ -401,22 +400,15 @@ class TestCmdCheck:
 
     def test_streamed_scores_row_runs_two_workers(self, monkeypatch):
         """The pools of both pool-pass rows run on two workers whatever
-        the CPU count: one thread beside the caller in each.  The fit of
-        threaded_em_bitwise starts one more."""
+        the CPU count: one thread beside the caller in each.  The fits of
+        order_free_em_bitwise start none."""
         monkeypatch.setattr(selection, "_cpu_count", lambda: 1)
-        started = []
-        real = threading.Thread.start
-
-        def counted(self):
-            started.append(self)
-            real(self)
-
-        monkeypatch.setattr(threading.Thread, "start", counted)
+        started = count_started_threads(monkeypatch)
         results = {name: ok for name, ok, _ in run_checks()}
         assert results["streamed_scores_bitwise"]
         assert results["blocked_forward_bitwise"]
-        assert results["threaded_em_bitwise"]
-        assert len(started) == 3
+        assert results["order_free_em_bitwise"]
+        assert len(started) == 2
         assert selection._workers is None
 
     def test_short_tail_partition_fails_pool_rows(self, monkeypatch):
@@ -441,20 +433,22 @@ class TestCmdCheck:
         for name in ("blocked_forward_bitwise", "streamed_scores_bitwise"):
             assert details[name].endswith("of 8292 rows differ in 3 row blocks on 2 workers")
 
-    def test_thread_dependent_e_step_fails_threaded_em(self, monkeypatch):
-        """Fault injection: an E-step whose log-likelihoods round up on any
-        thread but the caller's.  Only threaded_em_bitwise may fail."""
-        real = selection.GmmModel._e_step
+    def test_order_dependent_fit_fails_order_free_em(self, monkeypatch):
+        """Fault injection: a fit whose means move up by one ulp when the
+        first score exceeds the last.  Only order_free_em_bitwise may
+        fail."""
+        real = selection.gmm_fit
 
-        def skewed(self, x, cols, far):
-            real(self, x, cols, far)
-            if threading.current_thread() is not threading.main_thread():
-                cols[2] = np.nextafter(cols[2], np.inf)
+        def skewed(scores, *args, **kwargs):
+            fit = real(scores, *args, **kwargs)
+            if scores[0] > scores[-1]:
+                fit.means = np.nextafter(fit.means, np.inf)
+            return fit
 
-        monkeypatch.setattr(selection.GmmModel, "_e_step", skewed)
+        monkeypatch.setattr(selection, "gmm_fit", skewed)
         results = {name: (ok, detail) for name, ok, detail in run_checks()}
-        assert {name for name, (ok, _) in results.items() if not ok} == {"threaded_em_bitwise"}
-        assert "log_likelihoods" in results["threaded_em_bitwise"][1]
+        assert {name for name, (ok, _) in results.items() if not ok} == {"order_free_em_bitwise"}
+        assert "means" in results["order_free_em_bitwise"][1]
 
     def test_config_seed_used(self, tmp_path):
         path = tmp_path / "cfg.json"

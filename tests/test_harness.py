@@ -350,12 +350,11 @@ class TestRunExperiment:
 @pytest.fixture(scope="module")
 def wide_split():
     """A test set of 4,160 rows, above the gate for evaluating beside the
-    next training, and an open pool of about 33,000, above the threaded EM
-    fit's."""
+    next training, and an open pool of about 33,000 that the coarse
+    filter fits on the calling thread."""
     spec = BlobSpec(num_known=4, num_unknown=4, dim=8, per_class=5200, seed=3)
     split = make_blobs(spec, r=0.5, init_labeled_fraction=0.01)
     assert len(split.ids(Pool.TEST)) >= selection.FORWARD_MIN_BLOCK
-    assert len(split.unlabeled_ids) >= 2 * selection.FORWARD_MIN_BLOCK
     return split
 
 
@@ -368,6 +367,33 @@ def wide_cfg(**kw):
 class TestEvaluationBesideTraining:
     """Each model is evaluated on a second thread while the next one
     trains, when the test set and the CPUs allow it."""
+
+    def test_helper_runs_under_the_callers_errstate(self):
+        """numpy keeps np.errstate per thread; the helper takes the
+        caller's."""
+        with np.errstate(under="raise", divide="ignore"):
+            here, there, _ = harness._beside(np.geterr, np.geterr)
+        assert there == here and here["under"] == "raise"
+
+    @pytest.mark.parametrize("fails", ["here", "there", "both"])
+    def test_helper_raises_once_both_finished(self, fails):
+        """The calling thread's error first; the helper's is raised after
+        both calls returned; no thread outlives the call."""
+        finished = []
+
+        def call(name):
+            def run():
+                time.sleep(0.05 if name == "there" else 0.0)
+                finished.append(name)
+                if fails in (name, "both"):
+                    raise RuntimeError(name)
+            return run
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="here" if fails != "there" else "there"):
+            harness._beside(call("here"), call("there"))
+        assert sorted(finished) == ["here", "there"]
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("strategy", ["coarse_to_fine", "entropy", "random"])
     def test_same_rows_and_csv_bytes_on_one_and_two_workers(
@@ -386,8 +412,9 @@ class TestEvaluationBesideTraining:
         assert paired == serial and [m.cycle for m in paired] == [0, 1, 2]
         assert digests[0] == digests[1]
         assert serial_threads == 0
-        # one evaluation per query cycle, and one EM helper per coarse fit
-        assert paired_threads == 2 * (2 if strategy == "coarse_to_fine" else 1)
+        # one evaluation per query cycle; the pool passes run in one block
+        # and the coarse fit runs on the calling thread
+        assert paired_threads == 2
 
     def test_desk_run_starts_no_thread(self, small_split, monkeypatch):
         monkeypatch.setattr(selection, "_workers", 2)

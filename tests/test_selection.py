@@ -120,33 +120,64 @@ finite_samples = st.lists(
     st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=50
 ).filter(lambda v: len(set(v)) >= 2)
 
-# Sums over a component are taken in pool order, so a component holding
-# +M and -M cancels to a rounding residue whose value depends on that
-# order: the lower mean of [0, 0, 0, 1, M, -M, 0] reads 0.0 or 5.9e-11
-# (M = 1e10) under two orderings.  The test pins one such pair, so the
-# expected failure occurs on every run.
-CANCELLATION_XFAIL = pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "gmm_fit's weighted sums cancel +M against -M in pool order, so a "
-        "component mean near 0 differs between permutations by its rounding "
-        "residue"
-    ),
-)
+# Scores up to 1e6 in magnitude, the range the selector produces.
+bounded_samples = st.lists(
+    st.floats(-1e6, 1e6), min_size=2, max_size=50
+).filter(lambda v: len(set(v)) >= 2)
+
+
+def assert_log_likelihood_monotone(model):
+    """Each iteration's mean log-likelihood is at least the last one's,
+    up to the rounding of the mean."""
+    ll = np.array(model.log_likelihoods)
+    floor = -1e-12 * np.maximum(np.abs(ll[:-1]), 1.0)
+    assert np.all(np.diff(ll) >= floor), ll
 
 
 class TestGmmProperties:
-    @CANCELLATION_XFAIL
     @given(finite_samples.flatmap(lambda v: st.tuples(st.just(v), st.permutations(v))))
     @example(([0.0, 1.0, -2.7e154], [-2.7e154, 0.0, 1.0]))
     @example(([0.0, 0.0, 0.0, 1.0, 1e10, -1e10, 0.0], [0.0, 0.0, 0.0, 1e10, -1e10, 1.0, 0.0]))
+    @example(([-0.0, 0.0, 1.0, 1.0, -0.0, 0.0], [1.0, -0.0, 0.0, -0.0, 1.0, 0.0]))
+    @example(([-0.0, -0.0, 0.0, 4.0, 4.0], [4.0, 0.0, -0.0, 4.0, -0.0]))
+    @example(([-0.0, -0.0, -5.0, -5.0], [-5.0, -0.0, -5.0, -0.0]))
+    @example(([2.0, 2.0, 5.0, 5.0, 5.0, 2.0, 9.0], [5.0, 9.0, 2.0, 5.0, 2.0, 2.0, 5.0]))
     def test_permutation_invariant(self, pair):
-        a = gmm_fit(np.array(pair[0]))
+        """gmm_fit fits the sorted scores, so any permutation of a pool
+        gives the same fit and posterior, bit for bit.
+
+        Ties are equal bytes, except for -0.0 and +0.0, which np.sort may
+        order either way.  That could show only in a total that is exactly
+        zero, and an IEEE sum is -0.0 only when every term is, so the sign
+        of such a total depends on the scores alone, not on their order.
+        """
+        x = np.array(pair[0])
+        a = gmm_fit(x)
         b = gmm_fit(np.array(pair[1]))
         # a nan fit does not count as unchanged
-        np.testing.assert_allclose(a.means, b.means, equal_nan=False)
-        np.testing.assert_allclose(a.variances, b.variances, equal_nan=False)
-        np.testing.assert_allclose(a.weights, b.weights, equal_nan=False)
+        assert np.all(np.isfinite([a.means, a.variances, a.weights]))
+        assert fit_fields(a, x) == fit_fields(b, x)
+
+    @given(bounded_samples)
+    @example([0.0, 437442.0, 636805.0])
+    def test_log_likelihood_monotone(self, values):
+        assert_log_likelihood_monotone(gmm_fit(np.array(values)))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "the upper component collapses onto three tied points near 5.8e16 "
+            "with variance 64, one ulp of their value squared, so one ulp of "
+            "rounding in its mean dominates its density: the log-likelihood "
+            "falls from -11.99 to -17.68 at iteration 4"
+        ),
+    )
+    def test_log_likelihood_monotone_on_ties_far_out(self):
+        x = np.array(
+            [4.971343084595992e16, 5.772103213293723e16, 5.772103213293723e16,
+             4.229668676505617e16, 5.772103213293723e16]
+        )
+        assert_log_likelihood_monotone(gmm_fit(x))
 
     @given(finite_samples)
     @example([0.0, 1.3407807929942597e154])
@@ -256,15 +287,15 @@ def reference_e_step(model, x):
 
 
 def reference_gmm_fit(scores, max_iter=200, tol=1e-6):
-    """``gmm_fit`` with the (n, 2) E-step above and the M-step's sums over
-    axis 0 of (n, 2) arrays, as the fit was first written, run on the
-    scores divided by 2^e once a squared deviation would overflow."""
+    """``gmm_fit`` with the (n, 2) E-step above and the M-step written out
+    one component at a time, run on the sorted scores divided by 2^e once
+    a squared deviation would overflow."""
     x = np.asarray(scores, dtype=float)
     peak = np.abs(x).max()
     e = 0
     if peak > np.sqrt(np.finfo(float).max * 1e-6 / (4.0 * x.size)):
         _, e = np.frexp(peak)
-    model = reference_fit_em(np.ldexp(x, -e), max_iter, tol)
+    model = reference_fit_em(np.sort(np.ldexp(x, -e)), max_iter, tol)
     model.exponent = int(e)
     return model
 
@@ -289,12 +320,17 @@ def reference_fit_em(x, max_iter, tol):
         if ll - prev < tol and np.isfinite(prev):
             break
         prev = ll
-        counts = resp.sum(axis=0)
-        model.weights = counts / x.size
-        model.means = (resp * x[:, None]).sum(axis=0) / counts
-        model.variances = np.maximum(
-            (resp * (x[:, None] - model.means) ** 2).sum(axis=0) / counts, 1e-6
-        )
+        # one 1-D sum per responsibility column, each column contiguous
+        counts, means, variances = [], [], []
+        for r in resp.T.copy():
+            count = np.sum(r)
+            mean = np.sum(r * x) / count
+            counts.append(count)
+            means.append(mean)
+            variances.append(max(np.sum(r * (x - mean) ** 2) / count, 1e-6))
+        model.weights = np.array(counts) / x.size
+        model.means = np.array(means)
+        model.variances = np.array(variances)
     return model
 
 
@@ -318,7 +354,7 @@ def em_sample(n, kind, seed, scaled):
 
 
 class TestColumnEm:
-    """The column-wise E-step and sequential M-step sums against the
+    """The column-wise E-step and the M-step's pairwise sums against the
     (n, 2) reference, bit for bit, on both of gmm_fit's scale paths."""
 
     @settings(max_examples=25, deadline=2000)
@@ -396,77 +432,44 @@ GATE = 2 * selection.FORWARD_MIN_BLOCK
 
 
 class TestThreadedEm:
-    """gmm_fit runs each EM iteration on two threads once the data holds
-    2 * FORWARD_MIN_BLOCK points and two workers are allowed; the fit is
-    the one-thread fit, bit for bit."""
+    """gmm_fit once ran each EM iteration on two threads from
+    2 * FORWARD_MIN_BLOCK points on; it now runs on the calling thread
+    alone, at any width and worker count, and its fits share no state."""
 
     @pytest.mark.parametrize("n", [GATE - 1, GATE, GATE + 1, 47_700])
     @pytest.mark.parametrize(
         "kind, scaled", [("mixture", False), ("mixture", True), ("lognormal", False)]
     )
     def test_bitwise_equal_at_widths_one_and_two(self, monkeypatch, n, kind, scaled):
-        """Pools just below and above the gate; the exponent (overflow)
-        path; log-normal scores with points far from both components; and
-        a posterior on points whose squared deviations overflow."""
+        """Pools around the old gate and at wide_pool's width; the
+        exponent (overflow) path; log-normal scores with points far from
+        both components; and a posterior on points whose squared
+        deviations overflow.  The fit on one worker and the fit of the
+        reversed pool on two are the same bytes, and neither starts a
+        thread."""
         x = em_sample(n, kind, n, scaled)
         probe = np.concatenate([x, [1e300, -1e300, np.finfo(float).max]])
         fits = []
-        for workers in (1, 2):
+        for workers, pool in ((1, x), (2, x[::-1])):
             monkeypatch.setattr(selection, "_workers", workers)
             started = count_started_threads(monkeypatch)
-            fits.append(fit_fields(gmm_fit(x), probe))
-            assert len(started) == (workers == 2 and n >= GATE)
+            fits.append(fit_fields(gmm_fit(pool), probe))
+            assert started == []
         assert fits[0] == fits[1]
 
-    def test_fit_stopped_at_max_iter(self, monkeypatch, caplog):
+    def test_fit_stopped_at_max_iter(self, caplog):
         x = em_sample(GATE + 7, "lognormal", 5, False)
-        fits = []
-        for workers in (1, 2):
-            monkeypatch.setattr(selection, "_workers", workers)
-            with caplog.at_level("WARNING", logger="openset_al.selection"):
-                model = gmm_fit(x, max_iter=3)
-            assert len(model.log_likelihoods) == 3
-            fits.append(fit_fields(model, x))
-        assert fits[0] == fits[1]
-        assert caplog.text.count("3 iterations without converging") == 2
+        with caplog.at_level("WARNING", logger="openset_al.selection"):
+            model = gmm_fit(x, max_iter=3)
+        assert len(model.log_likelihoods) == 3
+        assert caplog.text.count("3 iterations without converging") == 1
 
-    def test_helper_runs_under_the_callers_errstate(self):
-        """numpy keeps np.errstate per thread; the helper takes the
-        caller's."""
-        with np.errstate(under="raise", divide="ignore"):
-            with selection._Pair(True) as pair:
-                here, there, _ = pair.run(np.geterr, np.geterr)
-        assert there == here and here["under"] == "raise"
-
-    @pytest.mark.parametrize("fails", ["here", "there", "both"])
-    def test_pair_raises_once_both_finished(self, fails):
-        """The calling thread's error first; the helper's is raised after
-        both calls returned; no thread outlives the pair."""
-        finished = []
-
-        def call(name):
-            def run():
-                time.sleep(0.05 if name == "there" else 0.0)
-                finished.append(name)
-                if fails in (name, "both"):
-                    raise RuntimeError(name)
-            return run
-
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="here" if fails != "there" else "there"):
-            with selection._Pair(True) as pair:
-                pair.run(call("here"), call("there"))
-        assert sorted(finished) == ["here", "there"]
-        assert threading.active_count() == before
-
-    def test_stress_concurrent_fits(self, monkeypatch):
-        """Three fits at once, each with its own helper (six threads on
-        fewer CPUs), under a very short thread switch interval: every fit
-        keeps the one-thread bytes, so the pairs share no state."""
+    def test_stress_concurrent_fits(self):
+        """Three fits at once on three threads, under a very short thread
+        switch interval: every fit keeps the bytes it has alone, so fits
+        share no state."""
         pools = [em_sample(GATE + 1 + k, "mixture", k, False) for k in range(3)]
-        monkeypatch.setattr(selection, "_workers", 1)
         serial = [fit_fields(gmm_fit(x, max_iter=20), x) for x in pools]
-        monkeypatch.setattr(selection, "_workers", 2)
         results = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -487,13 +490,6 @@ class TestThreadedEm:
             sys.setswitchinterval(interval)
         assert not any(runner.is_alive() for runner in runners)
         assert [results[k] for k in range(3)] == serial
-
-    def test_no_thread_on_one_cpu(self, monkeypatch):
-        monkeypatch.setattr(selection, "_workers", None)
-        monkeypatch.setattr(selection, "_cpu_count", lambda: 1)
-        started = count_started_threads(monkeypatch)
-        gmm_fit(em_sample(GATE + 1, "mixture", 0, False))
-        assert started == []
 
 
 class TestCoarseSelect:
