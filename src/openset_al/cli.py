@@ -13,7 +13,8 @@ Three subcommands:
 Exit codes: 0 success, 1 runtime or property failure, 2 usage/config
 error.  Every omitted config field takes its reference default, and the
 fully resolved config is echoed into each run manifest.  The environment
-variable OPENSET_AL_SEED, when set, overrides the configured seed list.
+variable OPENSET_AL_SEED, when set, overrides the configured seed list;
+like every seed, it must be a non-negative integer.
 """
 
 from __future__ import annotations
@@ -87,6 +88,30 @@ def _as_int(field: str, value) -> int:
     raise ConfigError(f"field '{field}' must be an integer, got {value!r}")
 
 
+def _as_seed(field: str, value) -> int:
+    """A non-negative integer, which numpy's generators accept as a seed."""
+    seed = _as_int(field, value)
+    if seed < 0:
+        raise ConfigError(f"field '{field}' must hold non-negative integers, got {seed}")
+    return seed
+
+
+def _distinct(field: str, values, tag=repr) -> None:
+    """Reject two values of a grid field whose runs would write the same
+    files: equal values, or values with the same ``tag``."""
+    seen = {}
+    for value in values:
+        key = tag(value)
+        if key in seen:
+            if seen[key] == value:
+                raise ConfigError(f"field '{field}' repeats {value!r}")
+            raise ConfigError(
+                f"field '{field}' values {seen[key]!r} and {value!r} both name their "
+                f"runs {key!r}"
+            )
+        seen[key] = value
+
+
 def _as_float(field: str, value) -> float:
     """Any finite int or float; bools, strings and the NaN and Infinity
     that Python's json accepts are rejected."""
@@ -146,8 +171,9 @@ def resolve_config(raw: dict) -> dict:
                 f"field 'strategies' contains unknown strategy '{s}'; "
                 f"expected one of {list(STRATEGIES)}"
             )
+    # + 0.0 makes a ratio of -0.0 the ratio 0, which it equals
     ratios = [
-        _as_float("openness_ratios", r)
+        _as_float("openness_ratios", r) + 0.0
         for r in _convert("openness_ratios", list, raw["openness_ratios"])
     ]
     if not ratios:
@@ -155,14 +181,20 @@ def resolve_config(raw: dict) -> dict:
     for r in ratios:
         if not 0 <= r < 1:
             raise ConfigError(f"field 'openness_ratios' value {r} outside [0, 1)")
-    seeds = [_as_int("seeds", s) for s in _convert("seeds", list, raw["seeds"])]
+    seeds = [_as_seed("seeds", s) for s in _convert("seeds", list, raw["seeds"])]
     if not seeds:
         raise ConfigError("field 'seeds' must list at least one seed")
-    if os.environ.get(SEED_ENV_VAR):
-        try:
-            seeds = [int(os.environ[SEED_ENV_VAR])]
-        except ValueError as exc:
-            raise ConfigError(f"environment variable {SEED_ENV_VAR} is not an integer") from exc
+    _distinct("strategies", strategies)
+    _distinct("openness_ratios", ratios, tag=_ratio_tag)
+    _distinct("seeds", seeds)
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    if env_seed:
+        if not env_seed.strip().isdecimal():
+            raise ConfigError(
+                f"environment variable {SEED_ENV_VAR} must be a non-negative integer, "
+                f"got {env_seed!r}"
+            )
+        seeds = [int(env_seed)]
 
     data = dict(DATA_DEFAULTS)
     for key, value in _section(raw, "data").items():
@@ -246,8 +278,12 @@ def _build_split(resolved: dict, r: float, seed: int):
     )
 
 
+def _ratio_tag(r: float) -> str:
+    return f"r{r:g}"
+
+
 def run_tag(strategy: str, r: float, seed: int) -> str:
-    return f"{strategy}_r{r:g}_s{seed}"
+    return f"{strategy}_{_ratio_tag(r)}_s{seed}"
 
 
 def _execute_run(resolved: dict, strategy: str, r: float, seed: int) -> str:
@@ -399,9 +435,11 @@ def cmd_check(config_path: str | None = None) -> int:
     if config_path is not None:
         try:
             raw = json.loads(Path(config_path).read_text())
+            if not isinstance(raw, dict):
+                raise ConfigError("config root must be a JSON object")
             seeds = raw.get("seeds")
             if seeds:
-                seed = _as_int("seeds", seeds[0])
+                seed = _as_seed("seeds", _convert("seeds", list, seeds)[0])
         except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import json
-import threading
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -30,8 +29,9 @@ from .model import BlockBuffers, ModelParams, TrainConfig, init_model, train_cyc
 from .selection import (
     BASELINE_STRATEGIES,
     FORWARD_MIN_BLOCK,
-    _pool_workers,
+    _pool_width,
     _reserve_pass,
+    _run_tasks,
     averaged_probs,
     baseline_rank,
     baseline_select,
@@ -72,10 +72,11 @@ class CycleMetrics:
     reruns with the same seed compare equal.
 
     ``wall_time`` is the seconds of the cycle's own selection, oracle and
-    training, plus the wait for its test accuracy once it was needed: all
-    of the evaluation when it runs alone, only what is left of it when it
-    runs beside the next cycle's training.  It never counts another
-    cycle's work, so a run's cycles sum to its critical path.
+    training, plus the wait for its test accuracy once the next model has
+    trained: all of the evaluation when ``run_experiment`` runs it at a
+    width of 1 (and for the last model), only the join at a width of 2.
+    It never counts another cycle's work, so a run's cycles sum to its
+    critical path.
     """
 
     cycle: int
@@ -156,36 +157,6 @@ def _select(
     return baseline_select(strategy, None, ids, budget, seed=seed, rank=rank)
 
 
-def _beside(here, there):
-    """``here()`` on the calling thread while ``there()`` runs on one
-    thread, started and joined inside this call, under the caller's
-    ``np.errstate``, which numpy keeps per thread.  Returns both values
-    and the seconds spent waiting for ``there`` once ``here`` returned.
-    Both calls finish before an error of either is raised, ``here``'s
-    first."""
-    errstate, outcome = np.geterr(), []
-
-    def run():
-        with np.errstate(**errstate):
-            try:
-                outcome.append((there(), None))
-            except BaseException as exc:
-                outcome.append((None, exc))
-
-    thread = threading.Thread(target=run)
-    thread.start()
-    try:
-        value = here()
-    finally:
-        start = time.perf_counter()
-        thread.join()
-    wait = time.perf_counter() - start
-    other, error = outcome[0]
-    if error is not None:
-        raise error
-    return value, other, wait
-
-
 def run_experiment(
     split: DatasetSplit, cfg: TrainConfig, strategy: str
 ) -> list[CycleMetrics]:
@@ -198,12 +169,13 @@ def run_experiment(
     gathered whole.
 
     Each model's test accuracy is measured once the next cycle has made
-    its query: on a thread beside that cycle's training (``_beside``) when
-    the test set holds at least ``FORWARD_MIN_BLOCK`` rows and the process
-    may use two workers, else on the calling thread once the training is
-    done.  Its row is appended then; the last model is evaluated after the
-    loop.  Evaluation reads nothing training writes, so the rows do not
-    depend on the threading.
+    its query, as task 1 of ``_run_tasks`` beside that cycle's training
+    (task 0, on the calling thread): at a width of 2 when the test set
+    holds at least ``FORWARD_MIN_BLOCK`` rows and the process may use two
+    workers, else of 1, which trains, then evaluates, on the calling
+    thread.  Its row is appended then; the last model is evaluated after
+    the loop.  Evaluation reads nothing training writes, so the rows do
+    not depend on the width.
     """
     cfg.validate()
     if strategy not in STRATEGIES:
@@ -213,7 +185,7 @@ def run_experiment(
     test_ids = split.ids(Pool.TEST)
     y_test = split.model_labels(test_ids)
     buffers = BlockBuffers()
-    threaded = len(test_ids) >= FORWARD_MIN_BLOCK and _pool_workers() >= 2
+    width = _pool_width(2) if len(test_ids) >= FORWARD_MIN_BLOCK else 1
     metrics = []
     # the newest model, with its row's fields and own seconds, until its
     # test accuracy is read
@@ -221,10 +193,6 @@ def run_experiment(
 
     def evaluate(model):
         return evaluate_accuracy(model, features, y_test, buffers, rows=test_ids)
-
-    def evaluate_alone(model):
-        start = time.perf_counter()
-        return evaluate(model), time.perf_counter() - start
 
     def record(row, own, accuracy, wait):
         metrics.append(CycleMetrics(**row, test_accuracy=accuracy, wall_time=own + wait))
@@ -250,7 +218,7 @@ def run_experiment(
         x_lab, y_lab = split.labeled_arrays()
         x_unl = split.unlabeled_features() if cfg.runs_discrepancy else None
 
-        def train():
+        def train(worker):
             fresh = init_model(
                 features.shape[1],
                 split.num_classes,
@@ -258,21 +226,20 @@ def run_experiment(
                 seed=init_seq,
                 head_init_scale=cfg.head_init_scale,
             )
-            return train_cycle(
-                fresh, x_lab, y_lab, x_unl, cfg, rng=np.random.default_rng(shuffle_seq)
-            )
+            rng = np.random.default_rng(shuffle_seq)
+            return train_cycle(fresh, x_lab, y_lab, x_unl, cfg, rng=rng), time.perf_counter()
 
         if newest is None:
-            model, wait = train(), 0.0
+            (model, _), wait = train(0), 0.0
         else:
             row, own, previous = newest
             # the evaluation's scratch is allocated here, before a helper starts
             _reserve_pass(previous, buffers, len(test_ids), features.shape[1])
-            if threaded:
-                model, accuracy, wait = _beside(train, lambda: evaluate(previous))
-            else:
-                model = train()
-                accuracy, wait = evaluate_alone(previous)
+            (model, trained), accuracy = _run_tasks(
+                [train, lambda worker: evaluate(previous)], width
+            )
+            # the join when threaded, else the evaluation
+            wait = time.perf_counter() - trained
             record(row, own, accuracy, wait)
         row = dict(
             cycle=cycle,
@@ -284,7 +251,9 @@ def run_experiment(
         )
         newest = row, time.perf_counter() - t0 - wait, model
     row, own, model = newest
-    record(row, own, *evaluate_alone(model))
+    start = time.perf_counter()
+    accuracy = evaluate(model)
+    record(row, own, accuracy, time.perf_counter() - start)
     return metrics
 
 

@@ -23,6 +23,7 @@ import logging
 import os
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -93,28 +94,77 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-# Workers a pool pass may use; None means one per CPU in the affinity mask.
-# ``openset-al run --jobs N`` sets it in each of its worker processes.
+# Workers a ``_run_tasks`` call may use; None means one per CPU in the
+# affinity mask.  ``openset-al run --jobs N`` sets it in each of its worker
+# processes.
 _workers: int | None = None
 
 
 def _share_cpus(jobs: int) -> None:
-    """Leave this process 1/jobs of the CPUs for its pool passes, so that
+    """Leave this process 1/jobs of the CPUs for its task runs, so that
     ``jobs`` processes together run no more compute threads than there
     are CPUs."""
     global _workers
     _workers = max(1, _cpu_count() // jobs)
 
 
-def _pool_workers() -> int:
-    """Workers this process's passes may use: ``_workers``, else one per
-    CPU in the affinity mask."""
-    return _workers or _cpu_count()
+def _pool_width(tasks: int) -> int:
+    """Workers for ``tasks`` tasks: at most ``_workers``, else one per CPU
+    in the affinity mask."""
+    return min(_workers or _cpu_count(), tasks)
 
 
-def _pool_width(blocks: int) -> int:
-    """Workers for a pass of ``blocks`` row blocks."""
-    return min(_pool_workers(), blocks)
+def _run_tasks(tasks, width: int) -> list:
+    """``[task(k) for task in tasks]`` on ``width`` workers, k being the
+    worker that runs the task: 0 is the calling thread, and each further
+    worker a thread started and joined inside this call.
+
+    Workers take the tasks in index order: the calling thread takes task
+    0, and each thread its first task, before any thread starts, so a
+    width of 1 starts no thread and task 0 stays in the caller's malloc
+    arena.  Each thread runs under the caller's ``np.errstate``, which
+    numpy keeps per thread.  No task is taken once one has failed; when
+    every worker has stopped, the lowest-index failure is raised, as a
+    serial loop would raise it.
+    """
+    if width < 2:  # the loop below, minus a set-up of ~20 us per call in a fresh process
+        return [task(0) for task in tasks]
+    values = [None] * len(tasks)
+    pending = iter(range(len(tasks)))
+    failures: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    errstate = np.geterr()
+
+    def take():
+        with lock:
+            return None if failures else next(pending, None)
+
+    def drain(worker, i):
+        while i is not None:
+            try:
+                values[i] = tasks[i](worker)
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
+            i = take()
+
+    def helper(worker, i):
+        with np.errstate(**errstate):
+            drain(worker, i)
+
+    first, started = take(), []
+    try:
+        for k in range(1, min(width, len(tasks))):
+            thread = threading.Thread(target=helper, args=(k, take()))
+            thread.start()
+            started.append(thread)
+        drain(0, first)
+    finally:
+        for thread in started:
+            thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return values
 
 
 # A row block of the pool pass has at least this many rows, and at least
@@ -168,14 +218,14 @@ def _pool_pass(model: ModelParams, x, rows, buffers, block_fn, columns=()) -> li
     before the first block runs.  One (n, *shape) array per shape in
     ``columns`` is allocated and returned; ``cols`` are their rows lo:hi.
 
-    The blocks run on ``_pool_width`` workers: the calling thread, with
-    ``buffers`` (a fresh set when None) as its scratch set, and one thread
-    per further worker, started and joined here, each with its own child
-    set, so a pass of one block starts no thread.  Workers take the next
-    block in index order, so once a block fails every lower one has been
-    taken and is finished; the lowest failing block's error is raised, as
-    a serial loop would raise it.  The partition and each block's
-    operations do not depend on the width, so neither do the results.
+    The blocks are ``_run_tasks``'s tasks on ``_pool_width`` workers: the
+    calling thread, with ``buffers`` (a fresh set when None) as its
+    scratch set, and one thread per further worker, each with its own
+    child set, reserved here before any thread starts.  So a pass of one
+    block starts no thread, and the lowest failing block's error is
+    raised, as a serial loop would raise it.  The partition and each
+    block's operations do not depend on the width, so neither do the
+    results.
     """
     buffers = BlockBuffers() if buffers is None else buffers
     x = _model_batch(model, x)
@@ -189,46 +239,21 @@ def _pool_pass(model: ModelParams, x, rows, buffers, block_fn, columns=()) -> li
     n = len(x) if rows is None else len(rows)
     outputs = [np.empty((n, *shape)) for shape in columns]
     blocks = _row_blocks(model, n)
+    width = _pool_width(len(blocks))
+    scratch = [buffers] + [buffers.child(k) for k in range(1, width)]
+    for child in scratch[1:]:
+        _reserve_pass(model, child, n, x.shape[1])
 
-    tasks = iter(enumerate(blocks))
-    lock = threading.Lock()
-    failures: dict[int, BaseException] = {}
+    def run(lo, hi, worker):
+        own, block = scratch[worker], x[lo:hi]
+        if rows is not None:
+            # "clip" writes straight into ``out``; "raise" would buffer the
+            # block first, and the ids are already checked
+            out = _activations(own, -1, (hi - lo, x.shape[1]))
+            block = np.take(x, rows[lo:hi], axis=0, out=out, mode="clip")
+        block_fn(lo, hi, forward(model, block, own), own, *(c[lo:hi] for c in outputs))
 
-    def drain(scratch):
-        while True:
-            with lock:
-                task = None if failures else next(tasks, None)
-            if task is None:
-                return
-            i, (lo, hi) = task
-            try:
-                block = x[lo:hi]
-                if rows is not None:
-                    # "clip" writes straight into ``out``; "raise" would
-                    # buffer the block first, and the ids are already checked
-                    out = _activations(scratch, -1, (hi - lo, x.shape[1]))
-                    block = np.take(x, rows[lo:hi], axis=0, out=out, mode="clip")
-                alphas = forward(model, block, scratch)
-                block_fn(lo, hi, alphas, scratch, *(c[lo:hi] for c in outputs))
-            except BaseException as exc:
-                with lock:
-                    failures[i] = exc
-                return
-
-    started = []
-    try:
-        for k in range(1, _pool_width(len(blocks))):
-            scratch = buffers.child(k)
-            _reserve_pass(model, scratch, n, x.shape[1])
-            thread = threading.Thread(target=drain, args=(scratch,))
-            thread.start()
-            started.append(thread)
-        drain(buffers)
-    finally:
-        for thread in started:
-            thread.join()
-    if failures:
-        raise failures[min(failures)]
+    _run_tasks([partial(run, lo, hi) for lo, hi in blocks], width)
     return outputs
 
 

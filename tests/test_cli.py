@@ -142,6 +142,15 @@ class TestCmdRun:
             ({"data": {"idx": {**IDX, "known_classes": "01"}}}, "'data.idx.known_classes'"),
             ({"data": {"idx": {**IDX, "known_classes": [0, 1.5]}}}, "'data.idx.known_classes'"),
             ({"data": {"idx": {**IDX, "known_classes": [True]}}}, "'data.idx.known_classes'"),
+            # a seed seeds numpy's generators, which take none below 0
+            ({"seeds": [-1]}, "'seeds'"),
+            ({"seeds": [0, -1]}, "'seeds'"),
+            # two cells of one grid would write the same files
+            ({"strategies": ["random", "random"]}, "'strategies' repeats 'random'"),
+            ({"seeds": [0, 0]}, "'seeds' repeats 0"),
+            ({"openness_ratios": [0.5, 0.5]}, "'openness_ratios'"),
+            ({"openness_ratios": [0.5, 0.5000001]}, "0.5 and 0.5000001"),
+            ({"openness_ratios": [0.0, -0.0]}, "'openness_ratios' repeats 0.0"),
         ],
     )
     def test_config_error_exits_2_before_any_cell(
@@ -158,6 +167,14 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert field in err
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("value", ["-3", "x", "1.5"])
+    def test_bad_seed_env_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv(cli.SEED_ENV_VAR, value)
+        assert cli.main(["run", "--config", str(minimal_config(tmp_path))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and cli.SEED_ENV_VAR in err
         assert not (tmp_path / "results").exists()
 
     def test_idx_data_run(self, tmp_path):
@@ -466,6 +483,23 @@ class TestCmdCheck:
         path.write_text(json.dumps({"seeds": [seed]}))
         assert cli.main(["check", "--config", str(path)]) == 2
         assert "'seeds'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ([1], "JSON object"),
+            ("seeds", "JSON object"),
+            ({"seeds": [-1]}, "'seeds'"),
+            ({"seeds": {"a": 1}}, "'seeds'"),
+            ({"seeds": 3}, "'seeds'"),
+        ],
+    )
+    def test_malformed_config_exits_two(self, tmp_path, capsys, raw, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["check", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
 
 
 class TestResolveConfig:

@@ -372,17 +372,18 @@ class TestEvaluationBesideTraining:
         """numpy keeps np.errstate per thread; the helper takes the
         caller's."""
         with np.errstate(under="raise", divide="ignore"):
-            here, there, _ = harness._beside(np.geterr, np.geterr)
+            here, there = selection._run_tasks([lambda w: np.geterr()] * 2, 2)
         assert there == here and here["under"] == "raise"
 
     @pytest.mark.parametrize("fails", ["here", "there", "both"])
     def test_helper_raises_once_both_finished(self, fails):
-        """The calling thread's error first; the helper's is raised after
-        both calls returned; no thread outlives the call."""
+        """At a width of 2 each worker takes one of the two tasks before
+        the helper starts; the lower task's error is raised, and only once
+        both tasks returned, so no thread outlives the call."""
         finished = []
 
         def call(name):
-            def run():
+            def run(worker):
                 time.sleep(0.05 if name == "there" else 0.0)
                 finished.append(name)
                 if fails in (name, "both"):
@@ -391,9 +392,44 @@ class TestEvaluationBesideTraining:
 
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="here" if fails != "there" else "there"):
-            harness._beside(call("here"), call("there"))
+            selection._run_tasks([call("here"), call("there")], 2)
         assert sorted(finished) == ["here", "there"]
         assert threading.active_count() == before
+
+    def test_task_zero_runs_on_the_calling_thread(self):
+        """Training is task 0, so it stays on the calling thread and in its
+        malloc arena; the evaluation is the helper's."""
+        here = threading.current_thread()
+        (w0, t0), (w1, t1) = selection._run_tasks(
+            [lambda w: (w, threading.current_thread())] * 2, 2
+        )
+        assert (w0, t0) == (0, here) and w1 == 1 and t1 is not here
+
+    def test_width_one_runs_in_order_on_the_calling_thread(self, monkeypatch):
+        started = count_started_threads(monkeypatch)
+        calls = []
+
+        def task(worker):
+            calls.append((worker, threading.current_thread()))
+            return len(calls)
+
+        assert selection._run_tasks([task] * 3, 1) == [1, 2, 3]
+        assert calls == [(0, threading.current_thread())] * 3
+        assert started == []
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_no_task_is_taken_after_a_failure(self, width):
+        ran = []
+
+        def task(worker):
+            ran.append(len(ran))
+            if len(ran) == 1:
+                raise RuntimeError("first")
+            time.sleep(0.05)
+
+        with pytest.raises(RuntimeError, match="first"):
+            selection._run_tasks([task] * 5, width)
+        assert len(ran) == width
 
     @pytest.mark.parametrize("strategy", ["coarse_to_fine", "entropy", "random"])
     def test_same_rows_and_csv_bytes_on_one_and_two_workers(

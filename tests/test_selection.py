@@ -1090,6 +1090,22 @@ class TestPoolWorkers:
         with pytest.raises(ValueError, match="block at 0$"):
             selection._pool_pass(m, x, None, BlockBuffers(), block_fn)
 
+    def test_every_block_runs_under_the_callers_errstate(self, monkeypatch):
+        """numpy keeps np.errstate per thread; each block sees the
+        caller's, whichever worker takes it."""
+        m, x, _ = stream_case(20_001, 10)
+        force_width(monkeypatch, lambda blocks: 2)
+        seen = {}
+
+        def block_fn(lo, hi, alphas, scratch):
+            time.sleep(0.01)  # so that both workers take blocks
+            seen[lo] = np.geterr()["under"]
+
+        with np.errstate(under="raise"):
+            selection._pool_pass(m, x, None, BlockBuffers(), block_fn)
+        assert len(seen) >= 4
+        assert set(seen.values()) == {"raise"}
+
     @pytest.mark.parametrize("fn", [score_pool, averaged_probs])
     def test_bad_id_raises_before_any_block(self, monkeypatch, fn):
         m, x, rows = stream_case(12_289, 10)
