@@ -253,7 +253,7 @@ def _check_order_free_em(rng):
     k = int(rng.integers(n // 4, 3 * n // 4))
     x = np.concatenate([rng.normal(0.0, 0.3, k), np.exp(rng.normal(1.0, 1.0, n - k))])
     x = rng.permutation(x)
-    fields = ("means", "variances", "weights", "log_likelihoods", "exponent")
+    fields = ("means", "variances", "weights", "log_likelihoods")
     fits = []
     for pool in (x, x[::-1]):
         fit = selection.gmm_fit(pool)

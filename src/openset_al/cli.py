@@ -33,7 +33,7 @@ from itertools import product
 from pathlib import Path
 
 from .checks import run_checks
-from .datasets import BlobSpec, load_idx, make_blobs
+from .datasets import BlobSpec, _class_count, load_idx, make_blobs
 from .harness import (
     METRICS_COLUMNS,
     STRATEGIES,
@@ -220,6 +220,13 @@ def resolve_config(raw: dict) -> dict:
             _blob_spec(data, seed=seeds[0]).validate()
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid data settings: {exc}") from exc
+        # the labeled and test pools must each get an example of every class
+        for key in ("init_labeled_fraction", "test_fraction"):
+            if _class_count(data[key], data["per_class"]) == 0:
+                raise ConfigError(
+                    f"field 'data.{key}' value {data[key]} gives no example of a "
+                    f"class of {data['per_class']}"
+                )
 
     train = {name: getattr(TrainConfig, name) for name in TRAIN_FIELDS}
     for key, value in _section(raw, "train").items():

@@ -183,6 +183,12 @@ def _openness_subsample(
     return rng.choice(unknown_ids, size=target, replace=False)
 
 
+def _class_count(fraction: float, size: int) -> int:
+    """Examples a pool that takes ``fraction`` of each known class gets
+    from a class of ``size``."""
+    return int(round(fraction * size))
+
+
 def _assemble_split(
     features: np.ndarray,
     labels: np.ndarray,
@@ -197,8 +203,8 @@ def _assemble_split(
     status = np.full(len(labels), Pool.UNUSED, dtype=np.int8)
     for cls in known_classes:
         ids = rng.permutation(np.flatnonzero(labels == cls))
-        n_test = int(round(test_fraction * len(ids)))
-        n_lab = int(round(init_labeled_fraction * len(ids)))
+        n_test = _class_count(test_fraction, len(ids))
+        n_lab = _class_count(init_labeled_fraction, len(ids))
         if n_test + n_lab > len(ids):
             raise ValueError("test and labeled fractions exhaust a class")
         status[ids[:n_test]] = Pool.TEST

@@ -93,9 +93,15 @@ def oracle_label(query_ids, split: DatasetSplit) -> DatasetSplit:
     """Resolve a query batch against the hidden true labels.
 
     Known-class ids become labeled and unknown-class ids discarded in a new
-    split.  Raises if any id is out of range, repeated or not unlabeled.
+    split.  Raises if any id is not a whole number, out of range, repeated
+    or not unlabeled.
     """
-    query = np.asarray(query_ids, dtype=int)
+    query = np.asarray(query_ids)
+    if query.dtype.kind == "f":
+        whole = np.isfinite(query) & (query == np.floor(query))
+        if not whole.all():
+            raise ValueError(f"query ids must be whole numbers: {query[~whole].tolist()}")
+    query = query.astype(int, copy=False)
     outside = query[(query < 0) | (query >= len(split.status))]
     if outside.size:
         raise ValueError(f"query ids outside [0, {len(split.status)}): {outside.tolist()}")
@@ -121,11 +127,16 @@ def evaluate_accuracy(
     argmax ties resolve to the lowest class index.  With ``rows``, the
     test set is those rows of the feature store ``x_test``, streamed
     through ``averaged_probs`` without being gathered, and ``y_test`` is
-    aligned with ``rows``.  ``buffers`` is passed on to ``averaged_probs``."""
-    if (len(x_test) if rows is None else len(rows)) == 0:
+    aligned with ``rows``: one label per test row, or ValueError.
+    ``buffers`` is passed on to ``averaged_probs``."""
+    n = len(x_test) if rows is None else len(rows)
+    if n == 0:
         raise ValueError("empty test set")
+    y_test = np.asarray(y_test)
+    if y_test.shape != (n,):
+        raise ValueError(f"test labels of shape {y_test.shape} for {n} test rows")
     probs = averaged_probs(model, x_test, rows=rows, buffers=buffers)
-    return float((probs.argmax(axis=1) == np.asarray(y_test)).mean())
+    return float((probs.argmax(axis=1) == y_test).mean())
 
 
 def _select(
@@ -161,7 +172,8 @@ def run_experiment(
     split: DatasetSplit, cfg: TrainConfig, strategy: str
 ) -> list[CycleMetrics]:
     """Run the full query loop and return one metrics row per cycle,
-    including the cycle-0 evaluation of the initial model.
+    including the cycle-0 evaluation of the initial model.  An empty
+    labeled or test pool raises ValueError before any model trains.
 
     One ``BlockBuffers`` set serves every pool and test-set pass of the
     run, so their block-sized arrays are allocated once, not per cycle.
@@ -180,6 +192,9 @@ def run_experiment(
     cfg.validate()
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    for pool in (Pool.LABELED, Pool.TEST):
+        if not np.any(split.status == pool):
+            raise ValueError(f"the {pool.name.lower()} pool is empty")
     cycle_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.num_cycles + 1)
     features = split.features
     test_ids = split.ids(Pool.TEST)

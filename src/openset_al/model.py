@@ -113,8 +113,8 @@ class TrainConfig:
             raise ValueError("rates must be positive (lr) / nonnegative")
         if not 0 < self.coarse_threshold < 1 and self.coarse_threshold != 0:
             raise ValueError("coarse_threshold must lie in [0, 1)")
-        if any(m >= self.epochs for m in self.lr_milestones):
-            raise ValueError("lr_milestones must precede the final epoch")
+        if any(not 0 <= m < self.epochs for m in self.lr_milestones):
+            raise ValueError("lr_milestones must be epochs in [0, epochs)")
         if self.batch_size <= 0 or self.epochs <= 0:
             raise ValueError("batch_size and epochs must be positive")
         if self.train_loss not in ("edl", "cross_entropy"):

@@ -73,6 +73,11 @@ BASELINE_STRATEGIES = ("random", "entropy", "least_confidence", "margin")
 
 VARIANCE_FLOOR = 1e-6
 
+# The largest score magnitude the mixture takes: within +-1e100 a squared
+# deviation over the variance floor is at most 4e206, so no sum over any pool
+# overflows.  The selector's scores stay below ~2.2e5 (evidence <= e^10).
+SCORE_LIMIT = 1e100
+
 
 class DegenerateDataError(ValueError):
     """Raised when 1-D data cannot support a two-component mixture fit."""
@@ -308,104 +313,71 @@ def score_pool(
     return PoolScores(*_pool_pass(model, x, rows, buffers, score, ((), (), ())))
 
 
+def _check_scores(x: np.ndarray) -> None:
+    """Raise ValueError naming the first score of x outside +-SCORE_LIMIT;
+    nan and +-inf are outside too."""
+    inside = np.abs(x) <= SCORE_LIMIT
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise ValueError(f"scores must lie within +-{SCORE_LIMIT:g}; index {i} holds {x[i]}")
+
+
 @dataclass
 class GmmModel:
-    """Two-component 1-D Gaussian mixture with its EM fit trace.
-
-    The means, variances and log-likelihoods describe the data divided by
-    ``2**exponent``.  ``gmm_fit`` leaves the exponent at 0 unless a squared
-    deviation of the data would overflow, so the parameters of any fit stay
-    finite; in data units a mean is ``np.ldexp(mean, exponent)``, a
-    variance ``np.ldexp(variance, 2 * exponent)`` and a log-likelihood
-    ``ll - exponent * ln 2``.
-    """
+    """Two-component 1-D Gaussian mixture with its EM fit trace, in the
+    units of the scores, which ``gmm_fit`` takes within +-SCORE_LIMIT."""
 
     means: np.ndarray  # shape (2,)
     variances: np.ndarray  # shape (2,), floored at VARIANCE_FLOOR
     weights: np.ndarray  # shape (2,), sums to 1
     log_likelihoods: list[float]  # per-iteration mean log-likelihood
-    exponent: int = 0
 
-    def _e_step(self, x: np.ndarray, cols: np.ndarray, far: np.ndarray) -> None:
-        """Both responsibility columns of 1-D x, in the model's units, into
-        ``cols[0]`` and ``cols[1]``, and each point's log-likelihood into
-        ``cols[2]``, from one max-shifted logsumexp of the two components'
-        log-joints, so a point far from both components cannot underflow to
-        log(0).  ``cols[3]`` and the boolean ``far`` are scratch; every
-        array is as long as x, and everything is computed in place.
+    def _e_step(self, x: np.ndarray, cols: np.ndarray) -> None:
+        """Both responsibility columns of 1-D x into ``cols[0]`` and
+        ``cols[1]``, and each point's log-likelihood into ``cols[2]``, from
+        one max-shifted logsumexp of the two components' log-joints, so a
+        point far from both components cannot underflow to log(0).
+        ``cols[3]`` is scratch; every array is as long as x, and everything
+        is computed in place.
 
         Each component's log-joint is one contiguous column; the shift is
         the columns' element-wise maximum and the total their sum, which is
         what a max and a sum along a length-2 row give.  Every operation is
         element-wise, so the columns of a slice of x are the same slice of
         the columns of x.
-
-        A point whose squared deviation from both means overflows has both
-        log-joints at -inf; ``_far_columns`` decides its responsibilities,
-        and its log-likelihood reads nan.
         """
         r0, r1, ll, total = cols
         log_norm = -0.5 * np.log(2.0 * np.pi * self.variances)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for c, log_w, log_n, m, v in zip(
-                (r0, r1), np.log(self.weights), log_norm, self.means, self.variances
-            ):
-                # log_w + (log_n - 0.5 * (x - m) ** 2 / v)
-                np.subtract(x, m, out=c)
-                np.square(c, out=c)
-                c *= 0.5
-                c /= v
-                np.subtract(log_n, c, out=c)
-                c += log_w
-            shift = np.maximum(r0, r1, out=ll)
-            for c in (r0, r1):
-                c -= shift
-                np.exp(c, out=c)
-        np.equal(shift, -np.inf, out=far)
+        for c, log_w, log_n, m, v in zip(
+            (r0, r1), np.log(self.weights), log_norm, self.means, self.variances
+        ):
+            # log_w + (log_n - 0.5 * (x - m) ** 2 / v)
+            np.subtract(x, m, out=c)
+            np.square(c, out=c)
+            c *= 0.5
+            c /= v
+            np.subtract(log_n, c, out=c)
+            c += log_w
+        shift = np.maximum(r0, r1, out=ll)
+        for c in (r0, r1):
+            c -= shift
+            np.exp(c, out=c)
         np.add(r0, r1, out=total)
         r0 /= total
         r1 /= total
         ll += np.log(total, out=total)
-        if far.any():
-            r0[far], r1[far] = self._far_columns(x[far])
-
-    def _far_columns(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Responsibility columns of points too far out for their log-joints
-        to be formed.  There the log-joint difference c0 - c1 follows its
-        leading term: -x^2 (1/v0 - 1/v1) / 2, so the larger variance takes
-        the point; at equal variances x (m0 - m1) / v, so the component on
-        the point's side does.  Only signs are compared, so nothing
-        overflows; two identical components split by weight."""
-        (m0, m1), (v0, v1) = self.means, self.variances
-        if v0 != v1:
-            lead = np.full(x.shape, np.sign(v0 - v1))
-        else:
-            lead = np.sign(x) * np.sign(m0 - m1)
-        r0 = np.where(lead == 0, self.weights[0], (lead > 0).astype(float))
-        return r0, 1.0 - r0
 
     def _posterior_columns(self, x) -> np.ndarray:
-        """Responsibility columns of data-unit x, each point on its own."""
-        x = np.ldexp(x, -self.exponent)
+        """Responsibility columns of x, each point on its own."""
+        x = np.asarray(x, dtype=float)
+        _check_scores(x)
         cols = np.empty((4, x.size))
-        self._e_step(x, cols, np.empty(x.size, dtype=bool))
+        self._e_step(x, cols)
         return cols[:2]
 
     def responsibilities(self, x: np.ndarray) -> np.ndarray:
         """Posterior component probabilities, shape (n, 2)."""
         return np.column_stack(self._posterior_columns(x))
-
-
-def _rescale_exponent(peak: float, n: int) -> int:
-    """0 when n values at most ``peak`` in magnitude can be fitted as they
-    are; otherwise the exponent e with peak = f * 2^e, 0.5 <= f < 1, so
-    the values divided by 2^e lie within (-1, 1).  A squared deviation
-    divided by the variance floor, or n of them summed, would overflow
-    past the threshold."""
-    # a deviation from a mean is at most 2 * peak in magnitude
-    if peak <= np.sqrt(np.finfo(float).max * VARIANCE_FLOOR / (4.0 * max(n, 1))):
-        return 0
-    return int(np.frexp(peak)[1])
 
 
 def _m_step(x: np.ndarray, r: np.ndarray, tmp: np.ndarray):
@@ -436,9 +408,9 @@ def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
     each component's totals from pairwise sums (``_m_step``); the fit
     stops when the log-likelihood improves by less than ``tol``.  A fit
     that reaches ``max_iter`` first logs a warning with the iteration
-    count and the last gain.  Non-finite data raises ValueError naming its
-    first such index; fewer than two distinct values raise
-    ``DegenerateDataError``.
+    count and the last gain.  A score outside [-SCORE_LIMIT, SCORE_LIMIT],
+    nan and +-inf among them, raises ValueError naming its first such index;
+    fewer than two distinct values raise ``DegenerateDataError``.
 
     The log-likelihood is non-decreasing across iterations on scores up to
     1e6 in magnitude, which covers what the selector produces.  Far out it
@@ -446,47 +418,34 @@ def gmm_fit(scores, max_iter: int = 200, tol: float = 1e-6) -> GmmModel:
     square of one ulp of their value as its variance, and then one ulp of
     rounding in its mean moves its density by a factor EM does not control
     (three ties near 5.8e16 lose 5.7 nats at the fourth iteration).
-
-    Data large enough in magnitude for a squared deviation divided by the
-    variance floor, or the summed squared deviations, to overflow is
-    fitted divided by a power of two 2^e, which is exact, and the model
-    keeps e as its ``exponent``: its parameters, the variance floor and
-    the log-likelihoods are all in those scaled units.
     """
     x = np.asarray(scores, dtype=float)
     if x.ndim != 1:
         raise ValueError("gmm_fit expects 1-D data")
-    finite = np.isfinite(x)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValueError(f"gmm_fit expects finite data; index {i} holds {x[i]}")
+    _check_scores(x)
     if x.size == 0 or (x == x[0]).all():
         raise DegenerateDataError(
             "need at least 2 distinct values to fit a two-mode mixture"
         )
-    e = _rescale_exponent(np.abs(x).max(), x.size)
-    x = np.sort(np.ldexp(x, -e))
+    x = np.sort(x)
     med = np.median(x)
     low, high = x[x <= med], x[x > med]
     if high.size == 0:
         # an extreme duplicate mass at the median; split off the max instead
         high = x[x == x.max()]
         low = x[x < x.max()]
-    pooled = max(
-        (low.var() * low.size + high.var() * high.size) / x.size, VARIANCE_FLOOR
-    )
+    pooled = max((low.var() * low.size + high.var() * high.size) / x.size, VARIANCE_FLOOR)
     means = np.array([low.mean(), high.mean()])
     variances = np.array([pooled, pooled])
     weights = np.array([0.5, 0.5])
 
-    model = GmmModel(means, variances, weights, [], e)
+    model = GmmModel(means, variances, weights, [])
     # rows: both responsibilities, the log-likelihoods and the E-step's
     # scratch, which the M-step reuses
     cols = np.empty((4, x.size))
-    far = np.empty(x.size, dtype=bool)
     prev = -np.inf
     for _ in range(max_iter):
-        model._e_step(x, cols, far)
+        model._e_step(x, cols)
         ll = float(cols[2].mean())
         model.log_likelihoods.append(ll)
         if ll - prev < tol and np.isfinite(prev):

@@ -151,6 +151,11 @@ class TestCmdRun:
             ({"openness_ratios": [0.5, 0.5]}, "'openness_ratios'"),
             ({"openness_ratios": [0.5, 0.5000001]}, "0.5 and 0.5000001"),
             ({"openness_ratios": [0.0, -0.0]}, "'openness_ratios' repeats 0.0"),
+            # a fraction that leaves a pool empty: 0, or under half an
+            # example of the 30 per class
+            ({"data": {"test_fraction": 0}}, "'data.test_fraction'"),
+            ({"data": {"init_labeled_fraction": 0}}, "'data.init_labeled_fraction'"),
+            ({"data": {"init_labeled_fraction": 0.01}}, "'data.init_labeled_fraction'"),
         ],
     )
     def test_config_error_exits_2_before_any_cell(

@@ -135,6 +135,19 @@ class TestOracleLabel:
         with pytest.raises(ValueError, match="duplicate"):
             oracle_label([4, 4], toy_split())
 
+    @pytest.mark.parametrize("bad", [[4.7, 5.0], [4.0, np.nan], [np.inf]])
+    def test_non_integral_id_rejected(self, bad):
+        """4.7 used to truncate to id 4 and label it."""
+        with pytest.raises(ValueError, match="whole numbers"):
+            oracle_label(bad, toy_split())
+
+    def test_whole_float_ids_and_empty_query_accepted(self):
+        split = toy_split()
+        assert oracle_label([4.0, 6.0], split).status.tobytes() == (
+            oracle_label([4, 6], split).status.tobytes()
+        )
+        assert oracle_label([], split).status.tobytes() == split.status.tobytes()
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 3), r=st.sampled_from([0.0, 0.5]), data=st.data())
     def test_matches_four_array_reference(self, seed, r, data):
@@ -209,6 +222,15 @@ class TestEvaluateAccuracy:
         assert evaluate_accuracy(m, x, y, rows=ids) == evaluate_accuracy(m, x[ids], y)
         with pytest.raises(ValueError, match="empty test set"):
             evaluate_accuracy(m, x, [], rows=ids[:0])
+
+    @pytest.mark.parametrize("labels", [[0], np.zeros(9, int), np.zeros((10, 1), int)])
+    @pytest.mark.parametrize("rows", [None, np.arange(10)])
+    def test_label_count_must_match_the_rows(self, labels, rows):
+        """One label used to broadcast against all 10 rows and read 0.4."""
+        m = init_model(4, 3, hidden_widths=(8,), seed=4)
+        x = np.random.default_rng(3).normal(size=(10, 4))
+        with pytest.raises(ValueError, match="labels of shape .* for 10 test rows"):
+            evaluate_accuracy(m, x, labels, rows=rows)
 
 
 def quick_cfg(**kw):
@@ -329,6 +351,21 @@ class TestRunExperiment:
     def test_unknown_strategy_rejected(self, small_split):
         with pytest.raises(ValueError, match="unknown strategy"):
             run_experiment(small_split, quick_cfg(), "coreset")
+
+    @pytest.mark.parametrize(
+        "fractions, pool",
+        [({"init_labeled_fraction": 0.0}, "labeled"), ({"test_fraction": 0.0}, "test")],
+    )
+    def test_empty_pool_rejected_before_training(self, monkeypatch, fractions, pool):
+        spec = BlobSpec(num_known=3, num_unknown=3, dim=6, per_class=40, seed=11)
+        split = make_blobs(spec, r=0.5, **fractions)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(harness, "train_cycle", refuse)
+        with pytest.raises(ValueError, match=f"the {pool} pool is empty"):
+            run_experiment(split, quick_cfg(), "random")
 
     def test_labeled_pool_purity_every_cycle(self, small_split):
         """Random queries through the oracle keep every intermediate split

@@ -68,6 +68,7 @@ class TestTrainConfig:
             ({"discrepancy_epochs": -1}, "counts"),
             ({"hidden_widths": (0,)}, "hidden_widths"),
             ({"hidden_widths": (-3,)}, "hidden_widths"),
+            ({"lr_milestones": (-5,)}, "lr_milestones"),
         ],
     )
     def test_invalid_setting_rejected(self, overrides, message):

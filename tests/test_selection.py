@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from openset_al import selection
 from openset_al.evidential import (
+    LOGIT_CLIP,
     data_uncertainty,
     discrepancy_score,
     distribution_uncertainty,
@@ -115,9 +117,9 @@ class TestGmmFit:
         assert np.all(np.isfinite(model.log_likelihoods))
 
 
-# Finite 1-D samples that can support a two-mode fit.
+# 1-D samples within the mixture's score range that can support a two-mode fit.
 finite_samples = st.lists(
-    st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=50
+    st.floats(-selection.SCORE_LIMIT, selection.SCORE_LIMIT), min_size=2, max_size=50
 ).filter(lambda v: len(set(v)) >= 2)
 
 # Scores up to 1e6 in magnitude, the range the selector produces.
@@ -136,7 +138,7 @@ def assert_log_likelihood_monotone(model):
 
 class TestGmmProperties:
     @given(finite_samples.flatmap(lambda v: st.tuples(st.just(v), st.permutations(v))))
-    @example(([0.0, 1.0, -2.7e154], [-2.7e154, 0.0, 1.0]))
+    @example(([0.0, 1.0, -1e100], [-1e100, 0.0, 1.0]))
     @example(([0.0, 0.0, 0.0, 1.0, 1e10, -1e10, 0.0], [0.0, 0.0, 0.0, 1e10, -1e10, 1.0, 0.0]))
     @example(([-0.0, 0.0, 1.0, 1.0, -0.0, 0.0], [1.0, -0.0, 0.0, -0.0, 1.0, 0.0]))
     @example(([-0.0, -0.0, 0.0, 4.0, 4.0], [4.0, 0.0, -0.0, 4.0, -0.0]))
@@ -180,81 +182,48 @@ class TestGmmProperties:
         assert_log_likelihood_monotone(gmm_fit(x))
 
     @given(finite_samples)
-    @example([0.0, 1.3407807929942597e154])
-    @example([0.0, 1.8961503816218353e151])
-    @example([0.0, 1.797693134859768e308, -1.7976931348623157e308, -1.7976931348623155e308])
+    @example([0.0, 1e100])
+    @example([0.0, 1e-300, 1e100])
+    @example([0.0, 1e100, -1e100, -9.999999999999998e99])
     def test_log_likelihoods_finite(self, values):
         model = gmm_fit(np.array(values))
         assert np.all(np.isfinite(model.log_likelihoods))
-
-    def test_fit_past_squared_overflow_is_scale_equivariant(self):
-        """Scores times 2^510 lie past the point where squared deviations
-        overflow float64; their fit, read in data units through its
-        exponent, is the unscaled fit with means times 2^510, variances
-        times 2^1020 and log-likelihoods minus 510 ln 2."""
-        rng = np.random.default_rng(42)
-        x = np.concatenate([rng.normal(0.0, 0.1, 250), rng.normal(5.0, 0.1, 250)])
-        base = gmm_fit(x)
-        big = gmm_fit(x * 2.0**510)
-        e = big.exponent
-        np.testing.assert_allclose(
-            np.ldexp(big.means, e), base.means * 2.0**510, rtol=1e-9
-        )
-        np.testing.assert_allclose(
-            np.ldexp(big.variances, 2 * e), base.variances * 2.0**1020, rtol=1e-9
-        )
-        np.testing.assert_allclose(big.weights, base.weights, rtol=1e-9)
-        np.testing.assert_allclose(
-            np.array(big.log_likelihoods) - e * np.log(2.0),
-            np.array(base.log_likelihoods) - 510 * np.log(2.0),
-            rtol=1e-9,
-        )
-
-    def test_fit_past_variance_overflow_keeps_finite_posterior(self):
-        """Past about 2^522 a variance in data units no longer fits in
-        float64; the fit keeps it in scaled units, so the parameters stay
-        finite and the posterior separates the two modes."""
-        x = np.array([0.0, 5.0, 0.1, 5.2]) * 2.0**520
-        model = gmm_fit(x)
-        np.testing.assert_array_equal(gmm_posterior_low(model, x), [1.0, 0.0, 1.0, 0.0])
-        assert np.all(np.isfinite(model.variances))
-        assert np.all(np.isfinite(model.log_likelihoods))
-        assert model.exponent == 523
 
     def test_posterior_is_elementwise(self):
         """A query point far from the fit does not change the posterior of
         the others: they read bitwise what they read on their own."""
         model = gmm_fit(np.array([0.0, 1.0, 5.0, 6.0]))
         alone = gmm_posterior_low(model, np.array([0.0, 3.0]))
-        post = gmm_posterior_low(model, np.array([0.0, 1e200, -1e200, 3.0]))
-        assert post[[0, 3]].tobytes() == alone.tobytes()
-        # the far points' squared deviations overflow; at equal variances
-        # each goes to the component on its side
-        np.testing.assert_array_equal(post[[1, 2]], [0.0, 1.0])
+        far = [1e100, -1e100, 1e12, -1e12]
+        post = gmm_posterior_low(model, np.array([0.0, *far, 3.0]))
+        assert post[[0, 5]].tobytes() == alone.tobytes()
+        # at equal variances and weights: +-1e100 minus either mean rounds
+        # to +-1e100, so both components see one deviation and split the
+        # point evenly; +-1e12 goes to the component on its side
+        np.testing.assert_array_equal(post[1:5], [0.5, 0.5, 0.0, 1.0])
 
     @pytest.mark.parametrize(
-        "data, far, expected",
+        "values, index",
         [
-            # equal variances (0.25 each): the component on the point's side
-            ([0.0, 1.0, 5.0, 6.0], [1.7e308, -np.inf], [0.0, 1.0]),
-            # the high component's variance is larger: it takes both sides
-            ([0.0, 0.1, 0.2, 10.0, 14.0, 18.0], [1e200, -1e200, np.inf], [0.0, 0.0, 0.0]),
-            # the low component's variance is larger
-            ([0.0, 4.0, 8.0, 20.0, 20.1, 20.2], [1e200, -1e200], [1.0, 1.0]),
+            ([0.0, 1.0, -2.7e154], 2),
+            ([0.0, 1.3407807929942597e154], 1),
+            ([0.0, 1.8961503816218353e151], 1),
+            ([0.0, 1.797693134859768e308, -1.7976931348623157e308, -1.7976931348623155e308], 1),
+            (list(np.array([0.0, 5.0, 0.1, 5.2]) * 2.0**520), 1),
+            # one ulp past the limit
+            ([0.0, 1e100, -np.nextafter(1e100, np.inf)], 2),
         ],
     )
-    def test_overflowing_point_goes_to_its_leading_term(self, data, far, expected):
-        """A point whose squared deviation from both means overflows gets
-        posterior 0 or 1 from the leading term of the log-joint
-        difference, with no RuntimeWarning; the responsibilities still
-        sum to 1."""
-        model = gmm_fit(np.array(data))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            post = gmm_posterior_low(model, np.array(far))
-            resp = model.responsibilities(np.array(far))
-        np.testing.assert_array_equal(post, expected)
-        np.testing.assert_array_equal(resp.sum(axis=1), 1.0)
+    def test_score_past_the_limit_raises_naming_its_index(self, values, index):
+        """Scores past SCORE_LIMIT in magnitude, which the selector never
+        produces, are rejected up front by the fit and by the posterior, as
+        a plain ValueError naming the first such index."""
+        x = np.array(values)
+        model = gmm_fit(np.array([0.0, 1.0, 5.0, 6.0]))
+        for call in (gmm_fit, partial(gmm_posterior_low, model), model.responsibilities):
+            with pytest.raises(ValueError, match=f"index {index} ") as info:
+                call(x)
+            assert not isinstance(info.value, DegenerateDataError)
 
     def test_unconverged_fit_logs_a_warning(self, caplog):
         x = np.concatenate([np.linspace(0.0, 1.0, 50), np.linspace(3.0, 9.0, 50)])
@@ -288,19 +257,8 @@ def reference_e_step(model, x):
 
 def reference_gmm_fit(scores, max_iter=200, tol=1e-6):
     """``gmm_fit`` with the (n, 2) E-step above and the M-step written out
-    one component at a time, run on the sorted scores divided by 2^e once
-    a squared deviation would overflow."""
-    x = np.asarray(scores, dtype=float)
-    peak = np.abs(x).max()
-    e = 0
-    if peak > np.sqrt(np.finfo(float).max * 1e-6 / (4.0 * x.size)):
-        _, e = np.frexp(peak)
-    model = reference_fit_em(np.sort(np.ldexp(x, -e)), max_iter, tol)
-    model.exponent = int(e)
-    return model
-
-
-def reference_fit_em(x, max_iter, tol):
+    one component at a time, run on the sorted scores."""
+    x = np.sort(np.asarray(scores, dtype=float))
     med = np.median(x)
     low, high = x[x <= med], x[x > med]
     if high.size == 0:
@@ -337,9 +295,8 @@ def reference_fit_em(x, max_iter, tol):
 def em_sample(n, kind, seed, scaled):
     """n scores of one shape: a two-mode normal mixture, log-normal with a
     heavy right tail, or a few tied values.  ``scaled`` multiplies them by
-    the power of two that puts their peak in [2^509, 2^510), past the
-    point where gmm_fit rescales and short of where a fitted variance
-    overflows."""
+    the power of two that puts their peak in [2^329, 2^330), just short of
+    SCORE_LIMIT (2^330 is about 2.2e99)."""
     rng = np.random.default_rng(seed)
     if kind == "mixture":
         k = rng.integers(1, n)
@@ -350,12 +307,13 @@ def em_sample(n, kind, seed, scaled):
         x = rng.integers(-2, 3, n).astype(float)
     if not scaled:
         return x
-    return np.ldexp(x, 510 - np.frexp(np.abs(x).max())[1])
+    return np.ldexp(x, 330 - np.frexp(np.abs(x).max())[1])
 
 
 class TestColumnEm:
     """The column-wise E-step and the M-step's pairwise sums against the
-    (n, 2) reference, bit for bit, on both of gmm_fit's scale paths."""
+    (n, 2) reference, bit for bit, from small scores to the top of the
+    range."""
 
     @settings(max_examples=25, deadline=2000)
     @given(
@@ -376,15 +334,12 @@ class TestColumnEm:
         # each one is compared, through the log-likelihood trace
         model = gmm_fit(x, max_iter=8)
         ref = reference_gmm_fit(x, max_iter=8)
-        for field in ("means", "variances", "weights", "log_likelihoods", "exponent"):
+        for field in ("means", "variances", "weights", "log_likelihoods"):
             assert (
                 np.asarray(getattr(model, field)).tobytes()
                 == np.asarray(getattr(ref, field)).tobytes()
             ), field
-        assert model.exponent == (510 if scaled else 0)
-        # the posterior is evaluated on the values divided by 2^e, as the
-        # fit was
-        expected = reference_e_step(ref, np.ldexp(x, -ref.exponent))[0]
+        expected = reference_e_step(ref, x)[0]
         assert model.responsibilities(x).tobytes() == expected.tobytes()
         low = int(np.argmin(model.means))
         assert gmm_posterior_low(model, x).tobytes() == expected[:, low].tobytes()
@@ -392,29 +347,16 @@ class TestColumnEm:
     @given(finite_samples)
     @example([-0.0, -0.0, -5.0, -5.0])
     def test_fit_on_arbitrary_floats_bitwise_equal_to_reference(self, values):
-        """Any finite floats: signed zeros, ties, and magnitudes up to the
-        float64 maximum, on either scale path."""
+        """Any floats within SCORE_LIMIT: signed zeros, ties, and magnitudes
+        up to the limit."""
         x = np.array(values)
         model = gmm_fit(x)
         ref = reference_gmm_fit(x)
-        for field in ("means", "variances", "weights", "log_likelihoods", "exponent"):
+        for field in ("means", "variances", "weights", "log_likelihoods"):
             assert (
                 np.asarray(getattr(model, field)).tobytes()
                 == np.asarray(getattr(ref, field)).tobytes()
             ), field
-
-    def test_posterior_past_squared_overflow_matches_unscaled(self):
-        """100 bimodal scores times 2^515 fit to finite means and
-        variances; their posterior must not overflow either, and it is the
-        posterior of the unscaled scores."""
-        rng = np.random.default_rng(0)
-        x = np.concatenate([rng.normal(0.0, 0.1, 50), rng.normal(5.0, 0.1, 50)])
-        big = x * 2.0**515
-        model = gmm_fit(big)
-        post = gmm_posterior_low(model, big)
-        assert np.all(np.isfinite(post))
-        np.testing.assert_allclose(post, gmm_posterior_low(gmm_fit(x), x), atol=1e-9)
-        np.testing.assert_allclose(model.responsibilities(big).sum(axis=1), 1.0)
 
 
 def fit_fields(model, x):
@@ -423,7 +365,7 @@ def fit_fields(model, x):
         np.asarray(v).tobytes()
         for v in (
             model.means, model.variances, model.weights, model.log_likelihoods,
-            model.exponent, gmm_posterior_low(model, x),
+            gmm_posterior_low(model, x),
         )
     ]
 
@@ -441,14 +383,14 @@ class TestThreadedEm:
         "kind, scaled", [("mixture", False), ("mixture", True), ("lognormal", False)]
     )
     def test_bitwise_equal_at_widths_one_and_two(self, monkeypatch, n, kind, scaled):
-        """Pools around the old gate and at wide_pool's width; the
-        exponent (overflow) path; log-normal scores with points far from
-        both components; and a posterior on points whose squared
-        deviations overflow.  The fit on one worker and the fit of the
-        reversed pool on two are the same bytes, and neither starts a
-        thread."""
+        """Pools around the old gate and at wide_pool's width; scores near
+        the top of the range; log-normal scores with points far from both
+        components; and a posterior on points at the limit.  The fit on
+        one worker and the fit of the reversed pool on two are the same
+        bytes, and neither starts a thread."""
         x = em_sample(n, kind, n, scaled)
-        probe = np.concatenate([x, [1e300, -1e300, np.finfo(float).max]])
+        lim = selection.SCORE_LIMIT
+        probe = np.concatenate([x, [lim, -lim, 1e50]])
         fits = []
         for workers, pool in ((1, x), (2, x[::-1])):
             monkeypatch.setattr(selection, "_workers", workers)
@@ -614,6 +556,27 @@ class TestCoarseToFine:
         )
         with pytest.raises(ValueError, match="index 4"):
             coarse_to_fine_select(scores, np.arange(5), budget=2)
+
+    def test_scores_at_the_evidence_clip_stay_far_below_the_limit(self):
+        """The largest scores the selector can produce: evidence at the
+        clip extremes, C = 100, one head at e^10 on every class and the
+        other at e^-10.  score_pool's closed forms give a combined score of
+        about sqrt(C) e^10 + ln C = 2.2e5, and the query leaves out the
+        disagreeing rows (0-9) for the agreeing ones."""
+        classes, k = 100, 10
+        hi, lo = np.exp(LOGIT_CLIP), np.exp(-LOGIT_CLIP)
+        a1 = np.repeat([hi, hi, lo], k)[:, None] * np.ones(classes)
+        a2 = np.repeat([lo, hi, lo], k)[:, None] * np.ones(classes)
+        cols = [np.empty(3 * k) for _ in range(3)]
+        selection._score_block(
+            (a1, a2), np.empty((3 * k, classes)), BlockBuffers(), *cols
+        )
+        scores = PoolScores(*cols)
+        combined = scores.s_dis + scores.u_data
+        assert combined.max() <= np.sqrt(classes) * hi + np.log(classes)
+        assert combined.max() < 1e-90 * selection.SCORE_LIMIT
+        query = coarse_to_fine_select(scores, np.arange(3 * k), budget=5, alpha_coef=1.0)
+        assert query.size == 5 and np.all(query >= k)
 
     def test_query_within_coarse_subset_plus_topup(self):
         scores = make_scores(300, seed=2)
