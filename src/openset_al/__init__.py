@@ -27,7 +27,6 @@ from .harness import (
     write_metrics_csv,
 )
 from .model import (
-    BlockBuffers,
     ModelParams,
     TrainConfig,
     close_loss,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlobSpec",
-    "BlockBuffers",
     "CycleMetrics",
     "DatasetSplit",
     "GmmModel",

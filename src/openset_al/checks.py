@@ -200,7 +200,7 @@ def _two_worker_pass(rng, pass_fn):
     blocks = len(selection._row_blocks(m, n))
     saved, selection._workers = selection._workers, 2
     try:
-        got = pass_fn(m, x, rows=rows, buffers=model.BlockBuffers())
+        got = pass_fn(m, x, rows=rows)
         workers = selection._pool_width(blocks)
     finally:
         selection._workers = saved

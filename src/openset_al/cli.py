@@ -220,13 +220,22 @@ def resolve_config(raw: dict) -> dict:
             _blob_spec(data, seed=seeds[0]).validate()
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid data settings: {exc}") from exc
-        # the labeled and test pools must each get an example of every class
+        # the labeled and test pools must each get an example of every
+        # class, and together fit in it, counted as _assemble_split counts
+        taken = 0
         for key in ("init_labeled_fraction", "test_fraction"):
-            if _class_count(data[key], data["per_class"]) == 0:
+            count = _class_count(data[key], data["per_class"])
+            if count == 0:
                 raise ConfigError(
                     f"field 'data.{key}' value {data[key]} gives no example of a "
                     f"class of {data['per_class']}"
                 )
+            taken += count
+        if taken > data["per_class"]:
+            raise ConfigError(
+                "fields 'data.init_labeled_fraction' and 'data.test_fraction' take "
+                f"{taken} examples of a class of {data['per_class']}"
+            )
 
     train = {name: getattr(TrainConfig, name) for name in TRAIN_FIELDS}
     for key, value in _section(raw, "train").items():

@@ -25,12 +25,12 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .datasets import DatasetSplit, Pool
-from .model import BlockBuffers, ModelParams, TrainConfig, init_model, train_cycle
+from .model import ModelParams, TrainConfig, init_model, train_cycle
 from .selection import (
     BASELINE_STRATEGIES,
     FORWARD_MIN_BLOCK,
+    _id_array,
     _pool_width,
-    _reserve_pass,
     _run_tasks,
     averaged_probs,
     baseline_rank,
@@ -71,12 +71,11 @@ class CycleMetrics:
     """Bookkeeping for one cycle; wall_time is excluded from equality so
     reruns with the same seed compare equal.
 
-    ``wall_time`` is the seconds of the cycle's own selection, oracle and
-    training, plus the wait for its test accuracy once the next model has
-    trained: all of the evaluation when ``run_experiment`` runs it at a
-    width of 1 (and for the last model), only the join at a width of 2.
-    It never counts another cycle's work, so a run's cycles sum to its
-    critical path.
+    ``wall_time`` is the seconds of the ``run_experiment`` loop iteration
+    that produced the cycle's model: its selection, oracle and training,
+    beside (or, at a width of 1, after) the previous model's evaluation.
+    The last cycle also counts its own evaluation, so a run's cycles sum
+    to the run.
     """
 
     cycle: int
@@ -93,15 +92,10 @@ def oracle_label(query_ids, split: DatasetSplit) -> DatasetSplit:
     """Resolve a query batch against the hidden true labels.
 
     Known-class ids become labeled and unknown-class ids discarded in a new
-    split.  Raises if any id is not a whole number, out of range, repeated
-    or not unlabeled.
+    split.  Raises if any id is not a whole number (a boolean or string
+    is not), out of range, repeated or not unlabeled.
     """
-    query = np.asarray(query_ids)
-    if query.dtype.kind == "f":
-        whole = np.isfinite(query) & (query == np.floor(query))
-        if not whole.all():
-            raise ValueError(f"query ids must be whole numbers: {query[~whole].tolist()}")
-    query = query.astype(int, copy=False)
+    query = _id_array(query_ids, "query ids")
     outside = query[(query < 0) | (query >= len(split.status))]
     if outside.size:
         raise ValueError(f"query ids outside [0, {len(split.status)}): {outside.tolist()}")
@@ -120,22 +114,20 @@ def evaluate_accuracy(
     model: ModelParams,
     x_test: np.ndarray,
     y_test: np.ndarray,
-    buffers: BlockBuffers | None = None,
     rows: np.ndarray | None = None,
 ) -> float:
     """Fraction of test examples whose averaged-head prediction matches;
     argmax ties resolve to the lowest class index.  With ``rows``, the
     test set is those rows of the feature store ``x_test``, streamed
     through ``averaged_probs`` without being gathered, and ``y_test`` is
-    aligned with ``rows``: one label per test row, or ValueError.
-    ``buffers`` is passed on to ``averaged_probs``."""
+    aligned with ``rows``: one label per test row, or ValueError."""
     n = len(x_test) if rows is None else len(rows)
     if n == 0:
         raise ValueError("empty test set")
     y_test = np.asarray(y_test)
     if y_test.shape != (n,):
         raise ValueError(f"test labels of shape {y_test.shape} for {n} test rows")
-    probs = averaged_probs(model, x_test, rows=rows, buffers=buffers)
+    probs = averaged_probs(model, x_test, rows=rows)
     return float((probs.argmax(axis=1) == y_test).mean())
 
 
@@ -146,12 +138,11 @@ def _select(
     cfg: TrainConfig,
     budget: int,
     seed,
-    buffers: BlockBuffers,
 ) -> np.ndarray:
     # the pool is scored through its ids, block by block, never gathered
     ids = split.unlabeled_ids
     if strategy == "coarse_to_fine":
-        scores = score_pool(model, split.features, rows=ids, buffers=buffers)
+        scores = score_pool(model, split.features, rows=ids)
         return coarse_to_fine_select(
             scores,
             ids,
@@ -164,7 +155,7 @@ def _select(
     # random reads no model output, so it runs no pool pass
     rank = None
     if strategy != "random":
-        rank = baseline_rank(strategy, model, split.features, rows=ids, buffers=buffers)
+        rank = baseline_rank(strategy, model, split.features, rows=ids)
     return baseline_select(strategy, None, ids, budget, seed=seed, rank=rank)
 
 
@@ -175,19 +166,18 @@ def run_experiment(
     including the cycle-0 evaluation of the initial model.  An empty
     labeled or test pool raises ValueError before any model trains.
 
-    One ``BlockBuffers`` set serves every pool and test-set pass of the
-    run, so their block-sized arrays are allocated once, not per cycle.
-    Both are read through their ids from ``split.features``; neither is
-    gathered whole.
+    The pool and the test set are read through their ids from
+    ``split.features``, never gathered whole.
 
     Each model's test accuracy is measured once the next cycle has made
-    its query, as task 1 of ``_run_tasks`` beside that cycle's training
-    (task 0, on the calling thread): at a width of 2 when the test set
-    holds at least ``FORWARD_MIN_BLOCK`` rows and the process may use two
-    workers, else of 1, which trains, then evaluates, on the calling
-    thread.  Its row is appended then; the last model is evaluated after
-    the loop.  Evaluation reads nothing training writes, so the rows do
-    not depend on the width.
+    its query: ``_run_tasks`` runs the evaluation as task 0, on the
+    calling thread, where its pass allocates its scratch, beside that
+    cycle's training as task 1.  The width is 2 when the test set holds
+    at least ``FORWARD_MIN_BLOCK`` rows and the process may use two
+    workers, else 1, which evaluates, then trains, on the calling thread.
+    The row is appended then; the last model is evaluated after the loop.
+    Evaluation reads nothing training writes, so the rows do not depend
+    on the width.
     """
     cfg.validate()
     if strategy not in STRATEGIES:
@@ -199,18 +189,13 @@ def run_experiment(
     features = split.features
     test_ids = split.ids(Pool.TEST)
     y_test = split.model_labels(test_ids)
-    buffers = BlockBuffers()
     width = _pool_width(2) if len(test_ids) >= FORWARD_MIN_BLOCK else 1
     metrics = []
-    # the newest model, with its row's fields and own seconds, until its
-    # test accuracy is read
-    newest = None
+    # the newest model's row fields, until its test accuracy is read
+    row = None
 
     def evaluate(model):
-        return evaluate_accuracy(model, features, y_test, buffers, rows=test_ids)
-
-    def record(row, own, accuracy, wait):
-        metrics.append(CycleMetrics(**row, test_accuracy=accuracy, wall_time=own + wait))
+        return evaluate_accuracy(model, features, y_test, rows=test_ids)
 
     for cycle, cycle_seed in enumerate(cycle_seeds):
         if cycle and len(split.unlabeled_ids) == 0:
@@ -223,7 +208,7 @@ def run_experiment(
             # this spawn, so the init and shuffle seeds below are children
             # 3 and 4 (0 and 1 in cycle 0, which makes no query).
             select_seed = cycle_seed.spawn(3)[2]
-            query = _select(strategy, model, split, cfg, budget, select_seed, buffers)
+            query = _select(strategy, model, split, cfg, budget, select_seed)
             known_in_query = int(split.is_known(split.true_labels[query]).sum())
             query_precision = known_in_query / len(query)
             truncated = len(query) < cfg.query_size
@@ -242,20 +227,14 @@ def run_experiment(
                 head_init_scale=cfg.head_init_scale,
             )
             rng = np.random.default_rng(shuffle_seq)
-            return train_cycle(fresh, x_lab, y_lab, x_unl, cfg, rng=rng), time.perf_counter()
+            return train_cycle(fresh, x_lab, y_lab, x_unl, cfg, rng=rng)
 
-        if newest is None:
-            (model, _), wait = train(0), 0.0
+        if row is None:
+            model = train(0)
         else:
-            row, own, previous = newest
-            # the evaluation's scratch is allocated here, before a helper starts
-            _reserve_pass(previous, buffers, len(test_ids), features.shape[1])
-            (model, trained), accuracy = _run_tasks(
-                [train, lambda worker: evaluate(previous)], width
-            )
-            # the join when threaded, else the evaluation
-            wait = time.perf_counter() - trained
-            record(row, own, accuracy, wait)
+            previous = model
+            accuracy, model = _run_tasks([lambda worker: evaluate(previous), train], width)
+            metrics.append(CycleMetrics(**row, test_accuracy=accuracy))
         row = dict(
             cycle=cycle,
             query_precision=query_precision,
@@ -263,12 +242,12 @@ def run_experiment(
             unlabeled_size=len(split.unlabeled_ids),
             discarded_unknown=len(split.ids(Pool.DISCARDED)),
             truncated=truncated,
+            wall_time=time.perf_counter() - t0,
         )
-        newest = row, time.perf_counter() - t0 - wait, model
-    row, own, model = newest
-    start = time.perf_counter()
+    t0 = time.perf_counter()
     accuracy = evaluate(model)
-    record(row, own, accuracy, time.perf_counter() - start)
+    row["wall_time"] += time.perf_counter() - t0
+    metrics.append(CycleMetrics(**row, test_accuracy=accuracy))
     return metrics
 
 

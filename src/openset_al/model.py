@@ -56,7 +56,6 @@ __all__ = [
     "TrainConfig",
     "ModelParams",
     "init_model",
-    "BlockBuffers",
     "forward",
     "edl_loss",
     "cross_entropy_loss",
@@ -312,77 +311,44 @@ def _forward_cached(model: ModelParams, x: np.ndarray, evidence: bool = True):
     return acts, logits, _evidence(logits), np.abs(logits) < LOGIT_CLIP
 
 
-class BlockBuffers:
-    """Scratch arrays for row-block passes, reused from call to call.
-
-    ``take(name, shape)`` returns a C-contiguous float64 view on the
-    leading elements of the buffer called ``name``, which grows to the
-    largest size asked for and is then reused; the view is valid until
-    the next ``take`` of that name.  ``run_experiment`` holds one set for
-    a whole run, so every cycle's pool pass works in memory that is
-    already mapped instead of freeing its arrays and faulting them back in.
-    """
-
-    def __init__(self):
-        self._arrays: dict[str, np.ndarray] = {}
-        self._children: dict[int, BlockBuffers] = {}
-
-    def child(self, key: int) -> BlockBuffers:
-        """A second set kept with this one under ``key``, for a worker
-        that runs row blocks beside the caller; it is reused like the
-        arrays, so a run's passes share one set per worker."""
-        kid = self._children.get(key)
-        if kid is None:
-            kid = self._children[key] = BlockBuffers()
-        return kid
-
-    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
-        buf = self._arrays.get(name)
-        if buf is None or buf.size < size:
-            buf = self._arrays[name] = np.empty(size)
-        return buf[:size].reshape(shape)
-
-
-def _activations(buffers: BlockBuffers, layer: int, shape) -> np.ndarray:
-    """Layer ``layer``'s activations in a row block, taken from ``buffers``.
-
-    Layers alternate between two buffers, ``hidden0`` and ``hidden1``,
-    each reading the one the layer before wrote, so a block of any depth
-    needs two.  Layer -1 is the block's input, which a caller may gather
-    there: layer 0 reads it, and it is dead once layer 0 has run.  Once
-    the last layer L - 1 has run, layer L's buffer is free for the
-    evidence, and after the heads have run layer L - 1's is free too.
-    """
-    return buffers.take(f"hidden{layer % 2}", shape)
-
-
-def _reserve_activations(model: ModelParams, buffers: BlockBuffers, rows: int, width: int):
-    """Grow both activation buffers of ``buffers`` to hold everything
-    ``_activations`` hands out for a block of up to ``rows`` rows of
-    ``width`` inputs: the gathered input, each layer's activations and
-    the evidence."""
+def _scratch_size(model: ModelParams, rows: int, width: int) -> int:
+    """Elements in each row of the (2, size) activation scratch a
+    ``forward`` block of up to ``rows`` rows of ``width`` inputs takes
+    through ``_activations``: room for the gathered input, each layer's
+    activations and the evidence."""
     widths = [w.shape[1] for w, _ in model.backbone]
-    size = rows * max(width, 2 * model.num_classes, *widths)
-    for layer in (0, 1):
-        _activations(buffers, layer, (size,))
+    return rows * max(width, 2 * model.num_classes, *widths)
 
 
-def _layers(model: ModelParams, h: np.ndarray, logits, buffers=None, acts=None):
+def _activations(scratch: np.ndarray, layer: int, shape) -> np.ndarray:
+    """Layer ``layer``'s activations in a row block: a view on the
+    leading elements of row ``layer % 2`` of the (2, size) ``scratch``.
+
+    Layers alternate between the two rows, each reading the one the layer
+    before wrote, so a block of any depth needs two.  Layer -1 is the
+    block's input, which a caller may gather there: layer 0 reads it, and
+    it is dead once layer 0 has run.  Once the last layer L - 1 has run,
+    layer L's row is free for the evidence, and after the heads have run
+    layer L - 1's is free too.
+    """
+    return scratch[layer % 2, : math.prod(shape)].reshape(shape)
+
+
+def _layers(model: ModelParams, h: np.ndarray, logits, scratch=None, acts=None):
     """The backbone and both heads on a batch h; head i's logits are
-    written into ``logits[i]`` and ``logits`` returned.  With ``buffers``,
-    layer i's activations go into ``_activations(buffers, i)``, and
-    ``logits`` None takes the buffer the last layer left free; with
+    written into ``logits[i]`` and ``logits`` returned.  With ``scratch``,
+    layer i's activations go into ``_activations(scratch, i)``, and
+    ``logits`` None takes the row the last layer left free; with
     ``acts``, each layer's activations are appended to it."""
     for i, (w, b) in enumerate(model.backbone):
-        out = None if buffers is None else _activations(buffers, i, (len(h), w.shape[1]))
+        out = None if scratch is None else _activations(scratch, i, (len(h), w.shape[1]))
         h = np.matmul(h, w, out=out)
         h += b
         np.maximum(h, 0.0, out=h)
         if acts is not None:
             acts.append(h)
     if logits is None:
-        logits = _activations(buffers, len(model.backbone), (2, len(h), model.num_classes))
+        logits = _activations(scratch, len(model.backbone), (2, len(h), model.num_classes))
     for (w, b), z in zip(model.heads, logits):
         np.matmul(h, w, out=z)
         z += b
@@ -390,7 +356,7 @@ def _layers(model: ModelParams, h: np.ndarray, logits, buffers=None, acts=None):
 
 
 def forward(
-    model: ModelParams, x: np.ndarray, buffers: BlockBuffers | None = None
+    model: ModelParams, x: np.ndarray, scratch: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evidence vectors (alpha1, alpha2) for a batch of inputs, in one pass.
 
@@ -398,14 +364,15 @@ def forward(
     layer's output and the evidence are computed in place, keeping
     nothing for backprop; the evidence is bitwise ``_forward_cached``'s.
 
-    With ``buffers``, x is one row block of ``selection._pool_pass``,
-    which may lie in the layer -1 buffer: every layer and the evidence go
-    into the buffers (``_activations``), nothing is allocated, and the
-    returned views are valid until the buffers are next used.
+    With ``scratch``, x is one row block of ``selection._pool_pass``, which
+    allocates the (2, ``_scratch_size``) array and may gather x into its
+    layer -1 row: every layer and the evidence go into its rows
+    (``_activations``), nothing is allocated, and the returned views are
+    valid until the scratch is next used.
     """
     x = _model_batch(model, x)
-    logits = None if buffers is not None else np.empty((2, len(x), model.num_classes))
-    alphas = _layers(model, x, logits, buffers)
+    logits = None if scratch is not None else np.empty((2, len(x), model.num_classes))
+    alphas = _layers(model, x, logits, scratch)
     _evidence(alphas, out=alphas)
     return alphas[0], alphas[1]
 

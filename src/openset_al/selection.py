@@ -43,14 +43,7 @@ from .evidential import (  # noqa: F401
     distribution_uncertainty,
     expected_probs,
 )
-from .model import (
-    BlockBuffers,
-    ModelParams,
-    _activations,
-    _model_batch,
-    _reserve_activations,
-    forward,
-)
+from .model import ModelParams, _activations, _model_batch, _scratch_size, forward
 
 __all__ = [
     "PoolScores",
@@ -185,57 +178,52 @@ def _forward_block_rows(model: ModelParams) -> int:
     return max(FORWARD_MIN_BLOCK, -(-FORWARD_BLOCK_WORK // smallest))
 
 
-def _block_count(model: ModelParams, n: int) -> int:
-    """Blocks in the pool pass's partition of n rows: one below two blocks
-    of ``_forward_block_rows``, else ``n // block``."""
-    return max(n // _forward_block_rows(model), 1)
-
-
 def _row_blocks(model: ModelParams, n: int) -> list[tuple[int, int]]:
-    """The pool pass's partition of n rows into ``_block_count`` near-equal
-    blocks; the largest holds ceil(n / count) rows."""
-    blocks = _block_count(model, n)
+    """The pool pass's partition of n rows into near-equal blocks: one
+    below two blocks of ``_forward_block_rows``, else ``n // block``."""
+    blocks = max(n // _forward_block_rows(model), 1)
     bounds = [i * n // blocks for i in range(blocks + 1)]
     return list(zip(bounds, bounds[1:]))
 
 
-def _reserve_pass(model: ModelParams, buffers: BlockBuffers, n: int, width: int) -> None:
-    """Grow ``buffers`` to hold all that one worker of a pool pass over n
-    rows of ``width`` inputs takes from it: the activations
-    (``_reserve_activations``) and the evidence sums of its largest block.
+def _id_array(ids, what: str) -> np.ndarray:
+    """``ids`` as an intp array; non-numbers (booleans, strings) and
+    non-whole floats (nan, +-inf), which a cast would misread, raise."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be integers, not {ids.dtype}: {ids.ravel()[:5].tolist()}")
+    if ids.dtype.kind == "f":
+        whole = np.isfinite(ids) & (ids == np.floor(ids))
+        if not whole.all():
+            raise ValueError(f"{what} must be whole numbers: {ids[~whole].tolist()}")
+    return ids.astype(np.intp, copy=False)
 
-    A thread's allocations come from a malloc arena of its own, which
-    keeps what it frees mapped (about 6 MB more peak RSS on wide_pool), so
-    a set that another thread will use is reserved on the calling thread.
-    """
-    rows = -(-n // _block_count(model, n))  # the largest of _row_blocks's blocks
-    _reserve_activations(model, buffers, rows, width)
-    buffers.take("avg_sum", (rows, 1))
 
-
-def _pool_pass(model: ModelParams, x, rows, buffers, block_fn, columns=()) -> list:
+def _pool_pass(model: ModelParams, x, rows, block_fn, columns=()) -> list:
     """Run the pool through ``forward`` in ``_row_blocks``'s blocks, the
     only row partition in the package, calling ``block_fn(lo, hi, (alpha1,
-    alpha2), scratch, *cols)`` on the evidence of pool rows lo:hi.  The
-    pool is ``x``, checked by ``_model_batch``, or the rows ``rows`` of it
-    in that order, gathered block by block into the buffer of
-    ``forward``'s layer -1 (``_activations``); every id is range-checked
-    before the first block runs.  One (n, *shape) array per shape in
-    ``columns`` is allocated and returned; ``cols`` are their rows lo:hi.
+    alpha2), scratch, sums, *cols)`` on the evidence of pool rows lo:hi.
+    The pool is ``x``, checked by ``_model_batch``, or the rows ``rows`` of
+    it in that order, gathered block by block into ``forward``'s layer -1
+    row (``_activations``); every id is checked (``_id_array``) and
+    range-checked before the first block runs.  One (n, *shape) array per
+    shape in ``columns`` is allocated and returned; ``cols`` are their
+    rows lo:hi.
 
-    The blocks are ``_run_tasks``'s tasks on ``_pool_width`` workers: the
-    calling thread, with ``buffers`` (a fresh set when None) as its
-    scratch set, and one thread per further worker, each with its own
-    child set, reserved here before any thread starts.  So a pass of one
-    block starts no thread, and the lowest failing block's error is
-    raised, as a serial loop would raise it.  The partition and each
-    block's operations do not depend on the width, so neither do the
+    The blocks are ``_run_tasks``'s tasks on ``_pool_width`` workers, so a
+    pass of one block starts no thread, and the lowest failing block's
+    error is raised, as a serial loop would raise it.  Each worker gets a
+    (2, ``_scratch_size``) activation array ``scratch`` and a column whose
+    first hi - lo rows are ``sums``, sized for the largest block and
+    allocated here on the calling thread, whose malloc arena serves them
+    (a helper's own arena would keep them mapped once freed).  Nothing is
+    kept between calls, so concurrent passes share nothing.  Neither the
+    partition nor a block's operations depend on the width, nor do the
     results.
     """
-    buffers = BlockBuffers() if buffers is None else buffers
     x = _model_batch(model, x)
     if rows is not None:
-        rows = np.asarray(rows, dtype=np.intp)
+        rows = _id_array(rows, "row ids")
         if rows.ndim != 1:
             raise ValueError("rows must be a 1-D array of row ids")
         outside = rows[(rows < 0) | (rows >= len(x))]
@@ -245,40 +233,40 @@ def _pool_pass(model: ModelParams, x, rows, buffers, block_fn, columns=()) -> li
     outputs = [np.empty((n, *shape)) for shape in columns]
     blocks = _row_blocks(model, n)
     width = _pool_width(len(blocks))
-    scratch = [buffers] + [buffers.child(k) for k in range(1, width)]
-    for child in scratch[1:]:
-        _reserve_pass(model, child, n, x.shape[1])
+    largest = max(hi - lo for lo, hi in blocks)
+    size = _scratch_size(model, largest, x.shape[1])
+    scratch = [(np.empty((2, size)), np.empty((largest, 1))) for _ in range(width)]
 
     def run(lo, hi, worker):
-        own, block = scratch[worker], x[lo:hi]
+        (acts, sums), block = scratch[worker], x[lo:hi]
         if rows is not None:
             # "clip" writes straight into ``out``; "raise" would buffer the
             # block first, and the ids are already checked
-            out = _activations(own, -1, (hi - lo, x.shape[1]))
+            out = _activations(acts, -1, (hi - lo, x.shape[1]))
             block = np.take(x, rows[lo:hi], axis=0, out=out, mode="clip")
-        block_fn(lo, hi, forward(model, block, own), own, *(c[lo:hi] for c in outputs))
+        alphas = forward(model, block, acts)
+        block_fn(lo, hi, alphas, acts, sums[: hi - lo], *(c[lo:hi] for c in outputs))
 
     _run_tasks([partial(run, lo, hi) for lo, hi in blocks], width)
     return outputs
 
 
-def _score_block(alphas, avg, buffers: BlockBuffers, u_data, u_dist, s_dis) -> None:
+def _score_block(alphas, avg, sums, u_data, u_dist, s_dis) -> None:
     """The three scores of one row block, written into the given columns.
 
     The check is ``data_uncertainty``'s and the scores come from the
     kernels behind ``data_uncertainty``, ``distribution_uncertainty`` and
     ``discrepancy_score``, with both uncertainties clipped at 0; the
-    scratch is ``avg``, ``buffers`` and the heads' evidence, which is
-    overwritten.  A non-finite head makes the average non-finite, so
-    checking the average covers the heads too.
+    scratch is ``avg``, the (rows, 1) ``sums`` and the heads' evidence,
+    which is overwritten.  A non-finite head makes the average non-finite,
+    so checking the average covers the heads too.
     """
     a1, a2 = alphas
     avg = np.add(a1, a2, out=avg)
     avg *= 0.5
     _validate_alpha(avg)
     _head_distance(a1, a2, out=s_dis, diff=a1)
-    s = buffers.take("avg_sum", (len(avg), 1))
-    _uncertainties(avg, u_data, u_dist, p=a1, s=s, psi=avg)
+    _uncertainties(avg, u_data, u_dist, p=a1, s=sums, psi=avg)
     np.maximum(u_data, 0.0, out=u_data)
     np.maximum(u_dist, 0.0, out=u_dist)
 
@@ -287,7 +275,6 @@ def score_pool(
     model: ModelParams,
     x: np.ndarray,
     rows: np.ndarray | None = None,
-    buffers: BlockBuffers | None = None,
 ) -> PoolScores:
     """Evaluate the three selection scores for every example in x, or
     for the rows ``rows`` of x in that order.
@@ -299,18 +286,19 @@ def score_pool(
     negative values from floating-point cancellation are clipped to 0.
 
     The pool is streamed in ``_row_blocks``'s row blocks: each block's
-    rows are gathered, run forward and scored in arrays taken from
-    ``buffers`` (a fresh set when None), so nothing pool-sized is built
-    but the three score columns.  Every score is computed row by row, so
+    rows are gathered, run forward and scored in the pass's per-worker
+    scratch (``_pool_pass``), so nothing pool-sized is built but the
+    three score columns.  Every score is computed row by row, so
     the result is bitwise the closed forms on the whole of ``x[rows]``.
-    An out-of-range id raises IndexError before any block runs.
+    An out-of-range id raises IndexError, and a boolean or non-whole id
+    ValueError, before any block runs.
     """
-    last = len(model.backbone) - 1  # its buffer is free once the heads have run
+    last = len(model.backbone) - 1  # its row is free once the heads have run
 
-    def score(lo, hi, alphas, scratch, *cols):
-        _score_block(alphas, _activations(scratch, last, alphas[0].shape), scratch, *cols)
+    def score(lo, hi, alphas, scratch, sums, *cols):
+        _score_block(alphas, _activations(scratch, last, alphas[0].shape), sums, *cols)
 
-    return PoolScores(*_pool_pass(model, x, rows, buffers, score, ((), (), ())))
+    return PoolScores(*_pool_pass(model, x, rows, score, ((), (), ())))
 
 
 def _check_scores(x: np.ndarray) -> None:
@@ -633,14 +621,14 @@ def baseline_select(
     return _top(ids, rank, budget)
 
 
-def _mean_probs(alphas, buffers: BlockBuffers, out: np.ndarray) -> np.ndarray:
+def _mean_probs(alphas, sums: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``0.5 * (expected_probs(alpha1) + expected_probs(alpha2))`` of one
     row block, with its checks, written into ``out``; the heads' evidence
-    is overwritten."""
+    and the (rows, 1) ``sums`` are overwritten."""
     a1, a2 = alphas
     for a in (a1, a2):
         _validate_alpha(a)
-        _dirichlet_mean(a, out=a, s=buffers.take("avg_sum", (len(a), 1)))
+        _dirichlet_mean(a, out=a, s=sums)
     out = np.add(a1, a2, out=out)
     out *= 0.5
     return out
@@ -650,22 +638,21 @@ def averaged_probs(
     model: ModelParams,
     x: np.ndarray,
     rows: np.ndarray | None = None,
-    buffers: BlockBuffers | None = None,
 ) -> np.ndarray:
     """Mean of the two heads' expected probabilities, used for test
     accuracy.
 
     Streamed like ``score_pool``: ``rows`` selects and orders the rows of
-    x, and every block-sized array is taken from ``buffers`` (a fresh set
-    when None).  Each block evaluates ``0.5 * (expected_probs(alpha1) +
-    expected_probs(alpha2))`` in place, with its checks, so the result is
-    bitwise the whole-pool value.
+    x, and every block-sized array is the pass's scratch.  Each block
+    evaluates ``0.5 * (expected_probs(alpha1) + expected_probs(alpha2))``
+    in place, with its checks, so the result is bitwise the whole-pool
+    value.
     """
 
-    def mean_block(lo, hi, alphas, scratch, out):
-        _mean_probs(alphas, scratch, out)
+    def mean_block(lo, hi, alphas, scratch, sums, out):
+        _mean_probs(alphas, sums, out)
 
-    return _pool_pass(model, x, rows, buffers, mean_block, ((model.num_classes,),))[0]
+    return _pool_pass(model, x, rows, mean_block, ((model.num_classes,),))[0]
 
 
 def baseline_rank(
@@ -673,7 +660,6 @@ def baseline_rank(
     model: ModelParams,
     x: np.ndarray,
     rows: np.ndarray | None = None,
-    buffers: BlockBuffers | None = None,
 ) -> np.ndarray:
     """The per-row rank a ranked baseline queries by, on the averaged
     probabilities of x (or of its rows ``rows``), for
@@ -686,7 +672,7 @@ def baseline_rank(
     if strategy not in RANKED_STRATEGIES:
         raise ValueError(f"unknown ranked strategy {strategy!r}")
 
-    def rank_block(lo, hi, alphas, scratch, out):
-        out[:] = _rank_rows(strategy, _mean_probs(alphas, scratch, alphas[0]))
+    def rank_block(lo, hi, alphas, scratch, sums, out):
+        out[:] = _rank_rows(strategy, _mean_probs(alphas, sums, alphas[0]))
 
-    return _pool_pass(model, x, rows, buffers, rank_block, ((),))[0]
+    return _pool_pass(model, x, rows, rank_block, ((),))[0]

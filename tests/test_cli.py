@@ -156,6 +156,11 @@ class TestCmdRun:
             ({"data": {"test_fraction": 0}}, "'data.test_fraction'"),
             ({"data": {"init_labeled_fraction": 0}}, "'data.init_labeled_fraction'"),
             ({"data": {"init_labeled_fraction": 0.01}}, "'data.init_labeled_fraction'"),
+            # fractions that together take more than a class: 15 + 18 of 30
+            (
+                {"data": {"init_labeled_fraction": 0.5, "test_fraction": 0.6}},
+                "'data.test_fraction' take 33 examples",
+            ),
         ],
     )
     def test_config_error_exits_2_before_any_cell(

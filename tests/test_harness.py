@@ -141,6 +141,16 @@ class TestOracleLabel:
         with pytest.raises(ValueError, match="whole numbers"):
             oracle_label(bad, toy_split())
 
+    @pytest.mark.parametrize("bad", [np.array([True]), ["1"]])
+    def test_non_number_ids_rejected(self, bad):
+        """[True] and ["1"] used to read as id 1 and label it."""
+        split = toy_split()
+        status = split.status.copy()
+        status[[1, 4]] = Pool.UNLABELED, Pool.LABELED
+        split = dataclasses.replace(split, status=status)
+        with pytest.raises(ValueError, match="must be integers, not"):
+            oracle_label(bad, split)
+
     def test_whole_float_ids_and_empty_query_accepted(self):
         split = toy_split()
         assert oracle_label([4.0, 6.0], split).status.tobytes() == (
@@ -402,8 +412,8 @@ def wide_cfg(**kw):
 
 
 class TestEvaluationBesideTraining:
-    """Each model is evaluated on a second thread while the next one
-    trains, when the test set and the CPUs allow it."""
+    """Each model is evaluated on the calling thread while the next one
+    trains on a second thread, when the test set and the CPUs allow it."""
 
     def test_helper_runs_under_the_callers_errstate(self):
         """numpy keeps np.errstate per thread; the helper takes the
@@ -434,8 +444,9 @@ class TestEvaluationBesideTraining:
         assert threading.active_count() == before
 
     def test_task_zero_runs_on_the_calling_thread(self):
-        """Training is task 0, so it stays on the calling thread and in its
-        malloc arena; the evaluation is the helper's."""
+        """The evaluation is task 0, so it and the scratch its pool pass
+        allocates stay on the calling thread and in its malloc arena;
+        training is the helper's."""
         here = threading.current_thread()
         (w0, t0), (w1, t1) = selection._run_tasks(
             [lambda w: (w, threading.current_thread())] * 2, 2
@@ -499,19 +510,40 @@ class TestEvaluationBesideTraining:
     def test_failing_deferred_evaluation_raises_and_leaves_no_thread(
         self, wide_split, monkeypatch
     ):
+        """Model 0's evaluation, the first, runs on the calling thread
+        beside model 1's training on the helper; its error is raised once
+        that training has been joined."""
         monkeypatch.setattr(selection, "_workers", 2)
-        real = harness.evaluate_accuracy
+        before = threading.active_count()
 
         def failing(*args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
+            if threading.current_thread() is threading.main_thread():
                 raise RuntimeError("evaluation failed beside training")
-            return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, "evaluate_accuracy", failing)
-        before = threading.active_count()
         with pytest.raises(RuntimeError, match="beside training"):
             run_experiment(wide_split, wide_cfg(), "random")
         assert threading.active_count() == before
+
+    def test_evaluation_on_the_caller_and_training_on_the_helper(
+        self, wide_split, monkeypatch
+    ):
+        """At a width of 2 every evaluation runs on the main thread, and
+        every training but model 0's, which has nothing beside it, on the
+        helper."""
+        monkeypatch.setattr(selection, "_workers", 2)
+        threads = {"evaluate_accuracy": [], "train_cycle": []}
+        for name, calls in threads.items():
+            real = getattr(harness, name)
+
+            def traced(*args, real=real, calls=calls, **kwargs):
+                calls.append(threading.current_thread() is threading.main_thread())
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, traced)
+        run_experiment(wide_split, wide_cfg(), "random")
+        assert threads["evaluate_accuracy"] == [True] * 3
+        assert threads["train_cycle"] == [True, False, False]
 
     def test_failing_training_joins_the_evaluation(self, wide_split, monkeypatch):
         monkeypatch.setattr(selection, "_workers", 2)
@@ -532,10 +564,11 @@ class TestEvaluationBesideTraining:
 
     @pytest.mark.parametrize("slow", ["train_cycle", "evaluate_accuracy"])
     def test_cycle_times_sum_below_the_run_time(self, wide_split, monkeypatch, slow):
-        """A row's wall_time holds its own cycle and the wait for its
-        evaluation, never the next cycle's training nor a wait counted
-        twice, so the rows sum to less than the run, whichever of the two
-        overlapped calls takes longer."""
+        """A row's wall_time is the loop iteration that trained its model,
+        beside the previous model's evaluation, and the last row also
+        holds its own evaluation; no time is counted twice, so the rows
+        sum to less than the run, whichever of the two overlapped calls
+        takes longer."""
         monkeypatch.setattr(selection, "_workers", 2)
         real = getattr(harness, slow)
 

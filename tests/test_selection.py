@@ -22,7 +22,7 @@ from openset_al.evidential import (
     entropy,
     expected_probs,
 )
-from openset_al.model import BlockBuffers, _forward_cached, forward, init_model
+from openset_al.model import _forward_cached, forward, init_model
 from openset_al.selection import (
     DegenerateDataError,
     GmmModel,
@@ -569,7 +569,7 @@ class TestCoarseToFine:
         a2 = np.repeat([lo, hi, lo], k)[:, None] * np.ones(classes)
         cols = [np.empty(3 * k) for _ in range(3)]
         selection._score_block(
-            (a1, a2), np.empty((3 * k, classes)), BlockBuffers(), *cols
+            (a1, a2), np.empty((3 * k, classes)), np.empty((3 * k, 1)), *cols
         )
         scores = PoolScores(*cols)
         combined = scores.s_dis + scores.u_data
@@ -843,11 +843,11 @@ class TestBlockedForward:
             selection, "forward", lambda *a: (calls.append(1), real(*a))[1]
         )
 
-        def keep_evidence(lo, hi, alphas, scratch, *cols):
+        def keep_evidence(lo, hi, alphas, scratch, sums, *cols):
             for col, a in zip(cols, alphas):
                 col[:] = a
 
-        got = selection._pool_pass(m, x, None, None, keep_evidence, ((classes,),) * 2)
+        got = selection._pool_pass(m, x, None, keep_evidence, ((classes,),) * 2)
         assert len(calls) == blocks
         for a, b in zip(got, _forward_cached(m, x)[2]):
             assert a.tobytes() == b.tobytes()
@@ -855,7 +855,7 @@ class TestBlockedForward:
 
 class TestStreamedScores:
     """``score_pool`` and ``averaged_probs`` stream a pool's rows through
-    ``forward``'s row blocks over reused buffers.  The partition is
+    ``forward``'s row blocks in per-pass scratch.  The partition is
     forward's, so every block keeps the one-pass bits: 1,504 and 6,000
     rows are one block at C = 10, 47,700 are eleven."""
 
@@ -873,25 +873,13 @@ class TestStreamedScores:
             np.maximum(distribution_uncertainty(avg), 0.0),
             discrepancy_score(a1, a2),
         )
-        streamed = score_pool(m, x, rows=rows, buffers=BlockBuffers())
+        streamed = score_pool(m, x, rows=rows)
         assert same_bytes(streamed, closed)
         assert same_bytes(streamed, score_pool(m, pool))
         probs = 0.5 * (expected_probs(a1) + expected_probs(a2))
-        got = averaged_probs(m, x, rows=rows, buffers=BlockBuffers())
+        got = averaged_probs(m, x, rows=rows)
         assert got.tobytes() == probs.tobytes()
         assert got.tobytes() == averaged_probs(m, pool).tobytes()
-
-    def test_buffers_reused_across_pool_sizes(self):
-        """One set serving 47,700 rows, then 1,504, then 6,000 (a wide
-        run's pool, a desk pool, a wide test set) gives fresh-set bytes."""
-        buffers = BlockBuffers()
-        for n in (47_700, 1504, 6000):
-            m, x, rows = stream_case(n, 10)
-            fresh = score_pool(m, x, rows=rows, buffers=BlockBuffers())
-            assert same_bytes(score_pool(m, x, rows=rows, buffers=buffers), fresh)
-            fresh = averaged_probs(m, x, rows=rows, buffers=BlockBuffers())
-            reused = averaged_probs(m, x, rows=rows, buffers=buffers)
-            assert reused.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("bad", [-1, "size"])
     @pytest.mark.parametrize("fn", [score_pool, averaged_probs])
@@ -901,7 +889,7 @@ class TestStreamedScores:
         blocks = []
         monkeypatch.setattr(selection, "forward", lambda *a: blocks.append(a))
         with pytest.raises(IndexError, match="outside"):
-            fn(m, x, rows=rows, buffers=BlockBuffers())
+            fn(m, x, rows=rows)
         assert blocks == []
 
     @pytest.mark.parametrize("fn", [score_pool, averaged_probs])
@@ -911,24 +899,49 @@ class TestStreamedScores:
         m, x, rows = stream_case(12_289, 10)
         x[rows[-1], 3] = np.nan
         with pytest.raises(ValueError, match="alpha must be finite"):
-            fn(m, x, rows=rows, buffers=BlockBuffers())
+            fn(m, x, rows=rows)
         with pytest.raises(ValueError, match="alpha must be finite"):
             fn(m, x[rows])
 
     def test_caller_features_left_unmodified(self):
         m, x, rows = stream_case(8192, 10)
         before = x.tobytes()
-        score_pool(m, x, rows=rows, buffers=BlockBuffers())
+        score_pool(m, x, rows=rows)
         averaged_probs(m, x, rows=rows)
         assert x.tobytes() == before
 
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            (lambda rows: [rows[0] + 0.7, rows[1] + 0.2], "whole numbers"),
+            (lambda rows: [rows[0], np.nan], r"whole numbers: \[nan\]"),
+            (lambda rows: [True, False, True], "not bool"),
+            (lambda rows: [str(rows[0])], "must be integers, not <U"),
+        ],
+        ids=["fractional", "nan", "boolean", "string"],
+    )
+    @pytest.mark.parametrize("fn", [score_pool, averaged_probs])
+    def test_non_integer_row_ids_raise_before_any_block(self, monkeypatch, fn, bad, named):
+        """Row ids 2.7 and 5.2 used to be truncated to rows 2 and 5,
+        [True, False, True] read as rows 1, 0, 1, and "7" as row 7."""
+        m, x, rows = stream_case(1504, 10)
+        blocks = []
+        monkeypatch.setattr(selection, "forward", lambda *a: blocks.append(a))
+        with pytest.raises(ValueError, match=named):
+            fn(m, x, rows=bad(rows))
+        assert blocks == []
 
-def pool_passes(m, x, rows, buffers=None):
+    def test_whole_float_row_ids_read_as_integers(self):
+        m, x, rows = stream_case(1504, 10)
+        assert same_bytes(score_pool(m, x, rows=rows.astype(float)), score_pool(m, x, rows=rows))
+
+
+def pool_passes(m, x, rows):
     """Every pool pass on the same pool: the three scores, the averaged
     probabilities and each ranked baseline's rank."""
-    out = list(score_pool(m, x, rows=rows, buffers=buffers))
-    out.append(averaged_probs(m, x, rows=rows, buffers=buffers))
-    out.extend(baseline_rank(s, m, x, rows=rows, buffers=buffers) for s in RANKED_STRATEGIES)
+    out = list(score_pool(m, x, rows=rows))
+    out.append(averaged_probs(m, x, rows=rows))
+    out.extend(baseline_rank(s, m, x, rows=rows) for s in RANKED_STRATEGIES)
     return out
 
 
@@ -946,17 +959,16 @@ class TestPoolWorkers:
     def test_bitwise_equal_to_one_worker(self, monkeypatch, n, classes):
         m, x, rows = stream_case(n, classes)
         force_width(monkeypatch, lambda blocks: 1)
-        serial = pool_passes(m, x, rows, BlockBuffers())
+        serial = pool_passes(m, x, rows)
         force_width(monkeypatch, lambda blocks: min(2, blocks))
-        buffers = BlockBuffers()
-        assert same_bytes(pool_passes(m, x, rows, buffers), serial)
-        # a second pass reuses the workers' scratch sets
-        assert same_bytes(pool_passes(m, x, rows, buffers), serial)
+        assert same_bytes(pool_passes(m, x, rows), serial)
+        # a second pass allocates fresh scratch and gives the same bytes
+        assert same_bytes(pool_passes(m, x, rows), serial)
 
     @pytest.mark.parametrize("widths", [(), (48,), (64, 64, 64)])
     def test_any_depth_keeps_the_unbuffered_bits(self, monkeypatch, widths):
         """The gathered rows, the layers, the evidence and the average
-        share two activation buffers; at any depth, and on one worker or
+        share two activation rows; at any depth, and on one worker or
         two, every pass keeps the bits of an unbuffered forward."""
         m = init_model(32, 10, widths, seed=7, head_init_scale=3.0)
         rng = np.random.default_rng(7)
@@ -974,17 +986,30 @@ class TestPoolWorkers:
         ]
         for width in (1, 2):
             force_width(monkeypatch, lambda blocks, width=width: min(width, blocks))
-            assert same_bytes(pool_passes(m, x, rows, BlockBuffers()), expected)
+            assert same_bytes(pool_passes(m, x, rows), expected)
 
-    def test_worker_sets_are_reused_across_passes(self, monkeypatch):
+    def test_concurrent_passes_share_nothing(self, monkeypatch):
+        """Three threads run ``score_pool`` and ``averaged_probs`` on one
+        pool at once, each pass on two workers of its own; every result
+        keeps the serial bytes."""
         m, x, rows = stream_case(12_289, 10)
-        force_width(monkeypatch, lambda blocks: 2)
-        buffers = BlockBuffers()
-        pool_passes(m, x, rows, buffers)
-        held = dict(buffers.child(1)._arrays)
-        assert {"hidden0", "hidden1"} <= set(held)
-        pool_passes(m, x, rows, buffers)
-        assert all(buffers.child(1)._arrays[k] is v for k, v in held.items())
+        force_width(monkeypatch, lambda blocks: 1)
+        serial = [*score_pool(m, x, rows=rows), averaged_probs(m, x, rows=rows)]
+        force_width(monkeypatch, lambda blocks: min(2, blocks))
+        start = threading.Barrier(3)
+        results = [None] * 3
+
+        def run(i):
+            start.wait(timeout=60)
+            results[i] = [*score_pool(m, x, rows=rows), averaged_probs(m, x, rows=rows)]
+
+        runners = [threading.Thread(target=run, args=(i,)) for i in range(3)]
+        for runner in runners:
+            runner.start()
+        for runner in runners:
+            runner.join(timeout=120)
+        assert not any(runner.is_alive() for runner in runners)
+        assert all(got is not None and same_bytes(got, serial) for got in results)
 
     def test_stress_more_workers_than_cpus(self, monkeypatch):
         """Eight workers share a queue of 400 ten-row blocks under a very
@@ -1034,7 +1059,7 @@ class TestPoolWorkers:
         for width in (1, 2):
             force_width(monkeypatch, lambda blocks, width=width: width)
             with pytest.raises(ValueError, match="alpha must be finite") as err:
-                fn(m, x, rows=rows, buffers=BlockBuffers())
+                fn(m, x, rows=rows)
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
@@ -1044,14 +1069,14 @@ class TestPoolWorkers:
         m, x, _ = stream_case(20_001, 10)
         force_width(monkeypatch, lambda blocks: 2)
 
-        def block_fn(lo, hi, alphas, scratch):
+        def block_fn(lo, hi, alphas, scratch, sums):
             if lo == 0:
                 time.sleep(0.05)
             if lo < 10_000:
                 raise ValueError(f"block at {lo}")
 
         with pytest.raises(ValueError, match="block at 0$"):
-            selection._pool_pass(m, x, None, BlockBuffers(), block_fn)
+            selection._pool_pass(m, x, None, block_fn)
 
     def test_every_block_runs_under_the_callers_errstate(self, monkeypatch):
         """numpy keeps np.errstate per thread; each block sees the
@@ -1060,12 +1085,12 @@ class TestPoolWorkers:
         force_width(monkeypatch, lambda blocks: 2)
         seen = {}
 
-        def block_fn(lo, hi, alphas, scratch):
+        def block_fn(lo, hi, alphas, scratch, sums):
             time.sleep(0.01)  # so that both workers take blocks
             seen[lo] = np.geterr()["under"]
 
         with np.errstate(under="raise"):
-            selection._pool_pass(m, x, None, BlockBuffers(), block_fn)
+            selection._pool_pass(m, x, None, block_fn)
         assert len(seen) >= 4
         assert set(seen.values()) == {"raise"}
 
@@ -1077,7 +1102,7 @@ class TestPoolWorkers:
         blocks = []
         monkeypatch.setattr(selection, "forward", lambda *a: blocks.append(a))
         with pytest.raises(IndexError, match="outside"):
-            fn(m, x, rows=rows, buffers=BlockBuffers())
+            fn(m, x, rows=rows)
         assert blocks == []
 
     def test_no_thread_outlives_a_pass(self, monkeypatch):
@@ -1119,7 +1144,7 @@ class TestBaselineRank:
     def test_streamed_rank_selects_as_the_probabilities(self, strategy, n):
         m, x, rows = stream_case(n, 10)
         probs = averaged_probs(m, x, rows=rows)
-        rank = baseline_rank(strategy, m, x, rows=rows, buffers=BlockBuffers())
+        rank = baseline_rank(strategy, m, x, rows=rows)
         assert rank.tobytes() == selection._rank_rows(strategy, probs).tobytes()
         ids = rows + 1000
         np.testing.assert_array_equal(
