@@ -33,7 +33,7 @@ from itertools import product
 from pathlib import Path
 
 from .checks import run_checks
-from .datasets import BlobSpec, _class_count, load_idx, make_blobs
+from .datasets import BlobSpec, _class_count, _unknown_count, load_idx, make_blobs
 from .harness import (
     METRICS_COLUMNS,
     STRATEGIES,
@@ -213,8 +213,9 @@ def resolve_config(raw: dict) -> dict:
             if field not in idx:
                 raise ConfigError(f"missing required field 'data.idx.{field}'")
             idx[field] = _typed(f"data.idx.{field}", default, idx[field])
-        if not idx["known_classes"]:
-            raise ConfigError("field 'data.idx.known_classes' must list at least one class")
+        if len(idx["known_classes"]) < 2:
+            raise ConfigError("field 'data.idx.known_classes' must list at least two classes")
+        _distinct("data.idx.known_classes", idx["known_classes"])
     else:
         try:
             _blob_spec(data, seed=seeds[0]).validate()
@@ -236,6 +237,17 @@ def resolve_config(raw: dict) -> dict:
                 "fields 'data.init_labeled_fraction' and 'data.test_fraction' take "
                 f"{taken} examples of a class of {data['per_class']}"
             )
+        # the unlabeled pool gets what is left of each known class
+        known_unlabeled = data["num_known"] * (data["per_class"] - taken)
+        for r in ratios:
+            try:
+                _unknown_count(r, known_unlabeled, data["num_unknown"] * data["per_class"])
+            except ValueError as exc:
+                raise ConfigError(f"field 'openness_ratios': {exc}") from exc
+
+    output_dir = raw["output_dir"]
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigError(f"field 'output_dir' must be a non-empty string, got {output_dir!r}")
 
     train = {name: getattr(TrainConfig, name) for name in TRAIN_FIELDS}
     for key, value in _section(raw, "train").items():
@@ -247,7 +259,7 @@ def resolve_config(raw: dict) -> dict:
         "strategies": strategies,
         "openness_ratios": ratios,
         "seeds": seeds,
-        "output_dir": str(raw["output_dir"]),
+        "output_dir": output_dir,
         "query_size": _as_int("query_size", raw.get("query_size", TrainConfig.query_size)),
         "num_cycles": _as_int("num_cycles", raw.get("num_cycles", TrainConfig.num_cycles)),
         "data": data,
@@ -337,7 +349,8 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
     )
     # One job runs the cells in-process, in order, so they can be traced.
     # With more, each cell process narrows its pool passes to its share
-    # of the CPUs.
+    # of the CPUs, shared among no more processes than there are cells.
+    jobs = min(jobs, len(cells))
     try:
         pool = (
             ProcessPoolExecutor(max_workers=jobs, initializer=_share_cpus, initargs=(jobs,))

@@ -167,20 +167,20 @@ def blob_class_means(spec: BlobSpec) -> np.ndarray:
     return spec.radius * cands[chosen]
 
 
-def _openness_subsample(
-    n_known_unlabeled: int, unknown_ids: np.ndarray, r: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Pick the unknown ids whose count makes the unknown fraction r."""
+def _unknown_count(r: float, n_known_unlabeled: int, n_unknown: int) -> int:
+    """Unknown examples that make the unknown fraction r of an unlabeled
+    pool beside ``n_known_unlabeled`` known ones; a ratio outside [0, 1),
+    or one needing more than ``n_unknown``, raises ValueError."""
     if not 0 <= r < 1:
         raise ValueError(f"openness ratio must lie in [0, 1), got {r}")
     target = int(round(r * n_known_unlabeled / (1.0 - r)))
-    if target > len(unknown_ids):
-        r_max = len(unknown_ids) / (len(unknown_ids) + n_known_unlabeled)
+    if target > n_unknown:
+        r_max = n_unknown / (n_unknown + n_known_unlabeled)
         raise ValueError(
             f"openness ratio {r} infeasible: needs {target} unknown examples but only "
-            f"{len(unknown_ids)} exist; achievable range is [0, {r_max:.4f}]"
+            f"{n_unknown} exist; achievable range is [0, {r_max:.4f}]"
         )
-    return rng.choice(unknown_ids, size=target, replace=False)
+    return target
 
 
 def _class_count(fraction: float, size: int) -> int:
@@ -212,7 +212,8 @@ def _assemble_split(
         status[ids[n_test + n_lab :]] = Pool.UNLABELED
     n_known_unlabeled = np.count_nonzero(status == Pool.UNLABELED)
     unknown_ids = np.flatnonzero(~np.isin(labels, known_classes))
-    status[_openness_subsample(n_known_unlabeled, unknown_ids, r, rng)] = Pool.UNLABELED
+    target = _unknown_count(r, n_known_unlabeled, len(unknown_ids))
+    status[rng.choice(unknown_ids, size=target, replace=False)] = Pool.UNLABELED
     split = DatasetSplit(
         features=features,
         true_labels=labels,
@@ -295,6 +296,8 @@ def load_idx(
     Pixels are scaled to [0, 1] and flattened.  Classes in
     ``known_classes`` form the known set; every other label is treated as
     unknown and only enters the unlabeled pool, subsampled to openness r.
+    The known classes must be at least two, distinct, and each present in
+    the label file, else ValueError names the offending classes.
     """
     images = _read_idx(images_path, IDX_IMAGE_MAGIC, "image")
     labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label")
@@ -305,11 +308,14 @@ def load_idx(
     features = images.reshape(images.shape[0], -1).astype(float) / 255.0
     labels = labels.astype(int)
     known = tuple(sorted(int(c) for c in known_classes))
-    present = set(np.unique(labels).tolist())
-    if present.issubset(set(known)) and r > 0:
-        raise ValueError(
-            "all classes in the file are known; openness ratio must be 0"
-        )
+    repeated = sorted({c for c in known if known.count(c) > 1})
+    if repeated:
+        raise ValueError(f"known classes repeat {repeated}")
+    absent = sorted(set(known) - set(np.unique(labels).tolist()))
+    if absent:
+        raise ValueError(f"known classes {absent} do not occur in {labels_path}")
+    if len(known) < 2:
+        raise ValueError(f"need at least 2 known classes, got {list(known)}")
     rng = np.random.default_rng(seed)
     return _assemble_split(
         features, labels, known, r, init_labeled_fraction, test_fraction, rng

@@ -63,24 +63,24 @@ def _evidence(z, out=None) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _dirichlet_mean(a, out=None, s=None) -> tuple[np.ndarray, np.ndarray]:
+def _dirichlet_mean(a, out=None) -> tuple[np.ndarray, np.ndarray]:
     """(p, S): the mean p = a / S of evidence a (..., C), written into
-    ``out`` (which may be a), and its row sums S (..., 1), written into
-    ``s``.  Unchecked."""
-    s = np.sum(a, axis=-1, keepdims=True, out=s)
+    ``out`` (which may be a), and its row sums S (..., 1), a new array.
+    Unchecked."""
+    s = np.sum(a, axis=-1, keepdims=True)
     return np.divide(a, s, out=out), s
 
 
-def _uncertainties(a, u_data=None, u_dist=None, p=None, s=None, psi=None, mutual=True):
+def _uncertainties(a, u_data=None, u_dist=None, p=None, psi=None, mutual=True):
     """(u_data, u_dist) of evidence a (..., C), each written into the
     array given for it; u_dist is None unless ``mutual``.  Unchecked.
 
     u_data = sum_c p_c (psi(S + 1) - psi(a_c + 1)) and
-    u_dist = -sum_c p_c ln p_c - u_data.  ``p`` (..., C), ``s`` (..., 1)
-    and ``psi`` (..., C) are scratch for the mean, the row sums and the
-    digamma terms; ``psi`` may be a, which is then overwritten.
+    u_dist = -sum_c p_c ln p_c - u_data.  ``p`` and ``psi`` (..., C) are
+    scratch for the mean and the digamma terms; ``psi`` may be a, which is
+    then overwritten.  The (..., 1) row sums are ``_dirichlet_mean``'s.
     """
-    p, s = _dirichlet_mean(a, p, s)
+    p, s = _dirichlet_mean(a, p)
     psi_s = special.digamma(np.add(s, 1.0, out=s), out=s)
     psi_a = special.digamma(np.add(a, 1.0, out=psi), out=psi)
     terms = np.subtract(psi_s, psi_a, out=psi_a)

@@ -311,13 +311,13 @@ def _forward_cached(model: ModelParams, x: np.ndarray, evidence: bool = True):
     return acts, logits, _evidence(logits), np.abs(logits) < LOGIT_CLIP
 
 
-def _scratch_size(model: ModelParams, rows: int, width: int) -> int:
+def _scratch_size(model: ModelParams, rows: int) -> int:
     """Elements in each row of the (2, size) activation scratch a
-    ``forward`` block of up to ``rows`` rows of ``width`` inputs takes
-    through ``_activations``: room for the gathered input, each layer's
+    ``forward`` block of up to ``rows`` rows takes through
+    ``_activations``: room for the gathered input, each layer's
     activations and the evidence."""
     widths = [w.shape[1] for w, _ in model.backbone]
-    return rows * max(width, 2 * model.num_classes, *widths)
+    return rows * max(model.input_dim, 2 * model.num_classes, *widths)
 
 
 def _activations(scratch: np.ndarray, layer: int, shape) -> np.ndarray:
@@ -326,10 +326,10 @@ def _activations(scratch: np.ndarray, layer: int, shape) -> np.ndarray:
 
     Layers alternate between the two rows, each reading the one the layer
     before wrote, so a block of any depth needs two.  Layer -1 is the
-    block's input, which a caller may gather there: layer 0 reads it, and
-    it is dead once layer 0 has run.  Once the last layer L - 1 has run,
-    layer L's row is free for the evidence, and after the heads have run
-    layer L - 1's is free too.
+    block's input, which ``selection._pool_pass`` gathers there, the only
+    caller outside this module: layer 0 reads it, and it is dead once
+    layer 0 has run.  Once the last layer L - 1 has run, layer L's row is
+    free for the evidence.
     """
     return scratch[layer % 2, : math.prod(shape)].reshape(shape)
 
@@ -365,7 +365,7 @@ def forward(
     nothing for backprop; the evidence is bitwise ``_forward_cached``'s.
 
     With ``scratch``, x is one row block of ``selection._pool_pass``, which
-    allocates the (2, ``_scratch_size``) array and may gather x into its
+    allocates the (2, ``_scratch_size``) array and gathers x into its
     layer -1 row: every layer and the evidence go into its rows
     (``_activations``), nothing is allocated, and the returned views are
     valid until the scratch is next used.

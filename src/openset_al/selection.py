@@ -200,73 +200,68 @@ def _id_array(ids, what: str) -> np.ndarray:
 
 
 def _pool_pass(model: ModelParams, x, rows, block_fn, columns=()) -> list:
-    """Run the pool through ``forward`` in ``_row_blocks``'s blocks, the
-    only row partition in the package, calling ``block_fn(lo, hi, (alpha1,
-    alpha2), scratch, sums, *cols)`` on the evidence of pool rows lo:hi.
-    The pool is ``x``, checked by ``_model_batch``, or the rows ``rows`` of
-    it in that order, gathered block by block into ``forward``'s layer -1
-    row (``_activations``); every id is checked (``_id_array``) and
-    range-checked before the first block runs.  One (n, *shape) array per
-    shape in ``columns`` is allocated and returned; ``cols`` are their
-    rows lo:hi.
+    """Run the rows ``rows`` of the pool ``x`` (all, in order, when None)
+    through ``forward`` in ``_row_blocks``'s blocks, the package's only row
+    partition, calling ``block_fn(lo, hi, (alpha1, alpha2), *cols)`` on the
+    evidence of rows lo:hi of the pass.  ``x`` is checked by
+    ``_model_batch``, and every id by ``_id_array`` and against the range,
+    before the first block runs.  One (n, *shape) array per shape in
+    ``columns`` is allocated and returned; ``cols`` are their rows lo:hi.
 
     The blocks are ``_run_tasks``'s tasks on ``_pool_width`` workers, so a
     pass of one block starts no thread, and the lowest failing block's
-    error is raised, as a serial loop would raise it.  Each worker gets a
-    (2, ``_scratch_size``) activation array ``scratch`` and a column whose
-    first hi - lo rows are ``sums``, sized for the largest block and
-    allocated here on the calling thread, whose malloc arena serves them
-    (a helper's own arena would keep them mapped once freed).  Nothing is
-    kept between calls, so concurrent passes share nothing.  Neither the
-    partition nor a block's operations depend on the width, nor do the
-    results.
+    error is raised, as a serial loop would raise it.  A worker's only
+    scratch is one (2, ``_scratch_size``) activation array, sized for the
+    largest block and allocated here on the calling thread, whose malloc
+    arena serves it (a helper's own arena would keep it mapped once freed).
+    Each block is gathered into its layer -1 row (``_activations``),
+    whatever the layout of ``x``, and its evidence stays there until the
+    worker's next block.  Nothing is kept between calls, so concurrent
+    passes share nothing; neither the partition nor a block's operations
+    depend on the width, nor do the results.
     """
     x = _model_batch(model, x)
-    if rows is not None:
-        rows = _id_array(rows, "row ids")
-        if rows.ndim != 1:
-            raise ValueError("rows must be a 1-D array of row ids")
-        outside = rows[(rows < 0) | (rows >= len(x))]
-        if outside.size:
-            raise IndexError(f"row ids outside [0, {len(x)}): {outside[:5].tolist()}")
-    n = len(x) if rows is None else len(rows)
-    outputs = [np.empty((n, *shape)) for shape in columns]
-    blocks = _row_blocks(model, n)
+    rows = np.arange(len(x)) if rows is None else _id_array(rows, "row ids")
+    if rows.ndim != 1:
+        raise ValueError("rows must be a 1-D array of row ids")
+    outside = rows[(rows < 0) | (rows >= len(x))]
+    if outside.size:
+        raise IndexError(f"row ids outside [0, {len(x)}): {outside[:5].tolist()}")
+    outputs = [np.empty((len(rows), *shape)) for shape in columns]
+    blocks = _row_blocks(model, len(rows))
     width = _pool_width(len(blocks))
-    largest = max(hi - lo for lo, hi in blocks)
-    size = _scratch_size(model, largest, x.shape[1])
-    scratch = [(np.empty((2, size)), np.empty((largest, 1))) for _ in range(width)]
+    size = _scratch_size(model, max(hi - lo for lo, hi in blocks))
+    scratch = [np.empty((2, size)) for _ in range(width)]
 
     def run(lo, hi, worker):
-        (acts, sums), block = scratch[worker], x[lo:hi]
-        if rows is not None:
-            # "clip" writes straight into ``out``; "raise" would buffer the
-            # block first, and the ids are already checked
-            out = _activations(acts, -1, (hi - lo, x.shape[1]))
-            block = np.take(x, rows[lo:hi], axis=0, out=out, mode="clip")
+        acts = scratch[worker]
+        # "clip" writes straight into ``out``; "raise" would buffer the
+        # block first, and the ids are already checked
+        out = _activations(acts, -1, (hi - lo, x.shape[1]))
+        block = np.take(x, rows[lo:hi], axis=0, out=out, mode="clip")
         alphas = forward(model, block, acts)
-        block_fn(lo, hi, alphas, acts, sums[: hi - lo], *(c[lo:hi] for c in outputs))
+        block_fn(lo, hi, alphas, *(c[lo:hi] for c in outputs))
 
     _run_tasks([partial(run, lo, hi) for lo, hi in blocks], width)
     return outputs
 
 
-def _score_block(alphas, avg, sums, u_data, u_dist, s_dis) -> None:
+def _score_block(alphas, u_data, u_dist, s_dis) -> None:
     """The three scores of one row block, written into the given columns.
 
     The check is ``data_uncertainty``'s and the scores come from the
     kernels behind ``data_uncertainty``, ``distribution_uncertainty`` and
-    ``discrepancy_score``, with both uncertainties clipped at 0; the
-    scratch is ``avg``, the (rows, 1) ``sums`` and the heads' evidence,
-    which is overwritten.  A non-finite head makes the average non-finite,
-    so checking the average covers the heads too.
+    ``discrepancy_score``, with both uncertainties clipped at 0.  The
+    heads' evidence is overwritten, and their average, allocated here,
+    takes the digamma terms.  A non-finite head makes the average
+    non-finite, so checking the average covers the heads too.
     """
     a1, a2 = alphas
-    avg = np.add(a1, a2, out=avg)
+    avg = np.add(a1, a2)
     avg *= 0.5
     _validate_alpha(avg)
     _head_distance(a1, a2, out=s_dis, diff=a1)
-    _uncertainties(avg, u_data, u_dist, p=a1, s=sums, psi=avg)
+    _uncertainties(avg, u_data, u_dist, p=a1, psi=avg)
     np.maximum(u_data, 0.0, out=u_data)
     np.maximum(u_dist, 0.0, out=u_dist)
 
@@ -286,17 +281,16 @@ def score_pool(
     negative values from floating-point cancellation are clipped to 0.
 
     The pool is streamed in ``_row_blocks``'s row blocks: each block's
-    rows are gathered, run forward and scored in the pass's per-worker
-    scratch (``_pool_pass``), so nothing pool-sized is built but the
-    three score columns.  Every score is computed row by row, so
-    the result is bitwise the closed forms on the whole of ``x[rows]``.
-    An out-of-range id raises IndexError, and a boolean or non-whole id
-    ValueError, before any block runs.
+    rows are gathered, run forward in the pass's per-worker scratch
+    (``_pool_pass``) and scored (``_score_block``), so nothing pool-sized
+    is built but the three score columns.  Every score is computed row by
+    row, so the result is bitwise the closed forms on the whole of
+    ``x[rows]``.  An out-of-range id raises IndexError, and a boolean or
+    non-whole id ValueError, before any block runs.
     """
-    last = len(model.backbone) - 1  # its row is free once the heads have run
 
-    def score(lo, hi, alphas, scratch, sums, *cols):
-        _score_block(alphas, _activations(scratch, last, alphas[0].shape), sums, *cols)
+    def score(lo, hi, alphas, *cols):
+        _score_block(alphas, *cols)
 
     return PoolScores(*_pool_pass(model, x, rows, score, ((), (), ())))
 
@@ -621,14 +615,14 @@ def baseline_select(
     return _top(ids, rank, budget)
 
 
-def _mean_probs(alphas, sums: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _mean_probs(alphas, out: np.ndarray) -> np.ndarray:
     """``0.5 * (expected_probs(alpha1) + expected_probs(alpha2))`` of one
-    row block, with its checks, written into ``out``; the heads' evidence
-    and the (rows, 1) ``sums`` are overwritten."""
+    row block, with its checks, written into ``out``, which may be alpha1;
+    the heads' evidence is overwritten."""
     a1, a2 = alphas
     for a in (a1, a2):
         _validate_alpha(a)
-        _dirichlet_mean(a, out=a, s=sums)
+        _dirichlet_mean(a, out=a)
     out = np.add(a1, a2, out=out)
     out *= 0.5
     return out
@@ -643,14 +637,14 @@ def averaged_probs(
     accuracy.
 
     Streamed like ``score_pool``: ``rows`` selects and orders the rows of
-    x, and every block-sized array is the pass's scratch.  Each block
+    x, and each block's evidence is the pass's scratch.  Each block
     evaluates ``0.5 * (expected_probs(alpha1) + expected_probs(alpha2))``
     in place, with its checks, so the result is bitwise the whole-pool
     value.
     """
 
-    def mean_block(lo, hi, alphas, scratch, sums, out):
-        _mean_probs(alphas, sums, out)
+    def mean_block(lo, hi, alphas, out):
+        _mean_probs(alphas, out)
 
     return _pool_pass(model, x, rows, mean_block, ((model.num_classes,),))[0]
 
@@ -672,7 +666,7 @@ def baseline_rank(
     if strategy not in RANKED_STRATEGIES:
         raise ValueError(f"unknown ranked strategy {strategy!r}")
 
-    def rank_block(lo, hi, alphas, scratch, sums, out):
-        out[:] = _rank_rows(strategy, _mean_probs(alphas, sums, alphas[0]))
+    def rank_block(lo, hi, alphas, out):
+        out[:] = _rank_rows(strategy, _mean_probs(alphas, alphas[0]))
 
     return _pool_pass(model, x, rows, rank_block, ((),))[0]

@@ -161,13 +161,26 @@ class TestCmdRun:
                 {"data": {"init_labeled_fraction": 0.5, "test_fraction": 0.6}},
                 "'data.test_fraction' take 33 examples",
             ),
+            # None would write into ./None and "" into the working directory
+            ({"output_dir": None}, "'output_dir'"),
+            ({"output_dir": ""}, "'output_dir'"),
+            ({"output_dir": 5}, "'output_dir'"),
+            ({"openness_ratios": [0.9]}, "'openness_ratios'"),
+            # 2 x 21 known unlabeled examples and 60 unknown ones
+            ({"openness_ratios": [0.5, 0.9]}, "achievable range is [0, 0.5882]"),
+            # one known class, or a repeated one, leaves a model of fewer
+            # real classes than outputs
+            ({"data": {"idx": {**IDX, "known_classes": [3]}}}, "'data.idx.known_classes'"),
+            ({"data": {"idx": {**IDX, "known_classes": [0, 0]}}}, "'data.idx.known_classes' repeats 0"),
         ],
     )
     def test_config_error_exits_2_before_any_cell(
-        self, tmp_path, capsys, overrides, field
+        self, tmp_path, capsys, monkeypatch, overrides, field
     ):
         """Each bad value is reported against its field with exit 2, before
-        the output directory is created or a cell runs."""
+        the output directory is created or a cell runs.  The run starts in
+        tmp_path, where a relative output directory would land."""
+        monkeypatch.chdir(tmp_path)
         raw = json.loads(minimal_config(tmp_path).read_text())
         for key, value in overrides.items():
             raw[key] = {**raw[key], **value} if isinstance(value, dict) else value
@@ -177,7 +190,7 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert field in err
-        assert not (tmp_path / "results").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "config.json"]
 
     @pytest.mark.parametrize("value", ["-3", "x", "1.5"])
     def test_bad_seed_env_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch, value):
@@ -264,6 +277,39 @@ class TestCmdRun:
         assert len(names) == 2
         for name in names:
             assert (forked / name).read_bytes() == (serial / name).read_bytes()
+
+    def test_jobs_above_one_cell_run_in_process(self, tmp_path, monkeypatch):
+        """A cell process would get 1/jobs of the CPUs, so one cell at
+        --jobs 2 runs in this process instead."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-cell grid started a process pool")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+        assert cli.main(["run", "--config", str(minimal_config(tmp_path)), "--jobs", "2"]) == 0
+        assert (tmp_path / "results" / "metrics_random_r0.5_s0.csv").exists()
+
+    def test_jobs_capped_at_the_cell_count(self, tmp_path, monkeypatch):
+        """--jobs 4 on two cells starts two processes, each with half the
+        CPUs."""
+        pools = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                pools.append((max_workers, initargs))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        path = minimal_config(tmp_path, seeds=[0, 1])
+        assert cli.main(["run", "--config", str(path), "--jobs", "4"]) == 0
+        assert pools == [(2, (2,))]
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         serial = minimal_config(tmp_path, seeds=[0, 1], output_dir=str(tmp_path / "s"))
@@ -592,10 +638,11 @@ TRAIN_SECTION_FIELDS = [
     if f.name not in ("seed", "query_size", "num_cycles")
 ]
 
-# A non-default value for every BlobSpec field except the grid-owned seed.
+# A non-default value for every BlobSpec field except the grid-owned seed;
+# each leaves grid_fields' ratio 0.5 feasible.
 DATA_OVERRIDES = {
     "num_known": 3,
-    "num_unknown": 2,
+    "num_unknown": 6,
     "dim": 8,
     "per_class": 100,
     "radius": 4.0,

@@ -176,10 +176,27 @@ class TestLoadIdx:
 
     def test_all_known_requires_zero_openness(self, idx_files):
         img_path, lab_path, _, _ = idx_files
-        with pytest.raises(ValueError, match="must be 0"):
+        with pytest.raises(ValueError, match=r"achievable range is \[0, 0\.0000\]"):
             load_idx(img_path, lab_path, known_classes=range(10), r=0.2)
         split = load_idx(img_path, lab_path, known_classes=range(10), r=0.0)
         assert split.unknown_unlabeled_mask().sum() == 0
+
+    @pytest.mark.parametrize(
+        "known, message",
+        [
+            ([0, 0], r"repeat \[0\]"),
+            ([2, 1, 2, 1], r"repeat \[1, 2\]"),
+            ([0, 7, 10, 12], r"\[10, 12\] do not occur"),
+            ([3], "at least 2 known classes"),
+            ([], "at least 2 known classes"),
+        ],
+    )
+    def test_known_classes_are_distinct_present_and_two(self, idx_files, known, message):
+        """A repeated or absent class would give the model an output no
+        example trains, and one class no second to tell it from."""
+        img_path, lab_path, _, _ = idx_files
+        with pytest.raises(ValueError, match=message):
+            load_idx(img_path, lab_path, known_classes=known, r=0.0)
 
     def test_label_magic_checked(self, idx_files, tmp_path):
         img_path, lab_path, _, _ = idx_files

@@ -2,7 +2,9 @@
 ``selection._pool_pass``, on the calling thread before any helper starts.
 These tests read the package's source: ``model._scratch_size`` is called
 nowhere else, so a second owner of the scratch (a cache kept between
-calls, or a reserve step before a pass) cannot come back unnoticed."""
+calls, or a reserve step before a pass) cannot come back unnoticed, and
+``model._activations`` nowhere else outside ``model``, so the scratch's
+row layout stays behind ``forward`` and the pass's gather."""
 
 import ast
 from pathlib import Path
@@ -12,9 +14,9 @@ import openset_al
 SOURCES = sorted(Path(openset_al.__file__).parent.glob("*.py"))
 
 
-def sizing_callers(tree):
-    """The enclosing top-level function of each ``_scratch_size(...)``
-    call, by name or as an attribute, or None for one at module level."""
+def callers(tree, callee):
+    """The enclosing top-level function of each call of ``callee``, by name
+    or as an attribute, or None for one at module level."""
     found = []
     for top in tree.body:
         name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
@@ -23,14 +25,26 @@ def sizing_callers(tree):
                 continue
             func = node.func
             called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if called == "_scratch_size":
+            if called == callee:
                 found.append(name)
     return found
 
 
+def callers_by_module(callee):
+    return {path.stem: callers(ast.parse(path.read_text(), str(path)), callee) for path in SOURCES}
+
+
 def test_scratch_is_sized_only_in_pool_pass():
-    callers = {
-        path.stem: sizing_callers(ast.parse(path.read_text(), str(path))) for path in SOURCES
-    }
-    assert callers.pop("selection") == ["_pool_pass"]
-    assert {module: found for module, found in callers.items() if found} == {}
+    found = callers_by_module("_scratch_size")
+    assert found.pop("selection") == ["_pool_pass"]
+    assert {module: calls for module, calls in found.items() if calls} == {}
+
+
+def test_activation_rows_are_laid_out_only_in_model_and_pool_pass():
+    """Outside ``model``, only the pass's gather into the layer -1 row
+    reads ``model._activations``' row layout; a block callback that
+    reused a row the layers leave free would have to call it too."""
+    found = callers_by_module("_activations")
+    found.pop("model")
+    assert found.pop("selection") == ["_pool_pass"]
+    assert {module: calls for module, calls in found.items() if calls} == {}

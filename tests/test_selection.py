@@ -568,9 +568,7 @@ class TestCoarseToFine:
         a1 = np.repeat([hi, hi, lo], k)[:, None] * np.ones(classes)
         a2 = np.repeat([lo, hi, lo], k)[:, None] * np.ones(classes)
         cols = [np.empty(3 * k) for _ in range(3)]
-        selection._score_block(
-            (a1, a2), np.empty((3 * k, classes)), np.empty((3 * k, 1)), *cols
-        )
+        selection._score_block((a1, a2), *cols)
         scores = PoolScores(*cols)
         combined = scores.s_dis + scores.u_data
         assert combined.max() <= np.sqrt(classes) * hi + np.log(classes)
@@ -843,7 +841,7 @@ class TestBlockedForward:
             selection, "forward", lambda *a: (calls.append(1), real(*a))[1]
         )
 
-        def keep_evidence(lo, hi, alphas, scratch, sums, *cols):
+        def keep_evidence(lo, hi, alphas, *cols):
             for col, a in zip(cols, alphas):
                 col[:] = a
 
@@ -1069,7 +1067,7 @@ class TestPoolWorkers:
         m, x, _ = stream_case(20_001, 10)
         force_width(monkeypatch, lambda blocks: 2)
 
-        def block_fn(lo, hi, alphas, scratch, sums):
+        def block_fn(lo, hi, alphas):
             if lo == 0:
                 time.sleep(0.05)
             if lo < 10_000:
@@ -1085,7 +1083,7 @@ class TestPoolWorkers:
         force_width(monkeypatch, lambda blocks: 2)
         seen = {}
 
-        def block_fn(lo, hi, alphas, scratch, sums):
+        def block_fn(lo, hi, alphas):
             time.sleep(0.01)  # so that both workers take blocks
             seen[lo] = np.geterr()["under"]
 
