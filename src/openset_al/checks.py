@@ -1,9 +1,8 @@
-"""Fast self-check suite: closed-form identities, special-function
-recurrences, gradient spot checks on a tiny network, and the numeric
-kernels whose results depend on the machine (the trigamma kernel, the
-buffered training step, the averaged probabilities and pool scores
-streamed through the pool pass's row blocks, and the EM fit's
-independence of the pool's order).
+"""Fast self-check suite: closed-form identities, gradient spot checks on
+a tiny network, and the numeric kernels whose results depend on the
+machine (the trigamma kernel, the buffered training step, the averaged
+probabilities and pool scores streamed through the pool pass's row
+blocks, and the EM fit's independence of the pool's order).
 
 Each check returns (name, passed, detail) so the CLI can print one line
 per property.  The whole suite runs in a few seconds.  Checks call the
@@ -44,18 +43,6 @@ def _check_decomposition(rng):
         target = evidential.entropy(evidential.expected_probs(alpha))
         worst = max(worst, abs(u_data - direct), abs(total - target))
     return worst < 1e-9, f"max |u_data - psi form|, |u_data + u_dist - H| = {worst:.3e}"
-
-
-def _check_digamma(rng):
-    x = np.logspace(-2, 4, 400)
-    err = np.max(np.abs(special.digamma(x + 1) - (special.digamma(x) + 1 / x)))
-    return err < 1e-10, f"max recurrence error = {err:.3e}"
-
-
-def _check_log_gamma(rng):
-    x = np.logspace(-2, 4, 400)
-    err = np.max(np.abs(special.gammaln(x + 1) - (special.gammaln(x) + np.log(x))))
-    return err < 1e-10, f"max recurrence error = {err:.3e}"
 
 
 def _check_jsd(rng):
@@ -270,8 +257,6 @@ def _check_order_free_em(rng):
 
 CHECKS = {
     "decomposition_identity": _check_decomposition,
-    "digamma_recurrence": _check_digamma,
-    "log_gamma_recurrence": _check_log_gamma,
     "jsd_properties": _check_jsd,
     "kl_to_uniform": _check_kl,
     "gradient_spot_check": _check_gradients,

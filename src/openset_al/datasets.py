@@ -128,9 +128,12 @@ class DatasetSplit:
         return ~self.is_known(self.true_labels[self.unlabeled_ids])
 
     def validate(self, check_openness: bool = True) -> None:
-        """Status validity and purity always hold; the openness check only
-        applies to freshly generated splits (querying skews the pool)."""
+        """Feature shape, status validity and purity always hold; the
+        openness check only applies to freshly generated splits (querying
+        skews the pool)."""
         status, n = self.status, len(self.true_labels)
+        if np.ndim(self.features) != 2 or len(self.features) != n:
+            raise ValueError(f"features must be 2-D with {n} rows, not {np.shape(self.features)}")
         if status.shape != (n,) or status.dtype != np.int8:
             raise ValueError(f"status must be {n} int8 values, got {status.dtype} {status.shape}")
         invalid = np.flatnonzero((status < min(Pool)) | (status > max(Pool)))

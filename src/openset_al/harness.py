@@ -139,7 +139,13 @@ def _select(
     budget: int,
     seed,
 ) -> np.ndarray:
-    # the pool is scored through its ids, block by block, never gathered
+    """The next query of ``budget`` unlabeled ids under ``strategy``.
+
+    The pool is scored through its ids, block by block, never gathered:
+    coarse_to_fine reads ``score_pool``; a ranked baseline passes the ids
+    and their streamed ``baseline_rank`` to ``baseline_select``; random
+    reads no model output, so it runs no pool pass.
+    """
     ids = split.unlabeled_ids
     if strategy == "coarse_to_fine":
         scores = score_pool(model, split.features, rows=ids)
@@ -152,19 +158,19 @@ def _select(
             threshold=cfg.coarse_threshold,
             use_discrepancy=cfg.use_discrepancy,
         )
-    # random reads no model output, so it runs no pool pass
     rank = None
     if strategy != "random":
         rank = baseline_rank(strategy, model, split.features, rows=ids)
-    return baseline_select(strategy, None, ids, budget, seed=seed, rank=rank)
+    return baseline_select(strategy, ids, budget, seed=seed, rank=rank)
 
 
 def run_experiment(
     split: DatasetSplit, cfg: TrainConfig, strategy: str
 ) -> list[CycleMetrics]:
     """Run the full query loop and return one metrics row per cycle,
-    including the cycle-0 evaluation of the initial model.  An empty
-    labeled or test pool raises ValueError before any model trains.
+    including the cycle-0 evaluation of the initial model.  A split that
+    fails ``DatasetSplit.validate`` (openness aside), or an empty labeled
+    or test pool, raises ValueError before any model trains.
 
     The pool and the test set are read through their ids from
     ``split.features``, never gathered whole.
@@ -182,6 +188,7 @@ def run_experiment(
     cfg.validate()
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    split.validate(check_openness=False)
     for pool in (Pool.LABELED, Pool.TEST):
         if not np.any(split.status == pool):
             raise ValueError(f"the {pool.name.lower()} pool is empty")

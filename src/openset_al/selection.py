@@ -570,10 +570,11 @@ RANKED_STRATEGIES = BASELINE_STRATEGIES[1:]
 
 
 def _rank_rows(strategy: str, p: np.ndarray) -> np.ndarray:
-    """Per-row rank of averaged expected probabilities p (m, C) under a
-    ranked baseline; the highest is queried first.  entropy: prediction
-    entropy; least_confidence: 1 - max p; margin: minus the gap between
-    the two largest probabilities."""
+    """``baseline_rank``'s block kernel: the per-row rank of averaged
+    expected probabilities p (m, C) under a ranked baseline; the highest
+    is queried first.  entropy: prediction entropy; least_confidence:
+    1 - max p; margin: minus the gap between the two largest
+    probabilities."""
     if strategy == "entropy":
         return entropy(p)
     if strategy == "least_confidence":
@@ -584,19 +585,18 @@ def _rank_rows(strategy: str, p: np.ndarray) -> np.ndarray:
 
 def baseline_select(
     strategy: str,
-    scores_probs: np.ndarray | None,
     ids: np.ndarray,
     budget: int,
     seed=None,
     rank: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Classical pool-based strategies over averaged expected probabilities.
+    """Classical pool-based strategies: the query of ``budget`` among ``ids``.
 
-    random: uniform without replacement, reading no scores; entropy,
-    least_confidence and margin: the top b by ``_rank_rows`` of
-    ``scores_probs``, or by ``rank`` when given (``baseline_rank`` streams
-    it from a model).  Deterministic given the seed; ties break by
-    ascending id.
+    random: uniform without replacement, reading no rank; entropy,
+    least_confidence and margin: the top b by ``rank``, one value per id,
+    which ``baseline_rank`` streams from a model.  A ranked strategy
+    without a rank shaped like ``ids`` raises ValueError.  Deterministic
+    given the seed; ties break by ascending id.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -610,9 +610,10 @@ def baseline_select(
         rng = np.random.default_rng(seed)
         order = np.argsort(ids)
         return np.sort(rng.choice(ids[order], size=budget, replace=False))
-    if rank is None:
-        rank = _rank_rows(strategy, np.asarray(scores_probs, dtype=float))
-    return _top(ids, rank, budget)
+    if rank is None or np.shape(rank) != ids.shape:
+        got = None if rank is None else np.shape(rank)
+        raise ValueError(f"{strategy} needs a rank shaped like ids {ids.shape}, got {got}")
+    return _top(ids, np.asarray(rank), budget)
 
 
 def _mean_probs(alphas, out: np.ndarray) -> np.ndarray:

@@ -425,7 +425,16 @@ class TestCmdCheck:
         assert cli.main(["check"]) == 1
         out = capsys.readouterr().out
         assert "FAIL decomposition_identity" in out
-        assert "PASS digamma_recurrence" in out
+        assert "PASS jsd_properties" in out
+
+    def test_base_two_entropy_fails_decomposition_alone(self, monkeypatch):
+        """Fault injection: an entropy in bits where the decomposition is
+        in nats.  ``selection`` keeps its own binding, so only the
+        identity's target moves."""
+        real = evidential.entropy
+        monkeypatch.setattr(evidential, "entropy", lambda p: real(p) / np.log(2.0))
+        failed = {name for name, ok, _ in run_checks() if not ok}
+        assert failed == {"decomposition_identity"}
 
     def test_crash_counts_as_failure(self, monkeypatch):
         def boom(p, q):
@@ -434,7 +443,26 @@ class TestCmdCheck:
         monkeypatch.setattr(evidential, "jsd", boom)
         results = run_checks()
         failed = {name for name, ok, _ in results if not ok}
-        assert "jsd_properties" in failed
+        assert failed == {"jsd_properties"}
+
+    def test_negated_kl_fails_kl_to_uniform_alone(self, monkeypatch):
+        """Fault injection: a sign error in the KL to the flat Dirichlet.
+        ``model`` keeps its own binding, so the gradient spot check, whose
+        EDL loss holds the KL term, still passes."""
+        real = evidential.kl_dirichlet_to_uniform
+        monkeypatch.setattr(evidential, "kl_dirichlet_to_uniform", lambda a: -real(a))
+        failed = {name for name, ok, _ in run_checks() if not ok}
+        assert failed == {"kl_to_uniform"}
+
+    def test_trigamma_off_by_1e_13_fails_trigamma_kernel_alone(self, monkeypatch):
+        """Fault injection: a trigamma kernel 1e-13 off in relative terms.
+        Both sides of training_step_bitwise call it, and the gradient spot
+        check's 1e-4 tolerance absorbs it; only the kernel's own row may
+        fail."""
+        real = model._trigamma
+        monkeypatch.setattr(model, "_trigamma", lambda x: real(x) * (1.0 + 1e-13))
+        failed = {name for name, ok, _ in run_checks() if not ok}
+        assert failed == {"trigamma_kernel"}
 
     @pytest.mark.parametrize(
         "helper", ["_edl_grads", "_cross_entropy_grads", "_close_grads", "_dis_grads"]
@@ -494,6 +522,29 @@ class TestCmdCheck:
         )
         failed = {name for name, ok, _ in run_checks() if not ok}
         assert failed == {"blocked_forward_bitwise", "streamed_scores_bitwise"}
+
+    @pytest.mark.parametrize(
+        "kernel, row",
+        [
+            ("_mean_probs", "blocked_forward_bitwise"),
+            ("_head_distance", "streamed_scores_bitwise"),
+        ],
+    )
+    def test_block_kernel_one_ulp_off_fails_its_pool_row_alone(self, monkeypatch, kernel, row):
+        """Fault injection: one pool pass's block kernel returns values one
+        ulp up.  ``_mean_probs`` serves ``averaged_probs`` alone and
+        ``_head_distance`` serves ``score_pool`` alone, so each fails its
+        own pool-pass row and nothing else."""
+        real = getattr(selection, kernel)
+
+        def nudged(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out[...] = np.nextafter(out, np.inf)
+            return out
+
+        monkeypatch.setattr(selection, kernel, nudged)
+        failed = {name for name, ok, _ in run_checks() if not ok}
+        assert failed == {row}
 
     def test_pool_rows_report_the_partition_that_ran(self, monkeypatch):
         """Fixed 4,096-row blocks cut the checks' pool of 8,292 rows into

@@ -98,6 +98,22 @@ class TestValidate:
             with pytest.raises(ValueError, match="must be 80 int8 values"):
                 dataclasses.replace(split, status=status).validate()
 
+    @pytest.mark.parametrize(
+        "features",
+        [
+            lambda f: f[:-1],
+            lambda f: np.vstack([f, f[:1]]),
+            lambda f: f[:, 0],
+            lambda f: f[:, :, None],
+        ],
+        ids=["short", "long", "1-D", "3-D"],
+    )
+    def test_feature_store_not_one_row_per_label_rejected(self, split, features):
+        """Ids index the features' rows; a store with rows missing used to
+        validate, and the first pool pass then raised IndexError."""
+        with pytest.raises(ValueError, match="features must be 2-D with 80 rows"):
+            dataclasses.replace(split, features=features(split.features)).validate()
+
     def test_status_of_wrong_dtype_rejected(self, split):
         with pytest.raises(ValueError, match="int64"):
             dataclasses.replace(split, status=split.status.astype(np.int64)).validate()

@@ -377,6 +377,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=f"the {pool} pool is empty"):
             run_experiment(split, quick_cfg(), "random")
 
+    def test_short_feature_store_rejected_before_training(self, monkeypatch, small_split):
+        """A feature store 50 rows short of the labels used to train cycle
+        0 and then fail in the pool pass with an IndexError."""
+        split = dataclasses.replace(small_split, features=small_split.features[:-50])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was trained")
+
+        monkeypatch.setattr(harness, "train_cycle", refuse)
+        with pytest.raises(ValueError, match="features must be 2-D with 240 rows"):
+            run_experiment(split, quick_cfg(), "random")
+
     def test_labeled_pool_purity_every_cycle(self, small_split):
         """Random queries through the oracle keep every intermediate split
         valid: no example leaves the pools, and the labeled and test pools

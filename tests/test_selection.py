@@ -128,6 +128,17 @@ bounded_samples = st.lists(
 ).filter(lambda v: len(set(v)) >= 2)
 
 
+# Two modes on a grid of unit steps, each with two distinct points or more,
+# the upper one shifted by 0 to 300 steps, so the modes may overlap.
+grid_mode = st.lists(st.integers(0, 100), min_size=2, max_size=25).filter(
+    lambda v: len(set(v)) >= 2
+)
+two_grid_modes = st.builds(
+    lambda low, high, gap: np.array(low + [gap + v for v in high], dtype=float),
+    grid_mode, grid_mode, st.integers(0, 300),
+)
+
+
 def assert_log_likelihood_monotone(model):
     """Each iteration's mean log-likelihood is at least the last one's,
     up to the rounding of the mean."""
@@ -188,6 +199,59 @@ class TestGmmProperties:
     def test_log_likelihoods_finite(self, values):
         model = gmm_fit(np.array(values))
         assert np.all(np.isfinite(model.log_likelihoods))
+
+    @given(two_grid_modes, st.floats(1e-2, 1e2), st.floats(-1e3, 1e3))
+    def test_shift_and_scale_equivariant(self, x, scale, shift):
+        """Fitting scale * x + shift gives x's fit moved and scaled: means
+        map as the scores do, variances scale by scale**2, weights and the
+        posterior stay, and each mean log-likelihood falls by log(scale).
+
+        Both fits run exactly 30 iterations (``tol=-inf``).  The stopping
+        rule compares log-likelihood gains that agree only up to rounding,
+        so a gain within rounding of ``tol`` could stop one fit an
+        iteration before the other.  Variances stay at least ten times
+        ``VARIANCE_FLOOR`` after scaling, since the floor is absolute and
+        breaks the property by design.
+
+        Tolerance 1e-7, relative to the spread of x for the means and to
+        the variances themselves.  Rounding scale * x + shift moves each
+        point by at most 2^-53 (|shift| / scale + 400) <= 1.2e-11 steps of
+        the grid; the tolerance lets 30 EM iterations amplify that by
+        10^4.  Random sampling of 8,000 such inputs saw at most 3e-11.
+        """
+        fit = gmm_fit(x, max_iter=30, tol=-np.inf)
+        assume(np.all(fit.variances * min(scale, 1.0) ** 2 > 10 * selection.VARIANCE_FLOOR))
+        y = scale * x + shift
+        moved = gmm_fit(y, max_iter=30, tol=-np.inf)
+        spread = x.max() - x.min()
+        np.testing.assert_allclose(
+            (moved.means - shift) / scale / spread, fit.means / spread, rtol=0, atol=1e-7
+        )
+        np.testing.assert_allclose(moved.variances / scale**2, fit.variances, rtol=1e-7)
+        np.testing.assert_allclose(moved.weights, fit.weights, rtol=0, atol=1e-7)
+        np.testing.assert_allclose(
+            np.array(moved.log_likelihoods) + np.log(scale), fit.log_likelihoods, rtol=0, atol=1e-7
+        )
+        np.testing.assert_allclose(
+            gmm_posterior_low(moved, y), gmm_posterior_low(fit, x), rtol=0, atol=1e-7
+        )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "one point at 1000 takes a component of its own (means 2.487 and "
+            "1000.0), and 500 of the 501 posteriors exceed 0.5, against 250 of "
+            "500 without it"
+        ),
+    )
+    def test_single_outlier_does_not_hijack_the_fit(self):
+        """Modes at 0 and 5 (250 points each, sd 0.5) and one point at 1000:
+        the low-mode survivors should stay the low mode's 250 points, with
+        the outlier at most."""
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.normal(0.0, 0.5, 250), rng.normal(5.0, 0.5, 250), [1000.0]])
+        posterior = gmm_posterior_low(gmm_fit(x), x)
+        assert np.count_nonzero(posterior > 0.5) <= 251
 
     def test_posterior_is_elementwise(self):
         """A query point far from the fit does not change the posterior of
@@ -679,20 +743,22 @@ class TestBaselineSelect:
 
     def test_uniform_probs_entropy_reduces_to_id_order(self):
         p = np.full((10, 3), 1 / 3)
-        out = baseline_select("entropy", p, np.arange(100, 110), 4)
+        rank = selection._rank_rows("entropy", p)
+        out = baseline_select("entropy", np.arange(100, 110), 4, rank=rank)
         np.testing.assert_array_equal(out, [100, 101, 102, 103])
 
     def test_confident_example_ranked_last_by_least_confidence(self):
         p = np.full((5, 3), 1 / 3)
         p[2] = [1.0, 0.0, 0.0]
-        out = baseline_select("least_confidence", p, np.arange(5), 4)
+        rank = selection._rank_rows("least_confidence", p)
+        out = baseline_select("least_confidence", np.arange(5), 4, rank=rank)
         assert 2 not in out
 
     @pytest.mark.parametrize("strategy", ["entropy", "least_confidence", "margin"])
     def test_matches_brute_force(self, strategy):
         p = self.probs(seed=8)
         ids = np.arange(500, 540)
-        out = baseline_select(strategy, p, ids, 7)
+        out = baseline_select(strategy, ids, 7, rank=selection._rank_rows(strategy, p))
         if strategy == "entropy":
             key = entropy(p)
         elif strategy == "least_confidence":
@@ -704,28 +770,39 @@ class TestBaselineSelect:
         np.testing.assert_array_equal(out, expected)
 
     def test_random_without_replacement_and_seeded(self):
-        p = self.probs()
         ids = np.arange(40)
-        out1 = baseline_select("random", p, ids, 10, seed=3)
-        out2 = baseline_select("random", p, ids, 10, seed=3)
+        out1 = baseline_select("random", ids, 10, seed=3)
+        out2 = baseline_select("random", ids, 10, seed=3)
         np.testing.assert_array_equal(out1, out2)
         assert len(set(out1)) == 10
-        out3 = baseline_select("random", p, ids, 10, seed=4)
+        out3 = baseline_select("random", ids, 10, seed=4)
         assert not np.array_equal(out1, out3)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):
-            baseline_select("badge", self.probs(), np.arange(40), 5)
+            baseline_select("badge", np.arange(40), 5)
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
-            baseline_select("random", np.zeros((0, 3)), np.array([]), 5)
+            baseline_select("random", np.array([]), 5)
 
     @pytest.mark.parametrize("budget", [0, -1])
     @pytest.mark.parametrize("strategy", selection.BASELINE_STRATEGIES)
     def test_non_positive_budget_rejected(self, strategy, budget):
         with pytest.raises(ValueError, match="budget must be positive"):
-            baseline_select(strategy, self.probs(), np.arange(40), budget)
+            baseline_select(strategy, np.arange(40), budget, rank=np.zeros(40))
+
+    @pytest.mark.parametrize("strategy", RANKED_STRATEGIES)
+    @pytest.mark.parametrize(
+        "rank",
+        [None, np.zeros(5), np.zeros(11), np.zeros((10, 1))],
+        ids=["none", "short", "long", "column"],
+    )
+    def test_rank_not_shaped_like_ids_rejected(self, strategy, rank):
+        """A rank must hold one value per id: five ranks for ten ids used
+        to query ids 101 and 102 by the ranks of the first five."""
+        with pytest.raises(ValueError, match=r"rank shaped like ids \(10,\)"):
+            baseline_select(strategy, np.arange(100, 110), 2, rank=rank)
 
 
 class TestScorePool:
@@ -1146,8 +1223,8 @@ class TestBaselineRank:
         assert rank.tobytes() == selection._rank_rows(strategy, probs).tobytes()
         ids = rows + 1000
         np.testing.assert_array_equal(
-            baseline_select(strategy, None, ids, 60, rank=rank),
-            baseline_select(strategy, probs, ids, 60),
+            baseline_select(strategy, ids, 60, rank=rank),
+            baseline_select(strategy, ids, 60, rank=selection._rank_rows(strategy, probs)),
         )
 
     @pytest.mark.parametrize("strategy", ["random", "badge"])
@@ -1157,5 +1234,5 @@ class TestBaselineRank:
             baseline_rank(strategy, m, x, rows=rows)
 
     def test_random_reads_no_scores(self):
-        out = baseline_select("random", None, np.arange(40), 10, seed=3)
+        out = baseline_select("random", np.arange(40), 10, seed=3)
         assert len(set(out)) == 10
