@@ -62,6 +62,11 @@ class BlobSpec:
             raise ValueError("dim and per_class must be positive")
         if not (0 < self.cluster_std < np.inf and 0 < self.radius < np.inf):
             raise ValueError("cluster_std and radius must be positive and finite")
+        k = self.num_known + self.num_unknown
+        if self.dim == 1 and k > 2:
+            # the sphere in one dimension is two points, so a third class
+            # would share a mean with one of the first two
+            raise ValueError(f"dim 1 holds 2 distinct class means, not the {k} classes asked for")
 
 
 class Pool(IntEnum):
@@ -80,6 +85,9 @@ class DatasetSplit:
 
     Example ids are row indices into ``features`` / ``true_labels`` and
     never change; querying only changes the status of queried ids.
+    ``true_labels`` holds class ids in the smallest signed integer dtype
+    that holds them all: int8 for up to 128 blob classes, int16 for IDX
+    labels; ``model_labels`` maps them to intp model indices.
     """
 
     features: np.ndarray
@@ -170,6 +178,12 @@ def blob_class_means(spec: BlobSpec) -> np.ndarray:
     return spec.radius * cands[chosen]
 
 
+def _label_dtype(num_classes: int) -> np.dtype:
+    """Smallest signed integer dtype that holds class ids 0..num_classes-1
+    (one that holds -num_classes holds num_classes - 1)."""
+    return np.min_scalar_type(-num_classes)
+
+
 def _unknown_count(r: float, n_known_unlabeled: int, n_unknown: int) -> int:
     """Unknown examples that make the unknown fraction r of an unlabeled
     pool beside ``n_known_unlabeled`` known ones; a ratio outside [0, 1),
@@ -245,16 +259,15 @@ def make_blobs(
     means = blob_class_means(spec)
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(2)[1])
     k = spec.num_known + spec.num_unknown
-    features = np.concatenate(
-        [
-            means[c] + spec.cluster_std * rng.normal(size=(spec.per_class, spec.dim))
-            for c in range(k)
-        ]
-    )
-    labels = np.repeat(np.arange(k), spec.per_class)
+    # class by class, one draw scaled and shifted in place: bitwise
+    # means[c] + cluster_std * rng.normal(size=(per_class, dim)) per class
+    features = rng.standard_normal((k, spec.per_class, spec.dim))
+    features *= spec.cluster_std
+    features += means[:, None, :]
+    labels = np.repeat(np.arange(k, dtype=_label_dtype(k)), spec.per_class)
     known = tuple(range(spec.num_known))
     return _assemble_split(
-        features, labels, known, r, init_labeled_fraction, test_fraction, rng
+        features.reshape(-1, spec.dim), labels, known, r, init_labeled_fraction, test_fraction, rng
     )
 
 
@@ -308,8 +321,9 @@ def load_idx(
         raise IdxFormatError(
             f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
         )
-    features = images.reshape(images.shape[0], -1).astype(float) / 255.0
-    labels = labels.astype(int)
+    features = images.reshape(images.shape[0], -1).astype(float)
+    features /= 255.0
+    labels = labels.astype(_label_dtype(256))  # uint8 class ids 0..255
     known = tuple(sorted(int(c) for c in known_classes))
     repeated = sorted({c for c in known if known.count(c) > 1})
     if repeated:

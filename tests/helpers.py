@@ -2,6 +2,7 @@
 
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 from scipy import special
@@ -242,6 +243,17 @@ def write_idx_labels(path, labels):
     with open(path, "wb") as fh:
         fh.write(struct.pack(">II", 0x00000801, len(labels)))
         fh.write(np.asarray(labels, dtype=np.uint8).tobytes())
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees allocated during one call of
+    ``fn(*args)``; numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def count_started_threads(monkeypatch):

@@ -172,6 +172,8 @@ class TestCmdRun:
             # real classes than outputs
             ({"data": {"idx": {**IDX, "known_classes": [3]}}}, "'data.idx.known_classes'"),
             ({"data": {"idx": {**IDX, "known_classes": [0, 0]}}}, "'data.idx.known_classes' repeats 0"),
+            # a line has two points at the radius, so a third class repeats a mean
+            ({"data": {"dim": 1}}, "dim 1 holds 2 distinct class means, not the 4 classes"),
         ],
     )
     def test_config_error_exits_2_before_any_cell(

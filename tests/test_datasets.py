@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import write_idx_images, write_idx_labels
+from helpers import traced_peak, write_idx_images, write_idx_labels
 
 from openset_al.datasets import (
     BlobSpec,
@@ -79,12 +79,68 @@ class TestMakeBlobs:
         assert np.all(np.isfinite(split.features))
 
 
+def list_and_concatenate_features(spec):
+    """The blob features as one array per class, then concatenated."""
+    means = blob_class_means(spec)
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(2)[1])
+    return np.concatenate(
+        [
+            means[c] + spec.cluster_std * rng.normal(size=(spec.per_class, spec.dim))
+            for c in range(spec.num_known + spec.num_unknown)
+        ]
+    )
+
+
+class TestBlobStorage:
+    """Each split stores its examples once: features drawn in place, and
+    labels in the smallest signed dtype that holds every class id."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            BlobSpec(num_known=4, num_unknown=4, dim=16, per_class=50, cluster_std=1.7, seed=3),
+            BlobSpec(
+                num_known=10, num_unknown=10, dim=32, per_class=40, radius=4.0,
+                cluster_std=0.6, seed=5,
+            ),
+        ],
+        ids=["8-classes-dim16", "20-classes-dim32"],
+    )
+    def test_features_and_labels_match_the_per_class_formula(self, spec):
+        split = make_blobs(spec, r=0.5)
+        assert split.features.tobytes() == list_and_concatenate_features(spec).tobytes()
+        k = spec.num_known + spec.num_unknown
+        np.testing.assert_array_equal(split.true_labels, np.repeat(np.arange(k), spec.per_class))
+        assert split.true_labels.dtype == np.int8
+
+    def test_labels_of_130_classes_are_int16(self):
+        spec = BlobSpec(num_known=65, num_unknown=65, dim=8, per_class=20, seed=1)
+        split = make_blobs(spec, r=0.5)
+        assert split.true_labels.dtype == np.int16
+        np.testing.assert_array_equal(split.true_labels, np.repeat(np.arange(130), 20))
+
+    def test_traced_peak_is_about_one_feature_store(self):
+        """The per-class list beside its concatenation held 2x the bytes."""
+        spec = BlobSpec(num_known=10, num_unknown=10, dim=32, per_class=1000, seed=2)
+        nbytes = 20 * 1000 * 32 * 8
+        assert make_blobs(spec, r=0.5).features.nbytes == nbytes
+        assert traced_peak(make_blobs, spec, 0.5) <= 1.25 * nbytes
+
+
 class TestBlobSpec:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
     @pytest.mark.parametrize("field", ["radius", "cluster_std"])
     def test_non_finite_or_non_positive_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             BlobSpec(**{field: value}).validate()
+
+    def test_one_dimension_holds_two_classes(self):
+        """The sphere in one dimension is two points: a third class would
+        be drawn from the same mean as one of the first two."""
+        means = blob_class_means(BlobSpec(num_known=2, num_unknown=0, dim=1))
+        assert sorted(means[:, 0]) == [-6.0, 6.0]
+        with pytest.raises(ValueError, match="dim 1 holds 2 distinct class means, not the 3"):
+            BlobSpec(num_known=2, num_unknown=1, dim=1).validate()
 
 
 class TestValidate:
@@ -213,6 +269,24 @@ class TestLoadIdx:
         img_path, lab_path, _, _ = idx_files
         with pytest.raises(ValueError, match=message):
             load_idx(img_path, lab_path, known_classes=known, r=0.0)
+
+    def test_pixels_scaled_in_one_float_array(self, tmp_path):
+        """2,000 28x28 images: the features are bitwise the cast divided by
+        255, and the cast is divided in place, so the peak holds one float
+        array without resting on numpy eliding a temporary quotient.  The
+        labels are int16."""
+        rng = np.random.default_rng(1)
+        images = rng.integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
+        labels = np.repeat(np.arange(10), 200)
+        write_idx_images(tmp_path / "images.idx", images)
+        write_idx_labels(tmp_path / "labels.idx", labels)
+        args = (tmp_path / "images.idx", tmp_path / "labels.idx", range(5), 0.0)
+        split = load_idx(*args)
+        expected = images.reshape(2000, -1).astype(float) / 255.0
+        assert split.features.tobytes() == expected.tobytes()
+        assert split.true_labels.dtype == np.int16
+        np.testing.assert_array_equal(split.true_labels, labels)
+        assert traced_peak(load_idx, *args) <= 1.5 * expected.nbytes
 
     def test_label_magic_checked(self, idx_files, tmp_path):
         img_path, lab_path, _, _ = idx_files
