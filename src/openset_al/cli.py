@@ -11,10 +11,12 @@ Three subcommands:
   one pass/fail line per property.
 
 Exit codes: 0 success, 1 runtime or property failure, 2 usage/config
-error.  Every omitted config field takes its reference default, and the
-fully resolved config is echoed into each run manifest.  The environment
-variable OPENSET_AL_SEED, when set, overrides the configured seed list;
-like every seed, it must be a non-negative integer.
+error.  A config file that cannot be read, holds no JSON object or fails
+validation exits 2 from ``run`` and ``check`` alike, before any run or
+check starts.  Every omitted config field takes its reference default,
+and the fully resolved config is echoed into each run manifest.  The
+environment variable OPENSET_AL_SEED, when set, overrides the configured
+seed list; like every seed, it must be a non-negative integer.
 """
 
 from __future__ import annotations
@@ -50,11 +52,11 @@ SEED_ENV_VAR = "OPENSET_AL_SEED"
 
 # The run grid owns the seed; query_size and num_cycles are top-level.
 BLOB_FIELDS = tuple(f.name for f in dataclasses.fields(BlobSpec) if f.name != "seed")
-TRAIN_FIELDS = tuple(
-    f.name
+TRAIN_DEFAULTS = {
+    f.name: f.default
     for f in dataclasses.fields(TrainConfig)
     if f.name not in ("seed", "query_size", "num_cycles")
-)
+}
 
 DATA_DEFAULTS = {
     **{name: getattr(BlobSpec, name) for name in BLOB_FIELDS},
@@ -62,8 +64,19 @@ DATA_DEFAULTS = {
     "test_fraction": 0.2,
     "idx": None,
 }
+IDX_DEFAULTS = {"images": "", "labels": "", "known_classes": ()}
 
-REQUIRED_FIELDS = ("strategies", "openness_ratios", "seeds", "output_dir")
+GRID_FIELDS = ("strategies", "openness_ratios", "seeds")
+REQUIRED_FIELDS = (*GRID_FIELDS, "output_dir")
+ROOT_DEFAULTS = {
+    # _typed passes None and {} on unchecked, for _grid and _fields to read
+    **dict.fromkeys(GRID_FIELDS),
+    "output_dir": "",
+    "query_size": TrainConfig.query_size,
+    "num_cycles": TrainConfig.num_cycles,
+    "data": {},
+    "train": {},
+}
 
 
 class ConfigError(ValueError):
@@ -142,51 +155,76 @@ def _typed(field: str, default, value):
     return value
 
 
-def _section(raw: dict, name: str) -> dict:
-    section = raw.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"field '{name}' must be a JSON object")
-    return section
+def _fields(obj, name: str, defaults: dict, required=()) -> dict:
+    """The JSON object ``obj`` at ``name`` ("" for the config root), read
+    against ``defaults``: each key it sets is checked by ``_typed`` against
+    its default, and each key it leaves out takes that default."""
+    prefix = f"{name}." if name else ""
+    if not isinstance(obj, dict):
+        where = f"field '{name}'" if name else "config root"
+        raise ConfigError(f"{where} must be a JSON object")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"missing required field '{prefix}{key}'")
+    fields = dict(defaults)
+    for key, value in obj.items():
+        if key not in defaults:
+            raise ConfigError(f"unknown field '{prefix}{key}'")
+        fields[key] = _typed(prefix + key, defaults[key], value)
+    return fields
+
+
+def _grid(raw: dict, field: str, noun: str, item, tag=repr) -> list:
+    """The grid list ``raw[field]``: a non-empty JSON array of distinct
+    values, each converted by ``item(field, value)``."""
+    values = raw[field]
+    if not isinstance(values, list):
+        raise ConfigError(f"field '{field}' must be a JSON array, got {values!r}")
+    values = [item(field, value) for value in values]
+    if not values:
+        raise ConfigError(f"field '{field}' must list at least one {noun}")
+    _distinct(field, values, tag)
+    return values
+
+
+def _as_strategy(field: str, value) -> str:
+    if value in STRATEGIES:
+        return value
+    raise ConfigError(
+        f"field '{field}' contains unknown strategy '{value}'; expected one of {list(STRATEGIES)}"
+    )
+
+
+def _as_ratio(field: str, value) -> float:
+    """A ratio in [0, 1); + 0.0 makes -0.0 the ratio 0, which it equals."""
+    r = _as_float(field, value) + 0.0
+    if not 0 <= r < 1:
+        raise ConfigError(f"field '{field}' value {r} outside [0, 1)")
+    return r
+
+
+def _load_config(path: str) -> dict:
+    """The JSON object in the file at ``path``, or a ConfigError."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ConfigError(f"file not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    return raw
 
 
 def resolve_config(raw: dict) -> dict:
     """Fill defaults, validate field by field, honor the seed override."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    for field in REQUIRED_FIELDS:
-        if field not in raw:
-            raise ConfigError(f"missing required field '{field}'")
-
-    known_top = set(REQUIRED_FIELDS) | {"data", "train", "query_size", "num_cycles"}
-    for key in raw:
-        if key not in known_top:
-            raise ConfigError(f"unknown field '{key}'")
-
-    strategies = _convert("strategies", list, raw["strategies"])
-    if not strategies:
-        raise ConfigError("field 'strategies' must list at least one strategy")
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ConfigError(
-                f"field 'strategies' contains unknown strategy '{s}'; "
-                f"expected one of {list(STRATEGIES)}"
-            )
-    # + 0.0 makes a ratio of -0.0 the ratio 0, which it equals
-    ratios = [
-        _as_float("openness_ratios", r) + 0.0
-        for r in _convert("openness_ratios", list, raw["openness_ratios"])
-    ]
-    if not ratios:
-        raise ConfigError("field 'openness_ratios' must list at least one ratio")
-    for r in ratios:
-        if not 0 <= r < 1:
-            raise ConfigError(f"field 'openness_ratios' value {r} outside [0, 1)")
-    seeds = [_as_seed("seeds", s) for s in _convert("seeds", list, raw["seeds"])]
-    if not seeds:
-        raise ConfigError("field 'seeds' must list at least one seed")
-    _distinct("strategies", strategies)
-    _distinct("openness_ratios", ratios, tag=_ratio_tag)
-    _distinct("seeds", seeds)
+    resolved = _fields(raw, "", ROOT_DEFAULTS, REQUIRED_FIELDS)
+    resolved["strategies"] = _grid(resolved, "strategies", "strategy", _as_strategy)
+    ratios = _grid(resolved, "openness_ratios", "ratio", _as_ratio, tag=_ratio_tag)
+    resolved["openness_ratios"] = ratios
+    seeds = resolved["seeds"] = _grid(resolved, "seeds", "seed", _as_seed)
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed:
         if not env_seed.strip().isdecimal():
@@ -194,25 +232,14 @@ def resolve_config(raw: dict) -> dict:
                 f"environment variable {SEED_ENV_VAR} must be a non-negative integer, "
                 f"got {env_seed!r}"
             )
-        seeds = [int(env_seed)]
+        seeds = resolved["seeds"] = [int(env_seed)]
 
-    data = dict(DATA_DEFAULTS)
-    for key, value in _section(raw, "data").items():
-        if key not in DATA_DEFAULTS:
-            raise ConfigError(f"unknown field 'data.{key}'")
-        data[key] = _typed(f"data.{key}", DATA_DEFAULTS[key], value)
+    data = resolved["data"] = _fields(resolved["data"], "data", DATA_DEFAULTS)
     for key in ("init_labeled_fraction", "test_fraction"):
         if not 0 <= data[key] < 1:
             raise ConfigError(f"field 'data.{key}' value {data[key]} outside [0, 1)")
-    idx = data["idx"]
-    if idx:
-        if not isinstance(idx, dict):
-            raise ConfigError("field 'data.idx' must be a JSON object")
-        idx = data["idx"] = dict(idx)
-        for field, default in (("images", ""), ("labels", ""), ("known_classes", ())):
-            if field not in idx:
-                raise ConfigError(f"missing required field 'data.idx.{field}'")
-            idx[field] = _typed(f"data.idx.{field}", default, idx[field])
+    if data["idx"] is not None:
+        idx = data["idx"] = _fields(data["idx"], "data.idx", IDX_DEFAULTS, tuple(IDX_DEFAULTS))
         if len(idx["known_classes"]) < 2:
             raise ConfigError("field 'data.idx.known_classes' must list at least two classes")
         _distinct("data.idx.known_classes", idx["known_classes"])
@@ -245,26 +272,10 @@ def resolve_config(raw: dict) -> dict:
             except ValueError as exc:
                 raise ConfigError(f"field 'openness_ratios': {exc}") from exc
 
-    output_dir = raw["output_dir"]
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError(f"field 'output_dir' must be a non-empty string, got {output_dir!r}")
+    if not resolved["output_dir"]:
+        raise ConfigError("field 'output_dir' must be a non-empty string, got ''")
 
-    train = {name: getattr(TrainConfig, name) for name in TRAIN_FIELDS}
-    for key, value in _section(raw, "train").items():
-        if key not in TRAIN_FIELDS:
-            raise ConfigError(f"unknown field 'train.{key}'")
-        train[key] = _typed(f"train.{key}", train[key], value)
-
-    resolved = {
-        "strategies": strategies,
-        "openness_ratios": ratios,
-        "seeds": seeds,
-        "output_dir": output_dir,
-        "query_size": _as_int("query_size", raw.get("query_size", TrainConfig.query_size)),
-        "num_cycles": _as_int("num_cycles", raw.get("num_cycles", TrainConfig.num_cycles)),
-        "data": data,
-        "train": train,
-    }
+    resolved["train"] = _fields(resolved["train"], "train", TRAIN_DEFAULTS)
     try:
         _train_config(resolved, seed=seeds[0]).validate()
     except (TypeError, ValueError) as exc:
@@ -288,7 +299,7 @@ def _blob_spec(data: dict, seed: int) -> BlobSpec:
 def _build_split(resolved: dict, r: float, seed: int):
     data = resolved["data"]
     idx = data["idx"]
-    if idx:
+    if idx is not None:
         return load_idx(
             idx["images"],
             idx["labels"],
@@ -329,17 +340,8 @@ def _execute_run(resolved: dict, strategy: str, r: float, seed: int) -> str:
 
 def cmd_run(config_path: str, jobs: int = 1) -> int:
     try:
-        raw = json.loads(Path(config_path).read_text())
-    except FileNotFoundError:
-        print(f"config error: file not found: {config_path}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"config error: invalid JSON: {exc}", file=sys.stderr)
-        return 2
-    try:
-        resolved = resolve_config(raw)
-        outdir = Path(resolved["output_dir"])
-        outdir.mkdir(parents=True, exist_ok=True)
+        resolved = resolve_config(_load_config(config_path))
+        Path(resolved["output_dir"]).mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -463,13 +465,10 @@ def cmd_check(config_path: str | None = None) -> int:
     seed = 0
     if config_path is not None:
         try:
-            raw = json.loads(Path(config_path).read_text())
-            if not isinstance(raw, dict):
-                raise ConfigError("config root must be a JSON object")
-            seeds = raw.get("seeds")
-            if seeds:
-                seed = _as_seed("seeds", _convert("seeds", list, seeds)[0])
-        except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+            raw = _load_config(config_path)
+            if "seeds" in raw:
+                seed = _grid(raw, "seeds", "seed", _as_seed)[0]
+        except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
     results = run_checks(seed=seed)

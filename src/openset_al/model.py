@@ -754,7 +754,8 @@ def save_checkpoint(
     rng: np.random.Generator | None = None,
 ) -> None:
     """Serialize parameters, momentum buffers, epoch counter and RNG state
-    to a single .npz file; float arrays round-trip bitwise."""
+    to one .npz archive written at exactly ``path``, whatever its suffix;
+    float arrays round-trip bitwise."""
     arrays = {}
     for i, (w, b) in enumerate(model.backbone):
         arrays[f"backbone_{i}_w"] = w
@@ -771,7 +772,9 @@ def save_checkpoint(
         "rng_state": rng.bit_generator.state if rng is not None else None,
     }
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+    # np.savez given a file name appends .npz to one that lacks it
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, int, np.random.Generator | None]:

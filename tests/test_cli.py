@@ -174,6 +174,13 @@ class TestCmdRun:
             ({"data": {"idx": {**IDX, "known_classes": [0, 0]}}}, "'data.idx.known_classes' repeats 0"),
             # a line has two points at the radius, so a third class repeats a mean
             ({"data": {"dim": 1}}, "dim 1 holds 2 distinct class means, not the 4 classes"),
+            # only null means blob data; every other idx is an IDX object
+            ({"data": {"idx": {}}}, "'data.idx.images'"),
+            ({"data": {"idx": []}}, "'data.idx'"),
+            ({"data": {"idx": 0}}, "'data.idx'"),
+            ({"data": {"idx": False}}, "'data.idx'"),
+            ({"data": {"idx": ""}}, "'data.idx'"),
+            ({"data": {"idx": {**IDX, "imagez": "x"}}}, "'data.idx.imagez'"),
         ],
     )
     def test_config_error_exits_2_before_any_cell(
@@ -193,6 +200,18 @@ class TestCmdRun:
         assert err.startswith("config error:")
         assert field in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "config.json"]
+
+    @pytest.mark.parametrize("kind", ["directory", "non-UTF-8 file"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe{")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("value", ["-3", "x", "1.5"])
     def test_bad_seed_env_exits_2_before_any_cell(self, tmp_path, capsys, monkeypatch, value):
@@ -581,6 +600,15 @@ class TestCmdCheck:
         path.write_text(json.dumps({"seeds": [5]}))
         assert cli.main(["check", "--config", str(path)]) == 0
 
+    @pytest.mark.parametrize("raw, seed", [({"seeds": [5]}, 5), ({}, 0)])
+    def test_config_seed_reaches_the_checks(self, tmp_path, monkeypatch, raw, seed):
+        seen = []
+        monkeypatch.setattr(cli, "run_checks", lambda seed: seen.append(seed) or [])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["check", "--config", str(path)]) == 0
+        assert seen == [seed]
+
     def test_bad_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text("{oops")
@@ -601,6 +629,12 @@ class TestCmdCheck:
             ({"seeds": [-1]}, "'seeds'"),
             ({"seeds": {"a": 1}}, "'seeds'"),
             ({"seeds": 3}, "'seeds'"),
+            # read as run reads them: a non-empty array of distinct seeds
+            ({"seeds": 0}, "'seeds'"),
+            ({"seeds": []}, "'seeds'"),
+            ({"seeds": ""}, "'seeds'"),
+            ({"seeds": False}, "'seeds'"),
+            ({"seeds": [1, 1]}, "'seeds'"),
         ],
     )
     def test_malformed_config_exits_two(self, tmp_path, capsys, raw, message):
@@ -653,6 +687,13 @@ class TestResolveConfig:
                     "output_dir": "x",
                 }
             )
+
+    @pytest.mark.parametrize("data", [{"radius": 5}, {"idx": IDX}])
+    def test_resolved_config_is_a_fixed_point(self, monkeypatch, data):
+        """The config a manifest echoes resolves to itself, through JSON."""
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        resolved = cli.resolve_config(grid_fields(data=data, train={"lr_milestones": [3]}))
+        assert cli.resolve_config(json.loads(json.dumps(resolved))) == resolved
 
 
 def grid_fields(**extra):

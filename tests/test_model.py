@@ -766,6 +766,16 @@ class TestCheckpoint:
             assert v.tobytes() == w.tobytes()
         np.testing.assert_array_equal(rng.normal(size=8), rng2.normal(size=8))
 
+    def test_path_without_suffix_is_written_as_given(self, tmp_path):
+        m = tiny_model(seed=23)
+        path = tmp_path / "ckpt"
+        save_checkpoint(path, m, epoch=5)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+        loaded, epoch, _ = load_checkpoint(path)
+        assert epoch == 5
+        for p, q in zip(flat(m), flat(loaded)):
+            assert p.tobytes() == q.tobytes()
+
     def test_roundtrip_without_rng(self, tmp_path):
         m = tiny_model(seed=22)
         path = tmp_path / "model.npz"
