@@ -418,6 +418,9 @@ def _write_summary(path: Path, key_names, value_name: str, groups: dict) -> None
 
 
 def cmd_report(results_dir: str) -> int:
+    """Aggregate the run CSVs in ``results_dir``, one run per (strategy, r,
+    seed): a CSV repeating an earlier file's run, in name order, is
+    skipped with a warning naming both files."""
     dirpath = Path(results_dir)
     csv_files = sorted(dirpath.glob("*.csv"))
     csv_files = [p for p in csv_files if not p.name.startswith(("summary_", "query_precision_"))]
@@ -426,14 +429,16 @@ def cmd_report(results_dir: str) -> int:
         rows = _read_run_csv(path)
         if rows:
             key = (rows[0]["strategy"], rows[0]["r"], rows[0]["seed"])
-            runs[key] = rows
+            first = runs.setdefault(key, (path, rows))[0]
+            if first != path:
+                print(f"warning: {path} repeats the run in {first}, skipped", file=sys.stderr)
     if not runs:
         print(f"no valid run CSVs found in {results_dir}", file=sys.stderr)
         return 1
 
     # final-accuracy table, one row per (strategy, ratio)
     final = {}
-    for (strategy, r, _seed), rows in runs.items():
+    for (strategy, r, _seed), (_path, rows) in runs.items():
         last = max(rows, key=lambda row: row["cycle"])
         final.setdefault((strategy, r), []).append(last["test_accuracy"])
     _write_summary(
@@ -445,7 +450,7 @@ def cmd_report(results_dir: str) -> int:
 
     # per-cycle query-precision series
     series = {}
-    for (strategy, r, _seed), rows in runs.items():
+    for (strategy, r, _seed), (_path, rows) in runs.items():
         for row in rows:
             if row["query_precision"] is not None:
                 series.setdefault((strategy, r, row["cycle"]), []).append(

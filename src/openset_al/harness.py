@@ -89,11 +89,11 @@ class CycleMetrics:
 
 
 def oracle_label(query_ids, split: DatasetSplit) -> DatasetSplit:
-    """Resolve a query batch against the hidden true labels.
+    """Resolve a query batch, a 1-D array of ids, against the hidden true labels.
 
     Known-class ids become labeled and unknown-class ids discarded in a new
-    split.  Raises if any id is not a whole number (a boolean or string
-    is not), out of range, repeated or not unlabeled.
+    split.  Raises if the query is not 1-D, or any id is not a whole number
+    (a boolean or string is not), out of range, repeated or not unlabeled.
     """
     query = _id_array(query_ids, "query ids")
     outside = query[(query < 0) | (query >= len(split.status))]

@@ -112,10 +112,10 @@ class TrainConfig:
             raise ValueError("rates must be positive (lr) / nonnegative")
         if not 0 < self.coarse_threshold < 1 and self.coarse_threshold != 0:
             raise ValueError("coarse_threshold must lie in [0, 1)")
-        if any(not 0 <= m < self.epochs for m in self.lr_milestones):
-            raise ValueError("lr_milestones must be epochs in [0, epochs)")
         if self.batch_size <= 0 or self.epochs <= 0:
             raise ValueError("batch_size and epochs must be positive")
+        if any(not 0 <= m < self.epochs for m in self.lr_milestones):
+            raise ValueError("lr_milestones must be epochs in [0, epochs)")
         if self.train_loss not in ("edl", "cross_entropy"):
             raise ValueError(f"unknown train_loss {self.train_loss!r}")
         if self.query_size <= 0:
@@ -305,7 +305,7 @@ def _forward_cached(model: ModelParams, x: np.ndarray, evidence: bool = True):
     the logits, the evidence and masks are not built and come back None.
     """
     acts = [x]
-    logits = _layers(model, x, np.empty((2, len(x), model.num_classes)), acts=acts)
+    logits = _layers(model, x, acts=acts)
     if not evidence:
         return acts, logits, None, None
     return acts, logits, _evidence(logits), np.abs(logits) < LOGIT_CLIP
@@ -334,12 +334,12 @@ def _activations(scratch: np.ndarray, layer: int, shape) -> np.ndarray:
     return scratch[layer % 2, : math.prod(shape)].reshape(shape)
 
 
-def _layers(model: ModelParams, h: np.ndarray, logits, scratch=None, acts=None):
-    """The backbone and both heads on a batch h; head i's logits are
-    written into ``logits[i]`` and ``logits`` returned.  With ``scratch``,
-    layer i's activations go into ``_activations(scratch, i)``, and
-    ``logits`` None takes the row the last layer left free; with
-    ``acts``, each layer's activations are appended to it."""
+def _layers(model: ModelParams, h: np.ndarray, scratch=None, acts=None):
+    """The backbone and both heads on a batch h; returns the (2, n, C)
+    logits, head i's in row i.  With ``scratch``, layer i's activations go
+    into ``_activations(scratch, i)`` and the logits into the row the last
+    layer left free, else into new arrays; with ``acts``, each layer's
+    activations are appended to it."""
     for i, (w, b) in enumerate(model.backbone):
         out = None if scratch is None else _activations(scratch, i, (len(h), w.shape[1]))
         h = np.matmul(h, w, out=out)
@@ -347,8 +347,9 @@ def _layers(model: ModelParams, h: np.ndarray, logits, scratch=None, acts=None):
         np.maximum(h, 0.0, out=h)
         if acts is not None:
             acts.append(h)
-    if logits is None:
-        logits = _activations(scratch, len(model.backbone), (2, len(h), model.num_classes))
+    shape = (2, len(h), model.num_classes)
+    free = len(model.backbone)  # the scratch row the last layer left free
+    logits = np.empty(shape) if scratch is None else _activations(scratch, free, shape)
     for (w, b), z in zip(model.heads, logits):
         np.matmul(h, w, out=z)
         z += b
@@ -360,9 +361,10 @@ def forward(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evidence vectors (alpha1, alpha2) for a batch of inputs, in one pass.
 
-    Inference only: ``_layers`` runs once over the whole batch, and each
-    layer's output and the evidence are computed in place, keeping
-    nothing for backprop; the evidence is bitwise ``_forward_cached``'s.
+    Inference only: ``_layers`` runs once over the whole batch, each
+    layer's output is computed in place and the evidence in the logits
+    ``_layers`` returns, keeping nothing for backprop; the evidence is
+    bitwise ``_forward_cached``'s.
 
     With ``scratch``, x is one row block of ``selection._pool_pass``, which
     allocates the (2, ``_scratch_size``) array and gathers x into its
@@ -371,8 +373,7 @@ def forward(
     valid until the scratch is next used.
     """
     x = _model_batch(model, x)
-    logits = None if scratch is not None else np.empty((2, len(x), model.num_classes))
-    alphas = _layers(model, x, logits, scratch)
+    alphas = _layers(model, x, scratch)
     _evidence(alphas, out=alphas)
     return alphas[0], alphas[1]
 

@@ -118,15 +118,14 @@ def _run_tasks(tasks, width: int) -> list:
     worker a thread started and joined inside this call.
 
     Workers take the tasks in index order: the calling thread takes task
-    0, and each thread its first task, before any thread starts, so a
-    width of 1 starts no thread and task 0 stays in the caller's malloc
-    arena.  Each thread runs under the caller's ``np.errstate``, which
-    numpy keeps per thread.  No task is taken once one has failed; when
-    every worker has stopped, the lowest-index failure is raised, as a
-    serial loop would raise it.
+    0, and each thread its first task, before any thread starts, so task
+    0 stays in the caller's malloc arena, and a width of 1 runs every
+    task on the caller, in order, in the same loop, starting no thread.
+    Each thread runs under the caller's ``np.errstate``, which numpy
+    keeps per thread.  No task is taken once one has failed; when every
+    worker has stopped, the lowest-index failure is raised, as a serial
+    loop would raise it.
     """
-    if width < 2:  # the loop below, minus a set-up of ~20 us per call in a fresh process
-        return [task(0) for task in tasks]
     values = [None] * len(tasks)
     pending = iter(range(len(tasks)))
     failures: dict[int, BaseException] = {}
@@ -187,9 +186,12 @@ def _row_blocks(model: ModelParams, n: int) -> list[tuple[int, int]]:
 
 
 def _id_array(ids, what: str) -> np.ndarray:
-    """``ids`` as an intp array; non-numbers (booleans, strings) and
-    non-whole floats (nan, +-inf), which a cast would misread, raise."""
+    """``ids`` as a 1-D intp array; other shapes, non-numbers (booleans,
+    strings) and non-whole floats (nan, +-inf), which a cast would
+    misread, raise."""
     ids = np.asarray(ids)
+    if ids.ndim != 1:
+        raise ValueError(f"{what} must be a 1-D array, not shape {ids.shape}")
     if ids.dtype.kind not in "iuf":
         raise ValueError(f"{what} must be integers, not {ids.dtype}: {ids.ravel()[:5].tolist()}")
     if ids.dtype.kind == "f":
@@ -202,11 +204,11 @@ def _id_array(ids, what: str) -> np.ndarray:
 def _pool_pass(model: ModelParams, x, rows, block_fn, columns=()) -> list:
     """Run the rows ``rows`` of the pool ``x`` (all, in order, when None)
     through ``forward`` in ``_row_blocks``'s blocks, the package's only row
-    partition, calling ``block_fn(lo, hi, (alpha1, alpha2), *cols)`` on the
-    evidence of rows lo:hi of the pass.  ``x`` is checked by
-    ``_model_batch``, and every id by ``_id_array`` and against the range,
-    before the first block runs.  One (n, *shape) array per shape in
-    ``columns`` is allocated and returned; ``cols`` are their rows lo:hi.
+    partition, calling ``block_fn((alpha1, alpha2), *cols)`` on the
+    evidence of each block.  ``x`` is checked by ``_model_batch``, and
+    every id by ``_id_array`` and against the range, before the first
+    block runs.  One (n, *shape) array per shape in ``columns`` is
+    allocated and returned; ``cols`` are their rows in the block.
 
     The blocks are ``_run_tasks``'s tasks on ``_pool_width`` workers, so a
     pass of one block starts no thread, and the lowest failing block's
@@ -222,8 +224,6 @@ def _pool_pass(model: ModelParams, x, rows, block_fn, columns=()) -> list:
     """
     x = _model_batch(model, x)
     rows = np.arange(len(x)) if rows is None else _id_array(rows, "row ids")
-    if rows.ndim != 1:
-        raise ValueError("rows must be a 1-D array of row ids")
     outside = rows[(rows < 0) | (rows >= len(x))]
     if outside.size:
         raise IndexError(f"row ids outside [0, {len(x)}): {outside[:5].tolist()}")
@@ -240,7 +240,7 @@ def _pool_pass(model: ModelParams, x, rows, block_fn, columns=()) -> list:
         out = _activations(acts, -1, (hi - lo, x.shape[1]))
         block = np.take(x, rows[lo:hi], axis=0, out=out, mode="clip")
         alphas = forward(model, block, acts)
-        block_fn(lo, hi, alphas, *(c[lo:hi] for c in outputs))
+        block_fn(alphas, *(c[lo:hi] for c in outputs))
 
     _run_tasks([partial(run, lo, hi) for lo, hi in blocks], width)
     return outputs
@@ -285,14 +285,10 @@ def score_pool(
     (``_pool_pass``) and scored (``_score_block``), so nothing pool-sized
     is built but the three score columns.  Every score is computed row by
     row, so the result is bitwise the closed forms on the whole of
-    ``x[rows]``.  An out-of-range id raises IndexError, and a boolean or
-    non-whole id ValueError, before any block runs.
+    ``x[rows]``.  An out-of-range id raises IndexError, and ids that are
+    not 1-D or a boolean or non-whole id ValueError, before any block runs.
     """
-
-    def score(lo, hi, alphas, *cols):
-        _score_block(alphas, *cols)
-
-    return PoolScores(*_pool_pass(model, x, rows, score, ((), (), ())))
+    return PoolScores(*_pool_pass(model, x, rows, _score_block, ((), (), ())))
 
 
 def _check_scores(x: np.ndarray) -> None:
@@ -643,11 +639,7 @@ def averaged_probs(
     in place, with its checks, so the result is bitwise the whole-pool
     value.
     """
-
-    def mean_block(lo, hi, alphas, out):
-        _mean_probs(alphas, out)
-
-    return _pool_pass(model, x, rows, mean_block, ((model.num_classes,),))[0]
+    return _pool_pass(model, x, rows, _mean_probs, ((model.num_classes,),))[0]
 
 
 def baseline_rank(
@@ -667,7 +659,7 @@ def baseline_rank(
     if strategy not in RANKED_STRATEGIES:
         raise ValueError(f"unknown ranked strategy {strategy!r}")
 
-    def rank_block(lo, hi, alphas, out):
+    def rank_block(alphas, out):
         out[:] = _rank_rows(strategy, _mean_probs(alphas, alphas[0]))
 
     return _pool_pass(model, x, rows, rank_block, ((),))[0]

@@ -1,8 +1,11 @@
-"""Shared numerical oracles and file writers for the test suite."""
+"""Shared numerical oracles, file writers and loaders for the test suite."""
 
+import importlib.util
 import struct
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 from scipy import special
@@ -268,3 +271,18 @@ def count_started_threads(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", counted)
     return started
+
+
+def load_perfbench(name):
+    """``perfbench/<name>.py`` as a module, as it stands, read from its file
+    without putting ``perfbench`` on the import path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the defining module up while building its classes
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module

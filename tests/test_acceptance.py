@@ -15,8 +15,9 @@ import time
 
 import numpy as np
 import pytest
-from helpers import finite_difference_grads, max_rel_err
+from helpers import count_started_threads, finite_difference_grads, load_perfbench, max_rel_err
 
+from openset_al import selection
 from openset_al.datasets import BlobSpec, make_blobs
 from openset_al.evidential import (
     data_uncertainty,
@@ -344,3 +345,23 @@ def test_golden_metrics_bytes(benchmark_runs, variant, tmp_path):
     path = tmp_path / f"{variant}.csv"
     write_metrics_csv(path, benchmark_runs[variant][0], strategy, BENCH_SEEDS[0], BENCH_R)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SEED0[variant]
+
+
+def test_wide_pool_golden_bytes_on_two_workers(monkeypatch, tmp_path):
+    """The seed-0 wide_pool cells of perfbench keep their golden bytes on
+    two workers: their pools are eleven row blocks, which the pool passes
+    run on a helper thread beside the caller, as on a 2-CPU machine."""
+    workloads = load_perfbench("workloads")
+    wide = workloads.WORKLOADS["wide_pool"]
+    split = make_blobs(
+        BlobSpec(seed=0, **wide.data), wide.r, init_labeled_fraction=wide.init_labeled_fraction
+    )
+    golden = workloads.load_golden()
+    monkeypatch.setattr(selection, "_workers", 2)
+    started = count_started_threads(monkeypatch)
+    cells = [(variant, 0) for variant in wide.variants]
+    results = workloads.run_api_pass(wide, {0: split}, cells, tmp_path, golden)
+    assert [r.key for r in results] == ["wide/coarse_to_fine/s0", "wide/entropy/s0"]
+    assert all(r.key in golden for r in results)
+    assert [r.error for r in results if not r.ok] == []
+    assert started

@@ -181,6 +181,8 @@ class TestCmdRun:
             ({"data": {"idx": False}}, "'data.idx'"),
             ({"data": {"idx": ""}}, "'data.idx'"),
             ({"data": {"idx": {**IDX, "imagez": "x"}}}, "'data.idx.imagez'"),
+            # no epochs, not a milestone outside them
+            ({"train": {"epochs": 0}}, "epochs must be positive"),
         ],
     )
     def test_config_error_exits_2_before_any_cell(
@@ -407,6 +409,23 @@ class TestCmdReport:
         p.write_text(p.read_text() + "garbage,row,with,bad,fields,x,y,z,w,v\n")
         assert cli.main(["report", "--dir", str(results)]) == 0
         assert "malformed row skipped" in capsys.readouterr().err
+
+    def test_repeated_run_skipped_with_warning(self, tmp_path, capsys):
+        """A second CSV of the same (strategy, r, seed) used to replace the
+        first in name order, silently; the first is kept and the second
+        named on stderr."""
+        results = self.run_grid(tmp_path, [0])
+        first = results / "metrics_random_r0.5_s0.csv"
+        lines = first.read_text().splitlines()
+        parts = lines[-1].split(",")
+        parts[5] = "0.125"
+        (results / "variant_b.csv").write_text("\n".join(lines[:-1] + [",".join(parts)]) + "\n")
+        assert cli.main(["report", "--dir", str(results)]) == 0
+        out, err = capsys.readouterr()
+        assert f"{results / 'variant_b.csv'} repeats the run in {first}" in err
+        assert "aggregated 1 runs" in out
+        row = (results / "summary_accuracy.csv").read_text().strip().splitlines()[1]
+        assert float(row.split(",")[3]) == float(lines[-1].split(",")[5])
 
     def test_empty_directory_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"

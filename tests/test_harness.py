@@ -151,6 +151,16 @@ class TestOracleLabel:
         with pytest.raises(ValueError, match="must be integers, not"):
             oracle_label(bad, split)
 
+    @pytest.mark.parametrize("shape", ["2-D", "0-D"])
+    def test_query_that_is_not_1d_rejected(self, shape):
+        """A (2, 2) query used to label all four ids, and a bare id to
+        label it; the pool pass already refused both shapes."""
+        split = toy_split()
+        u = split.unlabeled_ids
+        bad = u[:4].reshape(2, 2) if shape == "2-D" else u[0]
+        with pytest.raises(ValueError, match="1-D"):
+            oracle_label(bad, split)
+
     def test_whole_float_ids_and_empty_query_accepted(self):
         split = toy_split()
         assert oracle_label([4.0, 6.0], split).status.tobytes() == (

@@ -8,11 +8,10 @@ module's attributes, so they count as used there too.
 """
 
 import ast
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
+from helpers import load_perfbench
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "openset_al").glob("*.py") if p.name != "__init__.py")
@@ -21,15 +20,7 @@ MODULES = sorted(p for p in (ROOT / "src" / "openset_al").glob("*.py") if p.name
 @pytest.fixture(scope="module")
 def patched_names():
     """``{module name: names perfbench/spans.py patches in it}``."""
-    spans_path = ROOT / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", spans_path)
-    spans = importlib.util.module_from_spec(spec)
-    # dataclasses looks the defining module up while building Site
-    sys.modules[spec.name] = spans
-    try:
-        spec.loader.exec_module(spans)
-    finally:
-        del sys.modules[spec.name]
+    spans = load_perfbench("spans")
     names = {}
     for site in spans.ALL_SITES:
         module, _, cls = site.owner.partition(":")

@@ -918,7 +918,7 @@ class TestBlockedForward:
             selection, "forward", lambda *a: (calls.append(1), real(*a))[1]
         )
 
-        def keep_evidence(lo, hi, alphas, *cols):
+        def keep_evidence(alphas, *cols):
             for col, a in zip(cols, alphas):
                 col[:] = a
 
@@ -992,13 +992,15 @@ class TestStreamedScores:
             (lambda rows: [rows[0], np.nan], r"whole numbers: \[nan\]"),
             (lambda rows: [True, False, True], "not bool"),
             (lambda rows: [str(rows[0])], "must be integers, not <U"),
+            (lambda rows: rows[:4].reshape(2, 2), r"1-D array, not shape \(2, 2\)"),
         ],
-        ids=["fractional", "nan", "boolean", "string"],
+        ids=["fractional", "nan", "boolean", "string", "2-D"],
     )
     @pytest.mark.parametrize("fn", [score_pool, averaged_probs])
     def test_non_integer_row_ids_raise_before_any_block(self, monkeypatch, fn, bad, named):
         """Row ids 2.7 and 5.2 used to be truncated to rows 2 and 5,
-        [True, False, True] read as rows 1, 0, 1, and "7" as row 7."""
+        [True, False, True] read as rows 1, 0, 1, and "7" as row 7; ids
+        of any shape but 1-D are refused too."""
         m, x, rows = stream_case(1504, 10)
         blocks = []
         monkeypatch.setattr(selection, "forward", lambda *a: blocks.append(a))
@@ -1139,18 +1141,20 @@ class TestPoolWorkers:
         assert messages[0] == messages[1]
 
     def test_lowest_failing_block_raises(self, monkeypatch):
-        """Block 0 fails late and block 1 at once; the serial loop would
-        raise block 0's error, and so must two workers."""
+        """Block 0 (9,000 rows) fails late and block 1 (11,001 rows) at
+        once; the serial loop would raise block 0's error, and so must two
+        workers."""
         m, x, _ = stream_case(20_001, 10)
         force_width(monkeypatch, lambda blocks: 2)
+        monkeypatch.setattr(selection, "_row_blocks", lambda model, n: [(0, 9000), (9000, n)])
 
-        def block_fn(lo, hi, alphas):
-            if lo == 0:
+        def block_fn(alphas):
+            rows = len(alphas[0])
+            if rows == 9000:
                 time.sleep(0.05)
-            if lo < 10_000:
-                raise ValueError(f"block at {lo}")
+            raise ValueError(f"block of {rows} rows")
 
-        with pytest.raises(ValueError, match="block at 0$"):
+        with pytest.raises(ValueError, match="block of 9000 rows$"):
             selection._pool_pass(m, x, None, block_fn)
 
     def test_every_block_runs_under_the_callers_errstate(self, monkeypatch):
@@ -1158,16 +1162,16 @@ class TestPoolWorkers:
         caller's, whichever worker takes it."""
         m, x, _ = stream_case(20_001, 10)
         force_width(monkeypatch, lambda blocks: 2)
-        seen = {}
+        seen = []
 
-        def block_fn(lo, hi, alphas):
+        def block_fn(alphas):
             time.sleep(0.01)  # so that both workers take blocks
-            seen[lo] = np.geterr()["under"]
+            seen.append(np.geterr()["under"])
 
         with np.errstate(under="raise"):
             selection._pool_pass(m, x, None, block_fn)
         assert len(seen) >= 4
-        assert set(seen.values()) == {"raise"}
+        assert set(seen) == {"raise"}
 
     @pytest.mark.parametrize("fn", [score_pool, averaged_probs])
     def test_bad_id_raises_before_any_block(self, monkeypatch, fn):

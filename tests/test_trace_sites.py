@@ -5,21 +5,13 @@ would break a traced benchmark run; the first test catches it in the
 suite.  A refactor that leaves a span with no caller empties a per-layer
 benchmark metric; the second test catches that."""
 
-import importlib.util
-import sys
-from pathlib import Path
+from helpers import load_perfbench
 
 from openset_al import datasets, harness, model, selection
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
-
-def test_every_patch_site_resolves(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    # dataclasses looks the defining module up while building Site
-    monkeypatch.setitem(sys.modules, spec.name, spans)
-    spec.loader.exec_module(spans)
+def test_every_patch_site_resolves():
+    spans = load_perfbench("spans")
     missing = [
         f"{site.owner}.{site.attr}"
         for site in spans.ALL_SITES
@@ -27,15 +19,6 @@ def test_every_patch_site_resolves(monkeypatch):
     ]
     assert spans.ALL_SITES
     assert missing == []
-
-
-def load_spans(monkeypatch):
-    """perfbench/spans.py as a module, as it stands."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)
-    spec.loader.exec_module(spans)
-    return spans
 
 
 # The library spans a grid never crosses: training calls the losses'
@@ -65,7 +48,7 @@ GRID = [
 def test_traced_grid_crosses_every_other_span(monkeypatch):
     """A tiny traced grid crosses every library span but NEVER_CROSSED,
     and ``selection.forward`` once per row block of the pool passes."""
-    spans = load_spans(monkeypatch)
+    spans = load_perfbench("spans")
     blocks = []
     real_blocks = selection._row_blocks
 
