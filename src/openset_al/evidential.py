@@ -22,6 +22,8 @@ uses a base-2 logarithm so its value is bounded by 1.
 Each closed form the model and the selector use has one body, an
 unchecked private kernel with optional ``out`` and scratch arrays, which
 the checked public function, the forward passes and the pool scores call.
+The kernels sum with ``np.add.reduce``, which is what ``np.sum`` calls on
+a float array, without its Python wrapper.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def _dirichlet_mean(a, out=None) -> tuple[np.ndarray, np.ndarray]:
     """(p, S): the mean p = a / S of evidence a (..., C), written into
     ``out`` (which may be a), and its row sums S (..., 1), a new array.
     Unchecked."""
-    s = np.sum(a, axis=-1, keepdims=True)
+    s = np.add.reduce(a, axis=-1, keepdims=True)
     return np.divide(a, s, out=out), s
 
 
@@ -85,10 +87,10 @@ def _uncertainties(a, u_data=None, u_dist=None, p=None, psi=None, mutual=True):
     psi_a = special.digamma(np.add(a, 1.0, out=psi), out=psi)
     terms = np.subtract(psi_s, psi_a, out=psi_a)
     terms *= p
-    u_data = np.sum(terms, axis=-1, out=u_data)
+    u_data = np.add.reduce(terms, axis=-1, out=u_data)
     if not mutual:
         return u_data, None
-    h = np.sum(special.xlogy(p, p, out=terms), axis=-1, out=u_dist)
+    h = np.add.reduce(special.xlogy(p, p, out=terms), axis=-1, out=u_dist)
     u_dist = np.negative(h, out=u_dist)
     u_dist -= u_data
     return u_data, u_dist
@@ -98,7 +100,7 @@ def _head_distance(a1, a2, out=None, diff=None) -> np.ndarray:
     """||a1 - a2||_2 over the last axis, written into ``out``; the
     difference goes into ``diff``, which may be a1.  Unchecked."""
     d = np.subtract(a1, a2, out=diff)
-    return np.sqrt(np.sum(np.square(d, out=d), axis=-1, out=out), out=out)
+    return np.sqrt(np.add.reduce(np.square(d, out=d), axis=-1, out=out), out=out)
 
 
 def _scalar_or_array(out) -> np.ndarray | float:

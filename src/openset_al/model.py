@@ -27,9 +27,16 @@ A training step is bound by numpy call overhead, not arithmetic, so
 the gradient helpers run both heads' elementwise algebra on stacked
 (2, n, C) arrays, ``_backward`` writes each gradient array into a view on
 the model's ``grad_buffer``, and ``sgd_step`` reads the trained slice of
-that buffer in place.  ``tests/test_model.py::TestTrainStepReference``
-and the ``training_step_bitwise`` row of ``openset-al check`` hold the
-parameter and momentum bytes to a step written out array by array.
+that buffer in place, through views built once per model
+(``ModelParams.subsets``).  Within a step, sums are ``np.add.reduce``
+(``np.sum`` without its Python wrapper), the transposed weight-gradient
+products are ``np.dot`` (``np.matmul``'s bytes at less call cost), the
+discrepancy weights call the uncertainty kernel on evidence the step's
+own forward made, and trigamma's shifted arguments come from one outer
+sum.  ``tests/test_model.py::TestTrainStepReference`` and the
+``training_step_bitwise`` row of ``openset-al check`` hold the parameter
+and momentum bytes to a step written out array by array, and
+``TestStepOverhead`` holds the calls a short cycle makes to a budget.
 """
 
 from __future__ import annotations
@@ -46,11 +53,14 @@ from .evidential import (
     LOGIT_CLIP,
     _dirichlet_mean,
     _evidence,
-    data_uncertainty,
-    distribution_uncertainty,
+    _uncertainties,
     jsd,
     kl_dirichlet_to_uniform,
 )
+
+# perfbench/spans.py wraps these names here; the discrepancy weights call
+# their kernel on the training forward's evidence, finite and positive
+from .evidential import data_uncertainty, distribution_uncertainty  # noqa: F401
 
 __all__ = [
     "TrainConfig",
@@ -156,7 +166,9 @@ class ModelParams:
     ``train_cycle``: each step's backward pass writes into ``grad_views``
     and ``sgd_step`` reads the trained slice straight from the buffer.
     Entries outside the subset a step trains hold whatever an earlier
-    step left there.
+    step left there.  ``subsets`` maps each name ``trainable_indices``
+    takes to its index range and the (parameter, velocity, gradient)
+    views on its slice of the three buffers.
     """
 
     backbone: list[list[np.ndarray]]
@@ -167,6 +179,7 @@ class ModelParams:
     grad_buffer: np.ndarray = field(init=False, repr=False, compare=False)
     grad_views: list[np.ndarray] = field(init=False, repr=False, compare=False)
     offsets: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    subsets: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arrays = [np.asarray(a, dtype=float) for a in self.flat_params()]
@@ -188,6 +201,13 @@ class ModelParams:
         pairs = [params[i : i + 2] for i in range(0, len(params), 2)]
         self.backbone, self.heads = pairs[: len(self.backbone)], pairs[len(self.backbone) :]
         self.velocity = velocity
+        self.subsets = {}
+        for name in ("all", "backbone", "heads"):
+            idx = self.trainable_indices(name)
+            s = slice(self.offsets[idx.start], self.offsets[idx.stop])
+            self.subsets[name] = (
+                idx, self.param_buffer[s], self.velocity_buffer[s], self.grad_buffer[s]
+            )
 
     def __reduce__(self):
         # Copies and pickles rebuild the buffers: copied views would no
@@ -341,15 +361,17 @@ def _layers(model: ModelParams, h: np.ndarray, scratch=None, acts=None):
     layer left free, else into new arrays; with ``acts``, each layer's
     activations are appended to it."""
     for i, (w, b) in enumerate(model.backbone):
-        out = None if scratch is None else _activations(scratch, i, (len(h), w.shape[1]))
+        out = None if scratch is None else _activations(scratch, i, (h.shape[0], w.shape[1]))
         h = np.matmul(h, w, out=out)
         h += b
         np.maximum(h, 0.0, out=h)
         if acts is not None:
             acts.append(h)
-    shape = (2, len(h), model.num_classes)
-    free = len(model.backbone)  # the scratch row the last layer left free
-    logits = np.empty(shape) if scratch is None else _activations(scratch, free, shape)
+    shape = (2, h.shape[0], model.heads[0][0].shape[1])
+    if scratch is None:
+        logits = np.empty(shape)
+    else:  # the scratch row the last layer left free
+        logits = _activations(scratch, len(model.backbone), shape)
     for (w, b), z in zip(model.heads, logits):
         np.matmul(h, w, out=z)
         z += b
@@ -388,23 +410,28 @@ def _backward(model: ModelParams, acts, dz, grads=None, heads=True, backbone=Tru
     head's matmuls and column sums stay separate.  Arrays outside the
     requested subset are not written: with ``grads`` None they are the
     zeros of a fresh buffer, otherwise whatever ``grads`` held.
+
+    The weight gradients a^T dz go through ``np.dot``, which gives
+    ``np.matmul``'s bytes for a transposed operand at a fraction of its
+    call cost on the one- and two-row batches that end an epoch.
     """
     grads = model.zero_grads() if grads is None else grads
-    nb = model.num_backbone_arrays
+    layers = model.backbone
     if heads:
+        nb = 2 * len(layers)
         for i in range(2):
-            np.matmul(acts[-1].T, dz[i], out=grads[nb + 2 * i])
-            np.sum(dz[i], axis=0, out=grads[nb + 2 * i + 1])
+            np.dot(acts[-1].T, dz[i], out=grads[nb + 2 * i])
+            np.add.reduce(dz[i], axis=0, out=grads[nb + 2 * i + 1])
     if backbone:
         (w1, _), (w2, _) = model.heads
         dh = dz[0] @ w1.T
         dh += dz[1] @ w2.T
-        for i in reversed(range(len(model.backbone))):
+        for i in reversed(range(len(layers))):
             da = np.multiply(dh, acts[i + 1] > 0, out=dh)
-            np.matmul(acts[i].T, da, out=grads[2 * i])
-            np.sum(da, axis=0, out=grads[2 * i + 1])
+            np.dot(acts[i].T, da, out=grads[2 * i])
+            np.add.reduce(da, axis=0, out=grads[2 * i + 1])
             if i:  # nothing reads the gradient for the network input
-                dh = da @ model.backbone[i][0].T
+                dh = da @ layers[i][0].T
     return grads
 
 
@@ -428,8 +455,9 @@ TRIGAMMA_BERNOULLI = (
     1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510
 )
 TRIGAMMA_SHIFT = 10
-# x + 9, ..., x + 1: the recurrence's terms, added in this order
-TRIGAMMA_STEPS = np.arange(TRIGAMMA_SHIFT - 1, 0, -1, dtype=float)
+# x + 10, x + 9, ..., x + 1, x + 0: the series' argument, then the
+# recurrence's terms in the order they are added
+TRIGAMMA_STEPS = np.arange(TRIGAMMA_SHIFT, -1, -1, dtype=float)
 
 
 def _trigamma(x: np.ndarray) -> np.ndarray:
@@ -437,18 +465,20 @@ def _trigamma(x: np.ndarray) -> np.ndarray:
     returned.
 
     psi1(x) = sum_{k < 10} 1/(x + k)^2 + psi1(x + 10), the last term from
-    the asymptotic series.  The nine terms 1/(x + k)^2, k = 9 .. 1, are
-    formed at once from x directly along a leading axis, and summed over
-    it in that order, smallest first, so the result stays within a few
-    ulp of the true value; ``openset-al check`` holds it to 2e-15
-    relative of ``scipy.special.zeta(2, x)`` over the evidence range.
-    nan stays nan.
+    the asymptotic series.  Every shifted argument x + k, k = 10 .. 0, is
+    formed at once from x directly along a leading axis; w = 1/(x + 10)
+    and the terms 1/(x + k)^2 come from one reciprocal over it.  The
+    terms k = 9 .. 1 are summed in that order, smallest first, then the
+    series and 1/x^2 are added, so the result stays within a few ulp of
+    the true value; ``openset-al check`` holds it to 2e-15 relative of
+    ``scipy.special.zeta(2, x)`` over the evidence range.  nan stays nan.
     """
     t = np.add.outer(TRIGAMMA_STEPS, x)
-    np.multiply(t, t, out=t)
-    acc = np.add.reduce(np.reciprocal(t, out=t), axis=0)
-    w = np.add(x, TRIGAMMA_SHIFT, out=t[0])
-    np.reciprocal(w, out=w)
+    terms = t[1:]
+    np.multiply(terms, terms, out=terms)
+    np.reciprocal(t, out=t)
+    acc = np.add.reduce(t[1:-1], axis=0)
+    w = t[0]
     w2 = w * w
     tail = w2 * TRIGAMMA_BERNOULLI[-1]
     tail += TRIGAMMA_BERNOULLI[-2]
@@ -460,8 +490,7 @@ def _trigamma(x: np.ndarray) -> np.ndarray:
     tail *= w2
     tail += w
     acc += tail
-    np.multiply(x, x, out=x)
-    return np.add(acc, np.reciprocal(x, out=x), out=x)
+    return np.add(acc, t[-1], out=x)
 
 
 def _edl_grads(model: ModelParams, x: np.ndarray, yy: np.ndarray, grads=None):
@@ -474,11 +503,11 @@ def _edl_grads(model: ModelParams, x: np.ndarray, yy: np.ndarray, grads=None):
     its row sums S~, laid side by side as (2, n, C + 1).
     """
     acts, _, alpha, mask = _forward_cached(model, x)
-    n, c = x.shape[0], model.num_classes
+    n, c = yy.shape
     off_label = 1.0 - yy
     a_t = off_label * alpha
     a_t += yy
-    s_t = a_t.sum(axis=2, keepdims=True)
+    s_t = np.add.reduce(a_t, axis=2, keepdims=True)
     psi = _trigamma(np.concatenate((a_t, s_t), axis=2))
     # d/d alpha~ of the KL term, (a~ - 1) psi1(a~) - psi1(S~) (S~ - C),
     # then chained through the label mask, which zeroes the label entry
@@ -488,7 +517,7 @@ def _edl_grads(model: ModelParams, x: np.ndarray, yy: np.ndarray, grads=None):
     s_t_c *= psi[..., c:]
     dkl_dat -= s_t_c
     dkl_dat *= off_label
-    s = np.sum(alpha, axis=2, keepdims=True)
+    s = np.add.reduce(alpha, axis=2, keepdims=True)
     dz = np.divide(yy, alpha)
     np.subtract(np.reciprocal(s, out=s), dz, out=dz)
     dz += dkl_dat
@@ -524,12 +553,14 @@ def _cross_entropy_grads(model: ModelParams, x: np.ndarray, yy: np.ndarray, grad
     written into ``grads`` as ``_backward`` does; returns (both heads'
     (2, n, C) log-softmax, gradients)."""
     acts, logp, _, _ = _forward_cached(model, x, evidence=False)
-    # the row max, one class column at a time: a max is exact in any order
+    # the row max, one class column at a time: a max is exact in any
+    # order, and from about 32 rows up a few column calls beat one
+    # np.maximum.reduce over the short class axis
     zmax = logp[..., :1].copy()
-    for j in range(1, model.num_classes):
+    for j in range(1, logp.shape[2]):
         np.maximum(zmax, logp[..., j : j + 1], out=zmax)
     logp -= zmax
-    lse = np.sum(np.exp(logp), axis=2, keepdims=True)
+    lse = np.add.reduce(np.exp(logp), axis=2, keepdims=True)
     logp -= np.log(lse, out=lse)
     dz = np.exp(logp)
     dz -= yy
@@ -553,19 +584,29 @@ def cross_entropy_loss(
 
 def close_weights(alphas, tau1: float) -> np.ndarray:
     """Constant per-example weights (1/N)(1 - sigmoid(u_data - tau1))
-    computed from the averaged evidence of the two heads ``alphas``."""
-    a1, a2 = alphas
-    u = data_uncertainty(0.5 * (a1 + a2))
-    n = a1.shape[0]
-    return (1.0 - special.expit(np.atleast_1d(u) - tau1)) / n
+    computed from the averaged evidence of the two heads ``alphas``, a
+    pair of (N, C) evidence arrays as the forward passes make them.
+    Unchecked: ``data_uncertainty``'s kernel reads the average directly."""
+    a = np.add(alphas[0], alphas[1])
+    a *= 0.5
+    w = _uncertainties(a, psi=a, mutual=False)[0]
+    w -= tau1
+    special.expit(w, out=w)
+    np.subtract(1.0, w, out=w)
+    w /= a.shape[0]
+    return w
 
 
 def dis_weights(alphas, tau2: float) -> np.ndarray:
-    """Constant per-example weights (1/N) sigmoid(u_dist - tau2)."""
-    a1, a2 = alphas
-    u = distribution_uncertainty(0.5 * (a1 + a2))
-    n = a1.shape[0]
-    return special.expit(np.atleast_1d(u) - tau2) / n
+    """Constant per-example weights (1/N) sigmoid(u_dist - tau2), from
+    ``distribution_uncertainty``'s kernel as ``close_weights`` does."""
+    a = np.add(alphas[0], alphas[1])
+    a *= 0.5
+    w = _uncertainties(a, psi=a)[1]
+    w -= tau2
+    special.expit(w, out=w)
+    w /= a.shape[0]
+    return w
 
 
 def _weighted_jsd(model: ModelParams, x: np.ndarray, weights, weight_fn, tau):
@@ -582,7 +623,7 @@ def _weighted_jsd(model: ModelParams, x: np.ndarray, weights, weight_fn, tau):
     g = np.divide(pq, m)
     np.log(g, out=g)
     g /= 2.0 * LN2
-    g -= np.sum(pq * g, axis=2, keepdims=True)
+    g -= np.add.reduce(pq * g, axis=2, keepdims=True)
     g *= pq
     g *= mask
     g *= w[:, None]
@@ -642,7 +683,10 @@ def dis_loss(
 
 def learning_rate_at(epoch: int, cfg: TrainConfig) -> float:
     """Step schedule: base lr divided by 10 at every milestone reached."""
-    drops = sum(1 for m in cfg.lr_milestones if m <= epoch)
+    drops = 0
+    for m in cfg.lr_milestones:
+        if m <= epoch:
+            drops += 1
     return cfg.lr * 10.0 ** (-drops)
 
 
@@ -659,27 +703,27 @@ def sgd_step(
     param <- param - lr(epoch) * v
 
     The subset is one contiguous slice of the model's parameter and
-    velocity buffers, updated in one pass; parameters and velocities
-    outside it are untouched (bitwise).  ``grads`` is a list shaped like
-    ``flat_params()``, whose subset is copied into one array, or the
-    model's own ``grad_views``, whose slice of ``grad_buffer`` is read
-    in place and used as scratch.  Raises on non-finite gradients in the
-    subset, naming the first offending array.
+    velocity buffers (``ModelParams.subsets``), updated in one pass;
+    parameters and velocities outside it are untouched (bitwise).
+    ``grads`` is the model's own ``grad_views``, whose slice of
+    ``grad_buffer`` is read in place and used as scratch, or any list
+    shaped like ``flat_params()``, whose subset is first copied into that
+    slice.  Raises on non-finite gradients in the subset, naming the
+    first offending array, before any parameter or velocity changes.
     """
-    idx = model.trainable_indices(trainable)
-    lo, hi = model.offsets[idx.start], model.offsets[idx.stop]
-    if grads is model.grad_views:
-        g = model.grad_buffer[lo:hi]
-    else:
-        if [np.shape(g) for g in grads] != [p.shape for p in model.flat_params()]:
+    try:
+        idx, p, v, g = model.subsets[trainable]
+    except KeyError:
+        raise ValueError(f"unknown parameter subset {trainable!r}") from None
+    if grads is not model.grad_views:
+        if [np.shape(a) for a in grads] != [q.shape for q in model.flat_params()]:
             raise ValueError("gradient list does not match parameter list")
-        g = np.concatenate(grads[idx.start : idx.stop], axis=None)
-    if not np.isfinite(g).all():
+        np.concatenate(grads[idx.start : idx.stop], axis=None, out=g)
+    if not np.logical_and.reduce(np.isfinite(g)):
         i = next(i for i in idx if not np.isfinite(grads[i]).all())
         raise FloatingPointError(
             f"non-finite gradient in parameter {i} (shape {grads[i].shape}) at epoch {epoch}"
         )
-    p, v = model.param_buffer[lo:hi], model.velocity_buffer[lo:hi]
     v *= cfg.momentum
     g += cfg.weight_decay * p
     v += g
@@ -716,7 +760,8 @@ def train_cycle(
     validated and one-hot encoded, once, before any parameter changes.
     Every step writes its gradient into the model's ``grad_views`` and
     ``sgd_step`` reads it from there, so a step allocates no gradient
-    list.
+    list.  Batches are gathered with ``take``, the same rows as fancy
+    indexing at less cost.
     """
     x_labeled = _model_batch(model, x_labeled)
     if x_labeled.shape[0] == 0:
@@ -731,7 +776,7 @@ def train_cycle(
     batch = min(cfg.batch_size, x_labeled.shape[0])
     for epoch in range(cfg.epochs):
         for idx in _epoch_batches(x_labeled.shape[0], batch, rng):
-            _, grads = grad_fn(model, x_labeled[idx], yy[idx], buffer)
+            _, grads = grad_fn(model, x_labeled.take(idx, 0), yy.take(idx, 0), buffer)
             sgd_step(model, grads, epoch, cfg, trainable="all")
 
     if not cfg.runs_discrepancy:
@@ -743,7 +788,7 @@ def train_cycle(
         else:
             grad_fn, tau, trainable = _dis_grads, cfg.tau2, "heads"
         for idx in _epoch_batches(x_unlabeled.shape[0], ubatch, rng):
-            _, grads = grad_fn(model, x_unlabeled[idx], tau, buffer)
+            _, grads = grad_fn(model, x_unlabeled.take(idx, 0), tau, buffer)
             sgd_step(model, grads, cfg.epochs + k, cfg, trainable=trainable)
     return model
 

@@ -325,26 +325,22 @@ def test_criterion_8_determinism_and_accounting(benchmark_runs, tmp_path):
     )
 
 
-# sha256 of the seed-0 metrics CSV of each variant; equal to the
-# ``desk/<variant>/s0`` digests in perfbench/golden.json.  The variants
-# between them exercise all four losses and the coarse-to-fine selector,
-# so a refactor of any of them that changes a single bit fails here.
-GOLDEN_SEED0 = {
-    "coarse_to_fine": "f12930113d06984552efb8d185899a7e6b7e8f08afd25c8a0c867096a19c56fc",
-    "random": "1d8237ea5c796ca1b89e4a22bfdb867401a0b4f5174be057a0b264f5cf0086be",
-    "entropy": "5035ad55695ff0f5014b9e0a9d499bae9317fe1d26156f96931b3d4342aa044a",
-    "no_discrepancy": "8ed689779975485cd52e9ef8183e71a687884605978261955c59b183c9dc70df",
-    "cross_entropy": "47b755f78c4a608b775cbfa98cbb99b0d008c86417f722fcac79a09f1ec54f0e",
-}
-
-
-@pytest.mark.parametrize("variant", sorted(GOLDEN_SEED0))
+@pytest.mark.parametrize("variant", sorted(BENCH_VARIANTS))
 def test_golden_metrics_bytes(benchmark_runs, variant, tmp_path):
-    """The seed-0 metrics CSV of each benchmark variant keeps its bytes."""
+    """Every seed's metrics CSV of each benchmark variant keeps the bytes
+    whose sha256 perfbench records as ``desk/<variant>/s<seed>``.  The
+    variants between them exercise all four losses and the coarse-to-fine
+    selector, so a refactor of any of them that changes a single bit fails
+    here."""
+    golden = load_perfbench("workloads").load_golden()
     strategy = BENCH_VARIANTS[variant][0]
-    path = tmp_path / f"{variant}.csv"
-    write_metrics_csv(path, benchmark_runs[variant][0], strategy, BENCH_SEEDS[0], BENCH_R)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SEED0[variant]
+    digests, expected = {}, {}
+    for seed, metrics in zip(BENCH_SEEDS, benchmark_runs[variant]):
+        path = tmp_path / f"{variant}_s{seed}.csv"
+        write_metrics_csv(path, metrics, strategy, seed, BENCH_R)
+        digests[seed] = hashlib.sha256(path.read_bytes()).hexdigest()
+        expected[seed] = golden[f"desk/{variant}/s{seed}"]
+    assert digests == expected
 
 
 def test_wide_pool_golden_bytes_on_two_workers(monkeypatch, tmp_path):

@@ -707,6 +707,15 @@ class TestResolveConfig:
                 }
             )
 
+    def test_readme_configs_resolve(self, monkeypatch):
+        """Every JSON config the README shows passes validation as written."""
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = [part.split("```", 1)[0] for part in readme.split("```json\n")[1:]]
+        assert blocks
+        for block in blocks:
+            cli.resolve_config(json.loads(block))
+
     @pytest.mark.parametrize("data", [{"radius": 5}, {"idx": IDX}])
     def test_resolved_config_is_a_fixed_point(self, monkeypatch, data):
         """The config a manifest echoes resolves to itself, through JSON."""

@@ -4,6 +4,7 @@ contracts, optimizer arithmetic, determinism, and checkpoint round-trips."""
 import copy
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -610,6 +611,43 @@ class TestTrainCycle:
         with pytest.raises(ValueError, match="length"):
             train_cycle(m, xl, yl[:-1], xl[:0], quick_cfg(epochs=1))
 
+    @pytest.mark.parametrize("phase", ["close", "dis"])
+    def test_nonfinite_discrepancy_gradient_stops_the_step(
+        self, small_split, monkeypatch, phase
+    ):
+        """A non-finite gradient stops training at the update of the step
+        that made it, naming an array of the subset that phase trains, before
+        any parameter or velocity byte changes: a nan pool row in an
+        agreement epoch (backbone), a nan tau2 weight in a disagreement
+        epoch (heads)."""
+        xl, yl = small_split.labeled_arrays()
+        xu = small_split.unlabeled_features().copy()
+        if phase == "close":
+            xu[5, 0] = np.nan
+            cfg = quick_cfg(epochs=2, discrepancy_epochs=2)
+        else:
+            cfg = quick_cfg(epochs=2, discrepancy_epochs=2, tau2=np.nan)
+        m = init_model(xl.shape[1], 3, hidden_widths=(16,), seed=2)
+        updates = []
+        real = model_module.sgd_step
+
+        def recorded(model, grads, epoch, cfg, trainable="all"):
+            updates.append((epoch, trainable, state_bytes(model)))
+            return real(model, grads, epoch, cfg, trainable)
+
+        monkeypatch.setattr(model_module, "sgd_step", recorded)
+        with pytest.raises(FloatingPointError, match="non-finite gradient") as raised:
+            train_cycle(m, xl, yl, xu, cfg, rng=np.random.default_rng(0))
+        index = int(str(raised.value).split("parameter ")[1].split()[0])
+        epoch, trainable, before = updates[-1]
+        if phase == "close":
+            assert (epoch, trainable) == (cfg.epochs, "backbone")
+            assert index < m.num_backbone_arrays
+        else:
+            assert (epoch, trainable) == (cfg.epochs + 1, "heads")
+            assert index >= m.num_backbone_arrays
+        assert state_bytes(m) == before
+
     def test_losses_stay_finite_and_nonnegative(self, small_split):
         xl, yl = small_split.labeled_arrays()
         xu = small_split.unlabeled_features()
@@ -701,6 +739,91 @@ class TestTrainStepReference:
         reference_train_cycle(models[1], xl, yl, xu, cfg, np.random.default_rng(1))
         assert np.isfinite(models[0].param_buffer).all()
         assert state_bytes(models[0]) == state_bytes(models[1])
+
+    @pytest.mark.parametrize("train_loss", ["edl", "cross_entropy"])
+    def test_one_row_tail_batches(self, train_loss):
+        """65 labeled and 33 unlabeled rows in batches of 32: every epoch
+        of both phases ends on a one-row batch."""
+        rng = np.random.default_rng(65)
+        xl = rng.normal(0.0, 8.0, size=(65, 12))
+        yl = rng.integers(0, 4, size=65)
+        xu = rng.normal(0.0, 8.0, size=(33, 12))
+        cfg = TrainConfig(
+            epochs=3, lr_milestones=(2,), batch_size=32, seed=0, train_loss=train_loss,
+            discrepancy_epochs=4,
+        )
+        models = [
+            init_model(12, 4, hidden_widths=(64, 64), seed=9, head_init_scale=3.0)
+            for _ in range(2)
+        ]
+        train_cycle(models[0], xl, yl, xu, cfg, rng=np.random.default_rng(1))
+        reference_train_cycle(models[1], xl, yl, xu, cfg, np.random.default_rng(1))
+        assert np.isfinite(models[0].param_buffer).all()
+        assert state_bytes(models[0]) == state_bytes(models[1])
+
+    def test_no_logit_clipped(self, monkeypatch):
+        """A run in which no step's logit reaches +-LOGIT_CLIP, so every
+        clip mask is all true."""
+        rng = np.random.default_rng(7)
+        xl = rng.normal(0.0, 1.0, size=(75, 12))
+        yl = rng.integers(0, 4, size=75)
+        xu = rng.normal(0.0, 1.0, size=(70, 12))
+        cfg = TrainConfig(
+            epochs=3, lr_milestones=(2,), batch_size=32, seed=0, discrepancy_epochs=4
+        )
+        models = [init_model(12, 4, hidden_widths=(16,), seed=9) for _ in range(2)]
+        largest = []
+        real = model_module._forward_cached
+
+        def recorded(*args, **kwargs):
+            out = real(*args, **kwargs)
+            largest.append(np.abs(out[1]).max())
+            return out
+
+        monkeypatch.setattr(model_module, "_forward_cached", recorded)
+        train_cycle(models[0], xl, yl, xu, cfg, rng=np.random.default_rng(1))
+        monkeypatch.undo()
+        reference_train_cycle(models[1], xl, yl, xu, cfg, np.random.default_rng(1))
+        assert len(largest) == 3 * 3 + 4 * 3 and max(largest) < LOGIT_CLIP
+        assert state_bytes(models[0]) == state_bytes(models[1])
+
+
+class TestStepOverhead:
+    """The per-step Python glue, counted rather than timed: ``sys.setprofile``
+    sees every Python function call ("call") and builtin call ("c_call")
+    and the count repeats exactly, so a change that adds per-step overhead
+    fails here without a timer."""
+
+    # Python and builtin calls of the mini-cycle below on numpy 2.4 and
+    # Python 3.11; the step before this budget read 946 and 695
+    CALLS = 368
+    C_CALLS = 366
+
+    def test_call_budget_of_a_mini_cycle(self):
+        """200 labeled rows at batch 128 for 10 epochs, then 2 discrepancy
+        epochs over 128 pool rows: 22 steps at the desk shapes."""
+        rng = np.random.default_rng(0)
+        xl = rng.normal(size=(200, 16))
+        yl = rng.integers(0, 4, size=200)
+        xu = rng.normal(size=(128, 16))
+        cfg = TrainConfig(epochs=10, lr_milestones=(6,), discrepancy_epochs=2)
+        counts = {"call": 0, "c_call": 0}
+
+        def profile(frame, event, arg):
+            if event in counts:
+                counts[event] += 1
+
+        for run in range(2):  # the first run may take one-time paths
+            counts.update(call=0, c_call=0)
+            m = init_model(16, 4, seed=0)
+            sys.setprofile(profile)
+            try:
+                train_cycle(m, xl, yl, xu, cfg, rng=np.random.default_rng(0))
+            finally:
+                sys.setprofile(None)
+        # the builtin count includes the setprofile(None) call itself
+        calls, c_calls = counts["call"], counts["c_call"] - 1
+        assert calls <= self.CALLS and c_calls <= self.C_CALLS, (calls, c_calls)
 
 
 class TestModelParams:

@@ -23,8 +23,9 @@ def test_every_patch_site_resolves():
 
 # The library spans a grid never crosses: training calls the losses'
 # gradient helpers, not the public losses; the discrepancy weights read the
-# training forward's evidence, not ``model.forward``; and the pool pass
-# computes these three closed forms through evidential.py's kernels.
+# training forward's evidence, not ``model.forward``, through the
+# uncertainty kernel; and the pool pass computes the evidential closed
+# forms through evidential.py's kernels.
 NEVER_CROSSED = {
     "model.edl_loss",
     "model.cross_entropy_loss",
@@ -34,6 +35,8 @@ NEVER_CROSSED = {
     "evidential.jsd",
     "evidential.expected_probs",
     "evidential.discrepancy_score",
+    "evidential.data_uncertainty",
+    "evidential.distribution_uncertainty",
 }
 
 # (strategy, train_loss) of each cell of the traced grid
