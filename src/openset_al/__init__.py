@@ -20,7 +20,9 @@ from .evidential import (
 from .harness import (
     STRATEGIES,
     CycleMetrics,
+    FirstCycle,
     evaluate_accuracy,
+    first_cycle,
     oracle_label,
     run_experiment,
     write_manifest,
@@ -58,6 +60,7 @@ __all__ = [
     "BlobSpec",
     "CycleMetrics",
     "DatasetSplit",
+    "FirstCycle",
     "GmmModel",
     "IdxFormatError",
     "ModelParams",
@@ -80,6 +83,7 @@ __all__ = [
     "evidence_from_logits",
     "expected_probs",
     "fine_select",
+    "first_cycle",
     "forward",
     "gmm_fit",
     "init_model",

@@ -4,7 +4,9 @@ Three subcommands:
 
 * ``run --config cfg.json [--jobs N]``  executes the cross product of
   strategies x openness ratios x seeds, writing one metrics CSV and one
-  JSON manifest per run into the configured output directory.
+  JSON manifest per run into the configured output directory.  The runs
+  of one (ratio, seed) group share its split and its cycle-0 model, and
+  ``--jobs`` spreads the groups over processes.
 * ``report --dir results/``  aggregates run CSVs into a final-accuracy
   summary table and a per-cycle query-precision series, both plot-ready.
 * ``check [--config cfg.json]``  runs the fast invariant suite and prints
@@ -39,6 +41,7 @@ from .datasets import BlobSpec, _class_count, _unknown_count, load_idx, make_blo
 from .harness import (
     METRICS_COLUMNS,
     STRATEGIES,
+    first_cycle,
     run_experiment,
     write_manifest,
     write_metrics_csv,
@@ -325,17 +328,26 @@ def run_tag(strategy: str, r: float, seed: int) -> str:
     return f"{strategy}_{_ratio_tag(r)}_s{seed}"
 
 
-def _execute_run(resolved: dict, strategy: str, r: float, seed: int) -> str:
-    """One (strategy, ratio, seed) cell: runs the experiment and writes
-    its CSV + manifest.  Top-level so process pools can pickle it."""
+def _execute_group(resolved: dict, r: float, seed: int) -> list[str]:
+    """One (ratio, seed) group: builds the split and trains its cycle-0
+    model once, then runs each configured strategy from them, in config
+    order, writing its CSV + manifest.  Each manifest records the shared
+    training's seconds once, under ``first_cycle``.  Top-level so process
+    pools can pickle it."""
     split = _build_split(resolved, r, seed)
     cfg = _train_config(resolved, seed)
-    metrics = run_experiment(split, cfg, strategy)
+    first = first_cycle(split, cfg)
+    strategies = resolved["strategies"]
+    tags = [run_tag(strategy, r, seed) for strategy in strategies]
+    shared = {"wall_time": first.wall_time, "runs": tags}
     outdir = Path(resolved["output_dir"])
-    tag = run_tag(strategy, r, seed)
-    write_metrics_csv(outdir / f"metrics_{tag}.csv", metrics, strategy, seed, r)
-    write_manifest(outdir / f"manifest_{tag}.json", resolved, metrics, strategy, seed, r)
-    return tag
+    for strategy, tag in zip(strategies, tags):
+        metrics = run_experiment(split, cfg, strategy, first=first)
+        write_metrics_csv(outdir / f"metrics_{tag}.csv", metrics, strategy, seed, r)
+        write_manifest(
+            outdir / f"manifest_{tag}.json", resolved, metrics, strategy, seed, r, shared
+        )
+    return tags
 
 
 def cmd_run(config_path: str, jobs: int = 1) -> int:
@@ -346,13 +358,11 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    cells = list(
-        product(resolved["strategies"], resolved["openness_ratios"], resolved["seeds"])
-    )
-    # One job runs the cells in-process, in order, so they can be traced.
-    # With more, each cell process narrows its pool passes to its share
-    # of the CPUs, shared among no more processes than there are cells.
-    jobs = min(jobs, len(cells))
+    groups = list(product(resolved["openness_ratios"], resolved["seeds"]))
+    # One job runs the groups in-process, in order, so they can be traced.
+    # With more, each group process narrows its pool passes to its share
+    # of the CPUs, shared among no more processes than there are groups.
+    jobs = min(jobs, len(groups))
     try:
         pool = (
             ProcessPoolExecutor(max_workers=jobs, initializer=_share_cpus, initargs=(jobs,))
@@ -361,12 +371,13 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
         )
         with pool:
             run_map = pool.map if jobs > 1 else map
-            for tag in run_map(partial(_execute_run, resolved), *zip(*cells)):
-                print(f"completed {tag}")
+            for tags in run_map(partial(_execute_group, resolved), *zip(*groups)):
+                for tag in tags:
+                    print(f"completed {tag}")
     except Exception as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
-    print(f"wrote {len(cells)} runs to {resolved['output_dir']}")
+    print(f"wrote {len(groups) * len(resolved['strategies'])} runs to {resolved['output_dir']}")
     return 0
 
 

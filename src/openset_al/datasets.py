@@ -124,10 +124,12 @@ class DatasetSplit:
         return np.searchsorted(classes, raw)
 
     def labeled_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.features[self.labeled_ids], self.model_labels(self.labeled_ids)
+        ids = self.labeled_ids
+        return self.features[ids], self.model_labels(ids)
 
     def test_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.features[self.ids(Pool.TEST)], self.model_labels(self.ids(Pool.TEST))
+        ids = self.ids(Pool.TEST)
+        return self.features[ids], self.model_labels(ids)
 
     def unlabeled_features(self) -> np.ndarray:
         return self.features[self.unlabeled_ids]

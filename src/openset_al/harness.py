@@ -7,6 +7,8 @@ simulated oracle, retrain from a fresh seeded initialization on the
 enlarged labeled pool, and evaluate.  Queried known-class examples join
 the labeled pool with their true labels; queried unknown-class examples
 are discarded and never re-queried, and both kinds consume budget.
+The cycle-0 model does not depend on the strategy, so ``first_cycle``
+trains it once for every strategy run on one split.
 
 Everything is driven by one master seed: per-cycle child seeds cover
 model initialization, batch shuffling, and any selection randomness, so
@@ -41,7 +43,9 @@ from .selection import (
 
 __all__ = [
     "CycleMetrics",
+    "FirstCycle",
     "STRATEGIES",
+    "first_cycle",
     "oracle_label",
     "evaluate_accuracy",
     "run_experiment",
@@ -74,8 +78,9 @@ class CycleMetrics:
     ``wall_time`` is the seconds of the ``run_experiment`` loop iteration
     that produced the cycle's model: its selection, oracle and training,
     beside (or, at a width of 1, after) the previous model's evaluation.
-    The last cycle also counts its own evaluation, so a run's cycles sum
-    to the run.
+    Cycle 0 counts the initial training only when the run made it, not
+    when it was given a ``FirstCycle``.  The last cycle also counts its
+    own evaluation, so a run's cycles sum to the run.
     """
 
     cycle: int
@@ -134,21 +139,21 @@ def evaluate_accuracy(
 def _select(
     strategy: str,
     model: ModelParams,
-    split: DatasetSplit,
+    features: np.ndarray,
+    ids: np.ndarray,
     cfg: TrainConfig,
     budget: int,
     seed,
 ) -> np.ndarray:
-    """The next query of ``budget`` unlabeled ids under ``strategy``.
+    """The next query of ``budget`` of the unlabeled ``ids`` under ``strategy``.
 
     The pool is scored through its ids, block by block, never gathered:
     coarse_to_fine reads ``score_pool``; a ranked baseline passes the ids
     and their streamed ``baseline_rank`` to ``baseline_select``; random
     reads no model output, so it runs no pool pass.
     """
-    ids = split.unlabeled_ids
     if strategy == "coarse_to_fine":
-        scores = score_pool(model, split.features, rows=ids)
+        scores = score_pool(model, features, rows=ids)
         return coarse_to_fine_select(
             scores,
             ids,
@@ -160,20 +165,108 @@ def _select(
         )
     rank = None
     if strategy != "random":
-        rank = baseline_rank(strategy, model, split.features, rows=ids)
+        rank = baseline_rank(strategy, model, features, rows=ids)
     return baseline_select(strategy, ids, budget, seed=seed, rank=rank)
 
 
+def _cycle_seeds(cfg: TrainConfig) -> list:
+    """One child seed per cycle, 0 to ``cfg.num_cycles``, of the master seed."""
+    return np.random.SeedSequence(cfg.seed).spawn(cfg.num_cycles + 1)
+
+
+def _training(split: DatasetSplit, cfg: TrainConfig, cycle_seed, labeled, unlabeled):
+    """The task that trains a cycle's fresh model on the ``labeled`` ids
+    of ``split``, and on its ``unlabeled`` ids when the discrepancy phase
+    reads them.  Its init and shuffle seeds are the next two children of
+    ``cycle_seed``.  The rows are gathered here, on the calling thread."""
+    init_seq, shuffle_seq = cycle_seed.spawn(2)
+    x_lab, y_lab = split.features[labeled], split.model_labels(labeled)
+    x_unl = split.features[unlabeled] if cfg.runs_discrepancy else None
+
+    def train(worker):
+        fresh = init_model(
+            split.features.shape[1],
+            split.num_classes,
+            hidden_widths=cfg.hidden_widths,
+            seed=init_seq,
+            head_init_scale=cfg.head_init_scale,
+        )
+        rng = np.random.default_rng(shuffle_seq)
+        return train_cycle(fresh, x_lab, y_lab, x_unl, cfg, rng=rng)
+
+    return train
+
+
+@dataclass(frozen=True, eq=False)
+class FirstCycle:
+    """The cycle-0 model of one split under one ``TrainConfig``, which
+    depends on neither the strategy nor anything a run does after it.
+
+    ``split`` is the split it was trained on, with a copy of its status,
+    so that ``run_experiment`` can refuse it for another split or config;
+    ``wall_time`` is the seconds its training took.
+    """
+
+    model: ModelParams
+    cfg: TrainConfig
+    split: DatasetSplit
+    wall_time: float
+
+    def check(self, split: DatasetSplit, cfg: TrainConfig) -> None:
+        """ValueError unless this model was trained under ``cfg`` on the
+        feature store, labels and status of ``split``."""
+        if cfg != self.cfg:
+            raise ValueError("the first cycle was trained under another TrainConfig")
+        trained = self.split
+        if (
+            split.features is not trained.features
+            or split.true_labels is not trained.true_labels
+            or split.known_classes != trained.known_classes
+        ):
+            raise ValueError("the first cycle was trained on another feature store")
+        if not np.array_equal(split.status, trained.status):
+            raise ValueError("the first cycle was trained on another status array")
+
+
+def first_cycle(split: DatasetSplit, cfg: TrainConfig) -> FirstCycle:
+    """Train and time the cycle-0 model that every strategy's run of
+    ``split`` under ``cfg`` starts from, with the seeds cycle 0 of
+    ``run_experiment`` uses.
+
+    A config that fails ``TrainConfig.validate``, a split that fails
+    ``DatasetSplit.validate`` (openness aside), or an empty labeled or
+    test pool raises ValueError before any model trains.
+    """
+    cfg.validate()
+    split.validate(check_openness=False)
+    for pool in (Pool.LABELED, Pool.TEST):
+        if not np.any(split.status == pool):
+            raise ValueError(f"the {pool.name.lower()} pool is empty")
+    t0 = time.perf_counter()
+    train = _training(split, cfg, _cycle_seeds(cfg)[0], split.labeled_ids, split.unlabeled_ids)
+    model = train(0)
+    trained = replace(split, status=split.status.copy())
+    return FirstCycle(model, cfg, trained, wall_time=time.perf_counter() - t0)
+
+
 def run_experiment(
-    split: DatasetSplit, cfg: TrainConfig, strategy: str
+    split: DatasetSplit,
+    cfg: TrainConfig,
+    strategy: str,
+    first: FirstCycle | None = None,
 ) -> list[CycleMetrics]:
     """Run the full query loop and return one metrics row per cycle,
-    including the cycle-0 evaluation of the initial model.  A split that
-    fails ``DatasetSplit.validate`` (openness aside), or an empty labeled
-    or test pool, raises ValueError before any model trains.
+    including the cycle-0 evaluation of the initial model.
+
+    The initial model is ``first``, or, without it, ``first_cycle(split,
+    cfg)``'s, whose input checks raise before any model trains.  A
+    ``first`` trained under another config or on another split raises
+    ValueError before anything trains.  Cycle 0's ``wall_time`` counts
+    the initial training only when the run made it.
 
     The pool and the test set are read through their ids from
-    ``split.features``, never gathered whole.
+    ``split.features``, never gathered whole.  Each cycle derives its
+    labeled, unlabeled and discarded ids once.
 
     Each model's test accuracy is measured once the next cycle has made
     its query: ``_run_tasks`` runs the evaluation as task 0, on the
@@ -185,76 +278,67 @@ def run_experiment(
     Evaluation reads nothing training writes, so the rows do not depend
     on the width.
     """
-    cfg.validate()
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    split.validate(check_openness=False)
-    for pool in (Pool.LABELED, Pool.TEST):
-        if not np.any(split.status == pool):
-            raise ValueError(f"the {pool.name.lower()} pool is empty")
-    cycle_seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.num_cycles + 1)
+    t0 = time.perf_counter()
+    if first is None:
+        first = first_cycle(split, cfg)
+    else:
+        first.check(split, cfg)
+    model = first.model
     features = split.features
     test_ids = split.ids(Pool.TEST)
     y_test = split.model_labels(test_ids)
     width = _pool_width(2) if len(test_ids) >= FORWARD_MIN_BLOCK else 1
     metrics = []
-    # the newest model's row fields, until its test accuracy is read
-    row = None
 
     def evaluate(model):
         return evaluate_accuracy(model, features, y_test, rows=test_ids)
 
-    for cycle, cycle_seed in enumerate(cycle_seeds):
-        if cycle and len(split.unlabeled_ids) == 0:
-            break
-        t0 = time.perf_counter()
-        query_precision, truncated = None, False
-        if cycle:
-            budget = min(cfg.query_size, len(split.unlabeled_ids))
-            # SeedSequence.spawn is stateful: the select seed is child 2 of
-            # this spawn, so the init and shuffle seeds below are children
-            # 3 and 4 (0 and 1 in cycle 0, which makes no query).
-            select_seed = cycle_seed.spawn(3)[2]
-            query = _select(strategy, model, split, cfg, budget, select_seed)
-            known_in_query = int(split.is_known(split.true_labels[query]).sum())
-            query_precision = known_in_query / len(query)
-            truncated = len(query) < cfg.query_size
-            split = oracle_label(query, split)
-            split.validate(check_openness=False)
-        init_seq, shuffle_seq = cycle_seed.spawn(2)
-        x_lab, y_lab = split.labeled_arrays()
-        x_unl = split.unlabeled_features() if cfg.runs_discrepancy else None
-
-        def train(worker):
-            fresh = init_model(
-                features.shape[1],
-                split.num_classes,
-                hidden_widths=cfg.hidden_widths,
-                seed=init_seq,
-                head_init_scale=cfg.head_init_scale,
-            )
-            rng = np.random.default_rng(shuffle_seq)
-            return train_cycle(fresh, x_lab, y_lab, x_unl, cfg, rng=rng)
-
-        if row is None:
-            model = train(0)
-        else:
-            previous = model
-            accuracy, model = _run_tasks([lambda worker: evaluate(previous), train], width)
-            metrics.append(CycleMetrics(**row, test_accuracy=accuracy))
-        row = dict(
+    def row(cycle, labeled, unlabeled, query_precision=None, truncated=False):
+        """The newest model's row fields, timed since ``t0``, until its
+        test accuracy is read."""
+        return dict(
             cycle=cycle,
             query_precision=query_precision,
-            labeled_size=len(split.labeled_ids),
-            unlabeled_size=len(split.unlabeled_ids),
+            labeled_size=len(labeled),
+            unlabeled_size=len(unlabeled),
             discarded_unknown=len(split.ids(Pool.DISCARDED)),
             truncated=truncated,
             wall_time=time.perf_counter() - t0,
         )
+
+    unlabeled = split.unlabeled_ids
+    fields = row(0, split.labeled_ids, unlabeled)
+    for cycle, cycle_seed in enumerate(_cycle_seeds(cfg)[1:], start=1):
+        if len(unlabeled) == 0:
+            break
+        t0 = time.perf_counter()
+        budget = min(cfg.query_size, len(unlabeled))
+        # SeedSequence.spawn is stateful: the select seed is child 2 of
+        # this spawn, so the init and shuffle seeds ``_training`` spawns
+        # are children 3 and 4 (0 and 1 in cycle 0, which makes no query).
+        select_seed = cycle_seed.spawn(3)[2]
+        query = _select(strategy, model, features, unlabeled, cfg, budget, select_seed)
+        known_in_query = int(split.is_known(split.true_labels[query]).sum())
+        split = oracle_label(query, split)
+        split.validate(check_openness=False)
+        labeled, unlabeled = split.labeled_ids, split.unlabeled_ids
+        train = _training(split, cfg, cycle_seed, labeled, unlabeled)
+        previous = model
+        accuracy, model = _run_tasks([lambda worker: evaluate(previous), train], width)
+        metrics.append(CycleMetrics(**fields, test_accuracy=accuracy))
+        fields = row(
+            cycle,
+            labeled,
+            unlabeled,
+            query_precision=known_in_query / len(query),
+            truncated=len(query) < cfg.query_size,
+        )
     t0 = time.perf_counter()
     accuracy = evaluate(model)
-    row["wall_time"] += time.perf_counter() - t0
-    metrics.append(CycleMetrics(**row, test_accuracy=accuracy))
+    fields["wall_time"] += time.perf_counter() - t0
+    metrics.append(CycleMetrics(**fields, test_accuracy=accuracy))
     return metrics
 
 
@@ -283,10 +367,19 @@ def write_metrics_csv(path, metrics, strategy: str, seed: int, r: float) -> None
 
 
 def write_manifest(
-    path, resolved_config: dict, metrics, strategy: str, seed: int, r: float
+    path,
+    resolved_config: dict,
+    metrics,
+    strategy: str,
+    seed: int,
+    r: float,
+    shared: dict | None = None,
 ) -> None:
     """Self-describing JSON record of one run: the fully resolved config
-    plus per-cycle metrics including wall-clock timings."""
+    plus per-cycle metrics including wall-clock timings.  ``shared``,
+    when given, is recorded as is under ``first_cycle``: the seconds of a
+    cycle-0 training that several runs share, which none of their cycles
+    count, and the runs' tags."""
     payload = {
         "strategy": strategy,
         "seed": seed,
@@ -296,6 +389,8 @@ def write_manifest(
         "total_wall_time": sum(m.wall_time for m in metrics),
         "truncated_final_query": any(m.truncated for m in metrics),
     }
+    if shared is not None:
+        payload["first_cycle"] = shared
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from helpers import count_started_threads, write_idx_images, write_idx_labels
 
-from openset_al import cli, evidential, model, selection
+from openset_al import cli, evidential, harness, model, selection
 from openset_al.checks import CHECK_NAMES, run_checks
 from openset_al.datasets import BlobSpec
 from openset_al.model import TrainConfig
@@ -270,6 +270,7 @@ class TestCmdRun:
             query_size=50,
             num_cycles=1,
             strategies=["coarse_to_fine", "entropy"],
+            seeds=[0, 1],
         )
         script = textwrap.dedent(
             """
@@ -297,24 +298,26 @@ class TestCmdRun:
         assert proc.returncode == 0, proc.stderr
         forked, serial = Path(f"{path}2"), Path(f"{path}1")
         names = sorted(p.name for p in serial.glob("metrics_*.csv"))
-        assert len(names) == 2
+        assert len(names) == 4
         for name in names:
             assert (forked / name).read_bytes() == (serial / name).read_bytes()
 
-    def test_jobs_above_one_cell_run_in_process(self, tmp_path, monkeypatch):
-        """A cell process would get 1/jobs of the CPUs, so one cell at
-        --jobs 2 runs in this process instead."""
+    def test_one_group_at_jobs_two_runs_in_process(self, tmp_path, monkeypatch):
+        """A group process would get 1/jobs of the CPUs, so a grid of one
+        (ratio, seed) group at --jobs 2 runs in this process instead,
+        however many strategies it holds."""
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a one-cell grid started a process pool")
+            raise AssertionError("a one-group grid started a process pool")
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
-        assert cli.main(["run", "--config", str(minimal_config(tmp_path)), "--jobs", "2"]) == 0
-        assert (tmp_path / "results" / "metrics_random_r0.5_s0.csv").exists()
+        path = minimal_config(tmp_path, strategies=["random", "margin"])
+        assert cli.main(["run", "--config", str(path), "--jobs", "2"]) == 0
+        assert len(list((tmp_path / "results").glob("metrics_*.csv"))) == 2
 
-    def test_jobs_capped_at_the_cell_count(self, tmp_path, monkeypatch):
-        """--jobs 4 on two cells starts two processes, each with half the
-        CPUs."""
+    def test_jobs_capped_at_the_group_count(self, tmp_path, monkeypatch):
+        """--jobs 4 on four cells in two groups starts two processes,
+        each with half the CPUs."""
         pools = []
 
         class InProcessPool:
@@ -330,9 +333,10 @@ class TestCmdRun:
             map = staticmethod(map)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-        path = minimal_config(tmp_path, seeds=[0, 1])
+        path = minimal_config(tmp_path, strategies=["random", "margin"], seeds=[0, 1])
         assert cli.main(["run", "--config", str(path), "--jobs", "4"]) == 0
         assert pools == [(2, (2,))]
+        assert len(list((tmp_path / "results").glob("metrics_*.csv"))) == 4
 
     def test_parallel_jobs_match_serial(self, tmp_path):
         serial = minimal_config(tmp_path, seeds=[0, 1], output_dir=str(tmp_path / "s"))
@@ -344,6 +348,94 @@ class TestCmdRun:
             assert (tmp_path / "s" / name).read_bytes() == (
                 tmp_path / "p" / name
             ).read_bytes()
+
+
+# 2 strategies x 2 ratios x 2 seeds: four (ratio, seed) groups of two runs
+GROUP_GRID = dict(
+    strategies=["coarse_to_fine", "margin"], openness_ratios=[0.3, 0.5], seeds=[0, 1]
+)
+
+
+def grid_cells(resolved):
+    return [
+        (strategy, r, seed)
+        for strategy in resolved["strategies"]
+        for r in resolved["openness_ratios"]
+        for seed in resolved["seeds"]
+    ]
+
+
+class TestGroups:
+    """``run`` builds each (ratio, seed) group's split and cycle-0 model
+    once and runs every strategy from them; the files are those of one
+    ``run_experiment`` call per cell, which is the reference here."""
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_csvs_match_one_run_experiment_per_cell(self, tmp_path, jobs):
+        path = minimal_config(tmp_path, **GROUP_GRID)
+        resolved = cli.resolve_config(json.loads(path.read_text()))
+        reference = tmp_path / "reference"
+        reference.mkdir()
+        for strategy, r, seed in grid_cells(resolved):
+            split = cli._build_split(resolved, r, seed)
+            metrics = harness.run_experiment(split, cli._train_config(resolved, seed), strategy)
+            name = f"metrics_{cli.run_tag(strategy, r, seed)}.csv"
+            harness.write_metrics_csv(reference / name, metrics, strategy, seed, r)
+        assert cli.main(["run", "--config", str(path), "--jobs", jobs]) == 0
+        names = sorted(p.name for p in reference.iterdir())
+        assert len(names) == 8
+        assert sorted(p.name for p in (tmp_path / "results").glob("metrics_*.csv")) == names
+        for name in names:
+            assert (tmp_path / "results" / name).read_bytes() == (reference / name).read_bytes()
+
+    def test_split_and_cycle_zero_model_built_once_per_group(self, tmp_path, monkeypatch):
+        """Four groups make four splits and four cycle-0 trainings; each
+        of the eight runs then trains its two query cycles."""
+        counts = {"make_blobs": 0, "train_cycle": 0}
+        for module, name in ((cli, "make_blobs"), (harness, "train_cycle")):
+            real = getattr(module, name)
+
+            def counted(*args, real=real, name=name, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        path = minimal_config(tmp_path, **GROUP_GRID)
+        assert cli.main(["run", "--config", str(path)]) == 0
+        assert counts == {"make_blobs": 4, "train_cycle": 4 + 8 * 2}
+
+    def test_each_second_counted_once(self, tmp_path, monkeypatch):
+        """Every manifest of a group names the group's runs and the seconds
+        of their shared cycle-0 training, which no cycle counts.  The
+        cycles of every run plus each group's shared seconds, counted once,
+        stay below the time of the whole command, with every training
+        slowed so that a second counted twice would show."""
+        real = harness.train_cycle
+
+        def delayed(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_cycle", delayed)
+        path = minimal_config(tmp_path, **GROUP_GRID)
+        start = time.perf_counter()
+        assert cli.main(["run", "--config", str(path)]) == 0
+        outside = time.perf_counter() - start
+        resolved = cli.resolve_config(json.loads(path.read_text()))
+        shared, counted = {}, 0.0
+        for strategy, r, seed in grid_cells(resolved):
+            tag = cli.run_tag(strategy, r, seed)
+            manifest = json.loads((tmp_path / "results" / f"manifest_{tag}.json").read_text())
+            record = manifest["first_cycle"]
+            assert record["runs"] == [cli.run_tag(s, r, seed) for s in resolved["strategies"]]
+            assert record["wall_time"] >= 0.05
+            shared.setdefault((r, seed), record["wall_time"])
+            assert shared[(r, seed)] == record["wall_time"]
+            cycles = [c["wall_time"] for c in manifest["cycles"]]
+            assert cycles[0] < 0.05 and all(t >= 0.05 for t in cycles[1:])
+            counted += sum(cycles)
+        assert len(shared) == 4
+        assert counted + sum(shared.values()) < outside
 
 
 class TestCmdReport:

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from openset_al import harness, selection
 from openset_al.datasets import BlobSpec, DatasetSplit, Pool, make_blobs
 from openset_al.harness import (
+    STRATEGIES,
     CycleMetrics,
     evaluate_accuracy,
+    first_cycle,
     oracle_label,
     run_experiment,
     write_metrics_csv,
@@ -414,6 +416,86 @@ class TestRunExperiment:
             for pool in (Pool.LABELED, Pool.TEST):
                 assert split.is_known(split.true_labels[split.ids(pool)]).all()
         assert len(split.ids(Pool.DISCARDED)) > 0
+
+
+def refuse_training(*args, **kwargs):
+    raise AssertionError("a model was trained")
+
+
+class TestFirstCycle:
+    """The cycle-0 model depends on the split, the config and the seed,
+    not on the strategy, so one ``first_cycle`` serves every strategy."""
+
+    def test_every_strategy_from_one_first_cycle_matches_its_own(self, small_split):
+        cfg = quick_cfg()
+        first = first_cycle(small_split, cfg)
+        for strategy in STRATEGIES:
+            shared = run_experiment(small_split, cfg, strategy, first=first)
+            assert shared == run_experiment(small_split, cfg, strategy)
+            assert [m.cycle for m in shared] == [0, 1, 2]
+
+    @pytest.mark.parametrize("other", ["seed", "epochs", "split", "status"])
+    def test_first_from_elsewhere_rejected_before_training(
+        self, small_split, monkeypatch, other
+    ):
+        first = first_cycle(small_split, quick_cfg())
+        split, cfg = small_split, quick_cfg()
+        if other == "seed":
+            cfg = quick_cfg(seed=1)
+        elif other == "epochs":
+            cfg = quick_cfg(epochs=16)
+        elif other == "split":
+            spec = BlobSpec(num_known=3, num_unknown=3, dim=6, per_class=40, seed=12)
+            split = make_blobs(spec, r=0.5)
+        else:
+            split = oracle_label(split.unlabeled_ids[:5], split)
+        monkeypatch.setattr(harness, "train_cycle", refuse_training)
+        with pytest.raises(ValueError, match="first cycle was trained on another|under another"):
+            run_experiment(split, cfg, "random", first=first)
+
+    def test_status_changed_in_place_is_another_status(self, small_split, monkeypatch):
+        split = dataclasses.replace(small_split, status=small_split.status.copy())
+        first = first_cycle(split, quick_cfg())
+        split.status[split.unlabeled_ids[0]] = Pool.DISCARDED
+        monkeypatch.setattr(harness, "train_cycle", refuse_training)
+        with pytest.raises(ValueError, match="another status array"):
+            run_experiment(split, quick_cfg(), "random", first=first)
+
+    def test_cycle_zero_counts_the_training_only_when_the_run_made_it(
+        self, small_split, monkeypatch
+    ):
+        real = harness.train_cycle
+
+        def delayed(*args, **kwargs):
+            time.sleep(0.2)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_cycle", delayed)
+        cfg = quick_cfg(num_cycles=1)
+        first = first_cycle(small_split, cfg)
+        given = run_experiment(small_split, cfg, "random", first=first)
+        own = run_experiment(small_split, cfg, "random")
+        assert first.wall_time >= 0.2 and own[0].wall_time >= 0.2
+        assert given[0].wall_time < 0.2
+        assert given[1].wall_time >= 0.2 and own[1].wall_time >= 0.2
+
+    def test_each_query_cycle_derives_each_pool_once(self, small_split, monkeypatch):
+        """Per query cycle: the labeled, unlabeled and discarded ids once,
+        and the three pools ``DatasetSplit.validate`` checks."""
+        calls = []
+        real = DatasetSplit.ids
+
+        def counted(self, pool):
+            calls.append(pool)
+            return real(self, pool)
+
+        monkeypatch.setattr(DatasetSplit, "ids", counted)
+        per_run = []
+        for num_cycles in (1, 3):
+            calls.clear()
+            run_experiment(small_split, quick_cfg(num_cycles=num_cycles), "entropy")
+            per_run.append(len(calls))
+        assert (per_run[1] - per_run[0]) / 2 == 6
 
 
 @pytest.fixture(scope="module")

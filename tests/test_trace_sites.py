@@ -3,11 +3,16 @@ their callers look up (``perfbench/spans.py``).  ``Tracer.install`` reads
 ``owner.__dict__[attr]``, so a refactor that drops one of those names
 would break a traced benchmark run; the first test catches it in the
 suite.  A refactor that leaves a span with no caller empties a per-layer
-benchmark metric; the second test catches that."""
+benchmark metric; the last two tests catch that, for the library and for
+the CLI."""
+
+import contextlib
+import io
+import json
 
 from helpers import load_perfbench
 
-from openset_al import datasets, harness, model, selection
+from openset_al import cli, datasets, harness, model, selection
 
 
 def test_every_patch_site_resolves():
@@ -77,3 +82,41 @@ def test_traced_grid_crosses_every_other_span(monkeypatch):
     assert tracer.counts["selection.forward.calls"] == len(blocks) > 0
     crossed = {name for name, *_ in tracer.spans}
     assert {site.span for site in spans.LIBRARY_SITES} - crossed == NEVER_CROSSED
+
+
+def test_traced_cli_grid_crosses_every_cli_span(tmp_path):
+    """``openset-al run`` and ``report`` on a grid of two strategies x two
+    seeds, traced at perfbench's CLI sites: each span is crossed, the
+    split is built once per (ratio, seed) group and ``run_experiment``
+    runs once per cell."""
+    spans = load_perfbench("spans")
+    config = tmp_path / "config.json"
+    outdir = tmp_path / "results"
+    config.write_text(
+        json.dumps(
+            {
+                "strategies": ["coarse_to_fine", "random"],
+                "openness_ratios": [0.5],
+                "seeds": [0, 1],
+                "output_dir": str(outdir),
+                "query_size": 8,
+                "num_cycles": 1,
+                "data": {"num_known": 2, "num_unknown": 2, "dim": 4, "per_class": 30,
+                         "init_labeled_fraction": 0.1},
+                "train": {"epochs": 4, "lr_milestones": [], "discrepancy_epochs": 1,
+                          "hidden_widths": [8]},
+            }
+        )
+    )
+    tracer = spans.Tracer()
+    tracer.install(spans.CLI_SITES)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["run", "--config", str(config)]) == 0
+            assert cli.main(["report", "--dir", str(outdir)]) == 0
+    finally:
+        tracer.restore()
+    crossed = {name for name, *_ in tracer.spans}
+    assert {site.span for site in spans.CLI_SITES} <= crossed
+    assert tracer.counts["datasets.make_blobs.calls"] == 2
+    assert tracer.counts["harness.run_experiment.calls"] == 4
