@@ -88,13 +88,16 @@ class DatasetSplit:
     ``true_labels`` holds class ids in the smallest signed integer dtype
     that holds them all: int8 for up to 128 blob classes, int16 for IDX
     labels; ``model_labels`` maps them to intp model indices.
+
+    ``make_blobs`` and ``load_idx`` assemble it valid, and ``oracle_label``
+    keeps it so; ``validate`` checks one built by hand, and a run calls it
+    once, on the split it starts from.
     """
 
     features: np.ndarray
     true_labels: np.ndarray
     known_classes: tuple[int, ...]
     status: np.ndarray
-    openness: float
 
     def ids(self, pool: Pool) -> np.ndarray:
         """Ascending ids of the examples in ``pool``."""
@@ -137,10 +140,10 @@ class DatasetSplit:
     def unknown_unlabeled_mask(self) -> np.ndarray:
         return ~self.is_known(self.true_labels[self.unlabeled_ids])
 
-    def validate(self, check_openness: bool = True) -> None:
-        """Feature shape, status validity and purity always hold; the
-        openness check only applies to freshly generated splits (querying
-        skews the pool)."""
+    def validate(self) -> None:
+        """ValueError unless the features hold one 2-D row per label, the
+        status one Pool value per example, and the labeled and test pools
+        known classes only, at least one example each."""
         status, n = self.status, len(self.true_labels)
         if np.ndim(self.features) != 2 or len(self.features) != n:
             raise ValueError(f"features must be 2-D with {n} rows, not {np.shape(self.features)}")
@@ -150,17 +153,32 @@ class DatasetSplit:
         if invalid.size:
             raise ValueError(f"status of ids {invalid[:5].tolist()} is not a Pool value")
         for pool in (Pool.LABELED, Pool.TEST):
-            if not np.all(self.is_known(self.true_labels[self.ids(pool)])):
+            ids = self.ids(pool)
+            if not ids.size:
+                raise ValueError(f"the {pool.name.lower()} pool is empty")
+            if not np.all(self.is_known(self.true_labels[ids])):
                 raise ValueError(f"{pool.name.lower()} pool contains unknown-class examples")
-        n_unl = len(self.unlabeled_ids)
-        if check_openness and n_unl:
-            frac = self.unknown_unlabeled_mask().sum() / n_unl
-            # one-example slack on the configured openness ratio
-            if abs(frac * n_unl - self.openness * n_unl) > 1.0 + 1e-9:
-                raise ValueError(
-                    f"unlabeled unknown fraction {frac:.4f} is off the configured "
-                    f"openness {self.openness:.4f} by more than one example"
-                )
+
+
+def _id_array(ids, what: str) -> np.ndarray:
+    """``ids`` as a 1-D intp array; other shapes, non-numbers (booleans and
+    strings, alone or beside numbers) and non-whole floats (nan, +-inf),
+    which a cast would misread, raise."""
+    array = np.asarray(ids)
+    if array.ndim != 1:
+        raise ValueError(f"{what} must be a 1-D array, not shape {array.shape}")
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be integers, not {array.dtype}: {array[:5].tolist()}")
+    if array is not ids:
+        # a bool beside numbers converts to a number
+        flags = [v for v in ids if isinstance(v, (bool, np.bool_))]
+        if flags:
+            raise ValueError(f"{what} must be integers, not bool: {flags[:5]}")
+    if array.dtype.kind == "f":
+        whole = np.isfinite(array) & (array == np.floor(array))
+        if not whole.all():
+            raise ValueError(f"{what} must be whole numbers: {array[~whole].tolist()}")
+    return array.astype(np.intp, copy=False)
 
 
 def blob_class_means(spec: BlobSpec) -> np.ndarray:
@@ -233,15 +251,7 @@ def _assemble_split(
     unknown_ids = np.flatnonzero(~np.isin(labels, known_classes))
     target = _unknown_count(r, n_known_unlabeled, len(unknown_ids))
     status[rng.choice(unknown_ids, size=target, replace=False)] = Pool.UNLABELED
-    split = DatasetSplit(
-        features=features,
-        true_labels=labels,
-        known_classes=tuple(sorted(known_classes)),
-        status=status,
-        openness=r,
-    )
-    split.validate()
-    return split
+    return DatasetSplit(features, labels, tuple(sorted(known_classes)), status)
 
 
 def make_blobs(
@@ -257,7 +267,6 @@ def make_blobs(
     subsampled so their fraction there equals ``r`` within one example.
     Fully deterministic for a given spec.seed.
     """
-    spec.validate()
     means = blob_class_means(spec)
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(2)[1])
     k = spec.num_known + spec.num_unknown
@@ -314,8 +323,9 @@ def load_idx(
     Pixels are scaled to [0, 1] and flattened.  Classes in
     ``known_classes`` form the known set; every other label is treated as
     unknown and only enters the unlabeled pool, subsampled to openness r.
-    The known classes must be at least two, distinct, and each present in
-    the label file, else ValueError names the offending classes.
+    The known classes must be at least two whole numbers (not booleans or
+    strings), distinct, and each present in the label file, else
+    ValueError names the offending classes.
     """
     images = _read_idx(images_path, IDX_IMAGE_MAGIC, "image")
     labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label")
@@ -326,7 +336,7 @@ def load_idx(
     features = images.reshape(images.shape[0], -1).astype(float)
     features /= 255.0
     labels = labels.astype(_label_dtype(256))  # uint8 class ids 0..255
-    known = tuple(sorted(int(c) for c in known_classes))
+    known = tuple(sorted(_id_array(list(known_classes), "known classes").tolist()))
     repeated = sorted({c for c in known if known.count(c) > 1})
     if repeated:
         raise ValueError(f"known classes repeat {repeated}")

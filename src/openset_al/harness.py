@@ -26,12 +26,11 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .datasets import DatasetSplit, Pool
+from .datasets import DatasetSplit, Pool, _id_array
 from .model import ModelParams, TrainConfig, init_model, train_cycle
 from .selection import (
     BASELINE_STRATEGIES,
     FORWARD_MIN_BLOCK,
-    _id_array,
     _pool_width,
     _run_tasks,
     averaged_probs,
@@ -233,15 +232,12 @@ def first_cycle(split: DatasetSplit, cfg: TrainConfig) -> FirstCycle:
     ``split`` under ``cfg`` starts from, with the seeds cycle 0 of
     ``run_experiment`` uses.
 
-    A config that fails ``TrainConfig.validate``, a split that fails
-    ``DatasetSplit.validate`` (openness aside), or an empty labeled or
-    test pool raises ValueError before any model trains.
+    This is where a run checks its split, once: a config that fails
+    ``TrainConfig.validate`` or a split that fails
+    ``DatasetSplit.validate`` raises ValueError before any model trains.
     """
     cfg.validate()
-    split.validate(check_openness=False)
-    for pool in (Pool.LABELED, Pool.TEST):
-        if not np.any(split.status == pool):
-            raise ValueError(f"the {pool.name.lower()} pool is empty")
+    split.validate()
     t0 = time.perf_counter()
     train = _training(split, cfg, _cycle_seeds(cfg)[0], split.labeled_ids, split.unlabeled_ids)
     model = train(0)
@@ -261,8 +257,10 @@ def run_experiment(
     The initial model is ``first``, or, without it, ``first_cycle(split,
     cfg)``'s, whose input checks raise before any model trains.  A
     ``first`` trained under another config or on another split raises
-    ValueError before anything trains.  Cycle 0's ``wall_time`` counts
-    the initial training only when the run made it.
+    ValueError before anything trains.  The split is checked there only:
+    ``oracle_label`` moves unlabeled ids to the labeled (known classes)
+    or discarded pool, so each cycle's split stays valid.  Cycle 0's
+    ``wall_time`` counts the initial training only when the run made it.
 
     The pool and the test set are read through their ids from
     ``split.features``, never gathered whole.  Each cycle derives its
@@ -322,7 +320,6 @@ def run_experiment(
         query = _select(strategy, model, features, unlabeled, cfg, budget, select_seed)
         known_in_query = int(split.is_known(split.true_labels[query]).sum())
         split = oracle_label(query, split)
-        split.validate(check_openness=False)
         labeled, unlabeled = split.labeled_ids, split.unlabeled_ids
         train = _training(split, cfg, cycle_seed, labeled, unlabeled)
         previous = model
@@ -382,8 +379,8 @@ def write_manifest(
     count, and the runs' tags."""
     payload = {
         "strategy": strategy,
-        "seed": seed,
-        "openness_ratio": r,
+        "seed": int(seed),
+        "openness_ratio": float(r),
         "config": resolved_config,
         "cycles": [asdict(m) for m in metrics],
         "total_wall_time": sum(m.wall_time for m in metrics),

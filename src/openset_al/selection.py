@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .datasets import _id_array
 from .evidential import (
     _dirichlet_mean,
     _head_distance,
@@ -183,22 +184,6 @@ def _row_blocks(model: ModelParams, n: int) -> list[tuple[int, int]]:
     blocks = max(n // _forward_block_rows(model), 1)
     bounds = [i * n // blocks for i in range(blocks + 1)]
     return list(zip(bounds, bounds[1:]))
-
-
-def _id_array(ids, what: str) -> np.ndarray:
-    """``ids`` as a 1-D intp array; other shapes, non-numbers (booleans,
-    strings) and non-whole floats (nan, +-inf), which a cast would
-    misread, raise."""
-    ids = np.asarray(ids)
-    if ids.ndim != 1:
-        raise ValueError(f"{what} must be a 1-D array, not shape {ids.shape}")
-    if ids.dtype.kind not in "iuf":
-        raise ValueError(f"{what} must be integers, not {ids.dtype}: {ids.ravel()[:5].tolist()}")
-    if ids.dtype.kind == "f":
-        whole = np.isfinite(ids) & (ids == np.floor(ids))
-        if not whole.all():
-            raise ValueError(f"{what} must be whole numbers: {ids[~whole].tolist()}")
-    return ids.astype(np.intp, copy=False)
 
 
 def _pool_pass(model: ModelParams, x, rows, block_fn, columns=()) -> list:

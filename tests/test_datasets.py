@@ -6,9 +6,12 @@ import dataclasses
 import numpy as np
 import pytest
 from helpers import traced_peak, write_idx_images, write_idx_labels
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openset_al.datasets import (
     BlobSpec,
+    DatasetSplit,
     IdxFormatError,
     Pool,
     blob_class_means,
@@ -39,6 +42,56 @@ class TestMakeBlobs:
         assert s1.features.tobytes() == s2.features.tobytes()
         np.testing.assert_array_equal(s1.labeled_ids, s2.labeled_ids)
         np.testing.assert_array_equal(s1.unlabeled_ids, s2.unlabeled_ids)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_known=st.integers(2, 5),
+        num_unknown=st.integers(0, 5),
+        per_class=st.integers(1, 40),
+        labeled=st.floats(0.0, 0.4),
+        test=st.floats(0.0, 0.4),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_unknown_share_within_one_example_of_r(
+        self, num_known, num_unknown, per_class, labeled, test, share
+    ):
+        """The unlabeled pool's unknown count lies within one example of r
+        times its size, for any feasible r: the guarantee a split carries
+        from here on, which nothing downstream re-checks."""
+        kept = per_class - round(labeled * per_class) - round(test * per_class)
+        n_known = num_known * kept
+        n_unknown = num_unknown * per_class
+        r = share * n_unknown / (n_unknown + n_known) if n_unknown + n_known else 0.0
+        r = min(r, 0.99)  # all-unknown pools: r = 1 lies outside [0, 1)
+        spec = BlobSpec(
+            num_known=num_known, num_unknown=num_unknown, dim=3, per_class=per_class, seed=9
+        )
+        split = make_blobs(spec, r, init_labeled_fraction=labeled, test_fraction=test)
+        unknown = int(split.unknown_unlabeled_mask().sum())
+        assert len(split.unlabeled_ids) - unknown == n_known
+        assert abs(unknown - r * len(split.unlabeled_ids)) <= 1.0
+
+    def test_spec_checked_once(self, monkeypatch):
+        calls = []
+        real = BlobSpec.validate
+
+        def counted(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(BlobSpec, "validate", counted)
+        make_blobs(BlobSpec(num_known=2, num_unknown=2, dim=4, per_class=20), r=0.5)
+        assert len(calls) == 1
+
+    def test_split_not_revalidated(self, monkeypatch):
+        """An assembled split holds ``DatasetSplit.validate``'s checks by
+        construction; a run checks it once, where it starts."""
+
+        def refuse(split):
+            raise AssertionError("the split was validated")
+
+        monkeypatch.setattr(DatasetSplit, "validate", refuse)
+        make_blobs(BlobSpec(num_known=2, num_unknown=2, dim=4, per_class=20), r=0.5)
 
     def test_infeasible_openness_names_achievable_range(self):
         spec = BlobSpec(num_known=4, num_unknown=1, dim=4, per_class=50, seed=2)
@@ -185,7 +238,7 @@ class TestValidate:
         status = split.status.copy()
         status[split.true_labels >= 2] = Pool.LABELED
         with pytest.raises(ValueError, match="labeled pool contains unknown"):
-            dataclasses.replace(split, status=status).validate(check_openness=False)
+            dataclasses.replace(split, status=status).validate()
 
 
 class TestLoadIdx:
@@ -268,6 +321,23 @@ class TestLoadIdx:
         example trains, and one class no second to tell it from."""
         img_path, lab_path, _, _ = idx_files
         with pytest.raises(ValueError, match=message):
+            load_idx(img_path, lab_path, known_classes=known, r=0.0)
+
+    @pytest.mark.parametrize(
+        "known, message",
+        [
+            ([1.7, 2], r"whole numbers: \[1\.7\]"),
+            ([0.5, 1.5], r"whole numbers: \[0\.5, 1\.5\]"),
+            (["1", "2"], r"integers, not <U1: \['1', '2'\]"),
+            ([True, 2], r"integers, not bool: \[True\]"),
+        ],
+        ids=["fractional", "halves", "strings", "boolean"],
+    )
+    def test_non_whole_known_class_rejected(self, idx_files, known, message):
+        """[1.7, 2] and [True, 2] used to load as classes (1, 2), and
+        [0.5, 1.5] as (0, 1)."""
+        img_path, lab_path, _, _ = idx_files
+        with pytest.raises(ValueError, match="known classes must be " + message):
             load_idx(img_path, lab_path, known_classes=known, r=0.0)
 
     def test_pixels_scaled_in_one_float_array(self, tmp_path):

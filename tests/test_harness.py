@@ -5,6 +5,7 @@ accounting, and run-level determinism."""
 import csv
 import dataclasses
 import hashlib
+import json
 import threading
 import time
 
@@ -23,6 +24,7 @@ from openset_al.harness import (
     first_cycle,
     oracle_label,
     run_experiment,
+    write_manifest,
     write_metrics_csv,
 )
 from openset_al.model import TrainConfig, init_model
@@ -39,7 +41,6 @@ def toy_split():
         true_labels=labels,
         known_classes=(0, 1),
         status=np.array([L, L, T, T, U, U, U, U, U, U], dtype=np.int8),
-        openness=0.5,
     )
 
 
@@ -114,7 +115,7 @@ class TestOracleLabel:
         assert len(out.labeled_ids) == 2 + known_in_query
         assert set(out.ids(Pool.DISCARDED)) == {6, 9}
         assert np.count_nonzero(out.status) == before
-        out.validate(check_openness=False)
+        out.validate()
 
     def test_input_split_unmodified(self):
         split = toy_split()
@@ -143,9 +144,9 @@ class TestOracleLabel:
         with pytest.raises(ValueError, match="whole numbers"):
             oracle_label(bad, toy_split())
 
-    @pytest.mark.parametrize("bad", [np.array([True]), ["1"]])
+    @pytest.mark.parametrize("bad", [np.array([True]), ["1"], [True, 5]])
     def test_non_number_ids_rejected(self, bad):
-        """[True] and ["1"] used to read as id 1 and label it."""
+        """[True], ["1"] and [True, 5] used to read id 1 and label it."""
         split = toy_split()
         status = split.status.copy()
         status[[1, 4]] = Pool.UNLABELED, Pool.LABELED
@@ -411,7 +412,7 @@ class TestRunExperiment:
         for _ in range(6):
             query = rng.choice(split.unlabeled_ids, size=12, replace=False)
             split = oracle_label(query, split)
-            split.validate(check_openness=False)
+            split.validate()
             assert np.count_nonzero(split.status) == in_pools
             for pool in (Pool.LABELED, Pool.TEST):
                 assert split.is_known(split.true_labels[split.ids(pool)]).all()
@@ -480,22 +481,30 @@ class TestFirstCycle:
         assert given[1].wall_time >= 0.2 and own[1].wall_time >= 0.2
 
     def test_each_query_cycle_derives_each_pool_once(self, small_split, monkeypatch):
-        """Per query cycle: the labeled, unlabeled and discarded ids once,
-        and the three pools ``DatasetSplit.validate`` checks."""
-        calls = []
-        real = DatasetSplit.ids
+        """Per query cycle: the labeled, unlabeled and discarded ids once.
+        The split is validated once per run, where it starts, not again
+        after each oracle call."""
+        calls, checks = [], []
+        real_ids, real_validate = DatasetSplit.ids, DatasetSplit.validate
 
         def counted(self, pool):
             calls.append(pool)
-            return real(self, pool)
+            return real_ids(self, pool)
+
+        def validated(self):
+            checks.append(self)
+            return real_validate(self)
 
         monkeypatch.setattr(DatasetSplit, "ids", counted)
+        monkeypatch.setattr(DatasetSplit, "validate", validated)
         per_run = []
         for num_cycles in (1, 3):
             calls.clear()
+            checks.clear()
             run_experiment(small_split, quick_cfg(num_cycles=num_cycles), "entropy")
             per_run.append(len(calls))
-        assert (per_run[1] - per_run[0]) / 2 == 6
+            assert [c is small_split for c in checks] == [True]
+        assert (per_run[1] - per_run[0]) / 2 == 3
 
 
 @pytest.fixture(scope="module")
@@ -719,9 +728,16 @@ class TestMetricsCsv:
             CycleMetrics(1, np.float64(0.5), np.float64(0.9), 15, 30, 5),
         ]
         path = tmp_path / "m.csv"
-        write_metrics_csv(path, metrics, "random", 0, np.float64(0.5))
+        write_metrics_csv(path, metrics, "random", np.int64(0), np.float64(0.5))
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["test_accuracy"] for row in rows] == ["0.9", "0.9"]
         assert [row["query_precision"] for row in rows] == ["", "0.5"]
         assert [row["r"] for row in rows] == ["0.5", "0.5"]
+        assert [row["seed"] for row in rows] == ["0", "0"]
+        # the manifest takes the same arguments; a NumPy integer seed
+        # used to raise TypeError from json
+        path = tmp_path / "m.json"
+        write_manifest(path, {}, metrics, "random", np.int64(0), np.float64(0.5))
+        manifest = json.loads(path.read_text())
+        assert (manifest["seed"], manifest["openness_ratio"]) == (0, 0.5)
