@@ -86,13 +86,11 @@ class ConfigError(ValueError):
     """Configuration problem; the message names the offending field."""
 
 
-def _convert(field: str, convert, value):
-    """``convert(value)``, with a type or value error reported against
-    ``field``."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field '{field}' has invalid value {value!r}: {exc}") from exc
+def _array(field: str, value) -> list:
+    """``value`` if it is a JSON array; a string or object, though it iterates, is not."""
+    if not isinstance(value, list):
+        raise ConfigError(f"field '{field}' must be a JSON array, got {value!r}")
+    return value
 
 
 def _as_int(field: str, value) -> int:
@@ -154,7 +152,7 @@ def _typed(field: str, default, value):
     if isinstance(default, float):
         return _as_float(field, value)
     if isinstance(default, tuple):
-        return tuple(_as_int(field, v) for v in _convert(field, list, value))
+        return tuple(_as_int(field, v) for v in _array(field, value))
     return value
 
 
@@ -180,10 +178,7 @@ def _fields(obj, name: str, defaults: dict, required=()) -> dict:
 def _grid(raw: dict, field: str, noun: str, item, tag=repr) -> list:
     """The grid list ``raw[field]``: a non-empty JSON array of distinct
     values, each converted by ``item(field, value)``."""
-    values = raw[field]
-    if not isinstance(values, list):
-        raise ConfigError(f"field '{field}' must be a JSON array, got {values!r}")
-    values = [item(field, value) for value in values]
+    values = [item(field, value) for value in _array(field, raw[field])]
     if not values:
         raise ConfigError(f"field '{field}' must list at least one {noun}")
     _distinct(field, values, tag)

@@ -17,7 +17,7 @@ the same split structure from real data.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from pathlib import Path
 
@@ -41,6 +41,21 @@ class IdxFormatError(ValueError):
     """Raised when an IDX file is malformed; messages carry byte offsets."""
 
 
+def _check_field_types(config) -> None:
+    """ValueError naming the first field of the dataclass ``config`` whose
+    value does not fit its default: a float field takes a finite number,
+    an int field an integer (NumPy's too; no float or bool), a tuple field
+    integers."""
+    for f in fields(config):
+        value, kind = getattr(config, f.name), type(f.default)
+        if kind is float and not np.isfinite(value):
+            raise ValueError(f"{f.name} must be finite")
+        if kind is int and not np.issubdtype(type(value), np.integer):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if kind is tuple and not all(np.issubdtype(type(v), np.integer) for v in value):
+            raise ValueError(f"{f.name} must hold integers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BlobSpec:
     """Geometry of a synthetic open-set blob dataset."""
@@ -54,14 +69,15 @@ class BlobSpec:
     seed: int = 0
 
     def validate(self) -> None:
+        _check_field_types(self)
         if self.num_known < 2:
             raise ValueError("num_known must be at least 2")
         if self.num_unknown < 0:
             raise ValueError("num_unknown must be nonnegative")
         if self.dim <= 0 or self.per_class <= 0:
             raise ValueError("dim and per_class must be positive")
-        if not (0 < self.cluster_std < np.inf and 0 < self.radius < np.inf):
-            raise ValueError("cluster_std and radius must be positive and finite")
+        if not (self.cluster_std > 0 and self.radius > 0):
+            raise ValueError("cluster_std and radius must be positive")
         k = self.num_known + self.num_unknown
         if self.dim == 1 and k > 2:
             # the sphere in one dimension is two points, so a third class

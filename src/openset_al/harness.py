@@ -169,16 +169,20 @@ def _select(
 
 
 def _cycle_seeds(cfg: TrainConfig) -> list:
-    """One child seed per cycle, 0 to ``cfg.num_cycles``, of the master seed."""
-    return np.random.SeedSequence(cfg.seed).spawn(cfg.num_cycles + 1)
+    """Each cycle's (init, shuffle, select) seeds, 0 to ``cfg.num_cycles``:
+    children 0, 1 and none (no query) of the master seed's child 0, and
+    3, 4 and 2 of a query cycle's child, which spawns its five at once."""
+    first, *queries = np.random.SeedSequence(cfg.seed).spawn(cfg.num_cycles + 1)
+    children = [cycle.spawn(5) for cycle in queries]
+    return [(*first.spawn(2), None)] + [(c[3], c[4], c[2]) for c in children]
 
 
-def _training(split: DatasetSplit, cfg: TrainConfig, cycle_seed, labeled, unlabeled):
+def _training(split: DatasetSplit, cfg: TrainConfig, seeds, labeled, unlabeled):
     """The task that trains a cycle's fresh model on the ``labeled`` ids
     of ``split``, and on its ``unlabeled`` ids when the discrepancy phase
-    reads them.  Its init and shuffle seeds are the next two children of
-    ``cycle_seed``.  The rows are gathered here, on the calling thread."""
-    init_seq, shuffle_seq = cycle_seed.spawn(2)
+    reads them, from the init and shuffle seeds of its ``_cycle_seeds``
+    entry ``seeds``.  The rows are gathered here, on the calling thread."""
+    init_seed, shuffle_seed, _ = seeds
     x_lab, y_lab = split.features[labeled], split.model_labels(labeled)
     x_unl = split.features[unlabeled] if cfg.runs_discrepancy else None
 
@@ -187,10 +191,10 @@ def _training(split: DatasetSplit, cfg: TrainConfig, cycle_seed, labeled, unlabe
             split.features.shape[1],
             split.num_classes,
             hidden_widths=cfg.hidden_widths,
-            seed=init_seq,
+            seed=init_seed,
             head_init_scale=cfg.head_init_scale,
         )
-        rng = np.random.default_rng(shuffle_seq)
+        rng = np.random.default_rng(shuffle_seed)
         return train_cycle(fresh, x_lab, y_lab, x_unl, cfg, rng=rng)
 
     return train
@@ -230,7 +234,7 @@ class FirstCycle:
 def first_cycle(split: DatasetSplit, cfg: TrainConfig) -> FirstCycle:
     """Train and time the cycle-0 model that every strategy's run of
     ``split`` under ``cfg`` starts from, with the seeds cycle 0 of
-    ``run_experiment`` uses.
+    ``run_experiment`` uses, ``_cycle_seeds(cfg)[0]``.
 
     This is where a run checks its split, once: a config that fails
     ``TrainConfig.validate`` or a split that fails
@@ -261,6 +265,7 @@ def run_experiment(
     ``oracle_label`` moves unlabeled ids to the labeled (known classes)
     or discarded pool, so each cycle's split stays valid.  Cycle 0's
     ``wall_time`` counts the initial training only when the run made it.
+    Each query cycle selects and trains with its ``_cycle_seeds`` entry.
 
     The pool and the test set are read through their ids from
     ``split.features``, never gathered whole.  Each cycle derives its
@@ -308,20 +313,16 @@ def run_experiment(
 
     unlabeled = split.unlabeled_ids
     fields = row(0, split.labeled_ids, unlabeled)
-    for cycle, cycle_seed in enumerate(_cycle_seeds(cfg)[1:], start=1):
+    for cycle, seeds in enumerate(_cycle_seeds(cfg)[1:], start=1):
         if len(unlabeled) == 0:
             break
         t0 = time.perf_counter()
         budget = min(cfg.query_size, len(unlabeled))
-        # SeedSequence.spawn is stateful: the select seed is child 2 of
-        # this spawn, so the init and shuffle seeds ``_training`` spawns
-        # are children 3 and 4 (0 and 1 in cycle 0, which makes no query).
-        select_seed = cycle_seed.spawn(3)[2]
-        query = _select(strategy, model, features, unlabeled, cfg, budget, select_seed)
+        query = _select(strategy, model, features, unlabeled, cfg, budget, seeds[2])
         known_in_query = int(split.is_known(split.true_labels[query]).sum())
         split = oracle_label(query, split)
         labeled, unlabeled = split.labeled_ids, split.unlabeled_ids
-        train = _training(split, cfg, cycle_seed, labeled, unlabeled)
+        train = _training(split, cfg, seeds, labeled, unlabeled)
         previous = model
         accuracy, model = _run_tasks([lambda worker: evaluate(previous), train], width)
         metrics.append(CycleMetrics(**fields, test_accuracy=accuracy))

@@ -43,12 +43,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from scipy import special
 
+from .datasets import _check_field_types
 from .evidential import (
     LOGIT_CLIP,
     _dirichlet_mean,
@@ -114,10 +115,7 @@ class TrainConfig:
     use_discrepancy: bool = True
 
     def validate(self) -> None:
-        # float fields must be finite; each range check below fails on NaN
-        for f in fields(self):
-            if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+        _check_field_types(self)  # first: each range check below fails on NaN
         if not (self.lr > 0 and self.momentum >= 0 and self.weight_decay >= 0):
             raise ValueError("rates must be positive (lr) / nonnegative")
         if not 0 < self.coarse_threshold < 1 and self.coarse_threshold != 0:
@@ -166,9 +164,9 @@ class ModelParams:
     ``train_cycle``: each step's backward pass writes into ``grad_views``
     and ``sgd_step`` reads the trained slice straight from the buffer.
     Entries outside the subset a step trains hold whatever an earlier
-    step left there.  ``subsets`` maps each name ``trainable_indices``
-    takes to its index range and the (parameter, velocity, gradient)
-    views on its slice of the three buffers.
+    step left there.  ``subsets`` maps "all", "backbone" and "heads" to
+    their ``flat_params()`` index range and (parameter, velocity,
+    gradient) views on their slice of the three buffers.
     """
 
     backbone: list[list[np.ndarray]]
@@ -201,9 +199,10 @@ class ModelParams:
         pairs = [params[i : i + 2] for i in range(0, len(params), 2)]
         self.backbone, self.heads = pairs[: len(self.backbone)], pairs[len(self.backbone) :]
         self.velocity = velocity
+        nb = self.num_backbone_arrays
+        ranges = {"all": range(nb + 4), "backbone": range(nb), "heads": range(nb, nb + 4)}
         self.subsets = {}
-        for name in ("all", "backbone", "heads"):
-            idx = self.trainable_indices(name)
+        for name, idx in ranges.items():
             s = slice(self.offsets[idx.start], self.offsets[idx.stop])
             self.subsets[name] = (
                 idx, self.param_buffer[s], self.velocity_buffer[s], self.grad_buffer[s]
@@ -219,10 +218,6 @@ class ModelParams:
             buffer[lo:hi].reshape(a.shape)
             for lo, hi, a in zip(self.offsets, self.offsets[1:], like)
         ]
-
-    def zero_grads(self) -> list[np.ndarray]:
-        """Views shaped like ``flat_params()`` on a fresh zeroed buffer."""
-        return self._views(np.zeros(self.offsets[-1]), self.flat_params())
 
     def flat_params(self) -> list[np.ndarray]:
         out = []
@@ -245,18 +240,6 @@ class ModelParams:
         if self.backbone:
             return self.backbone[0][0].shape[0]
         return self.heads[0][0].shape[0]
-
-    def trainable_indices(self, subset: str) -> range:
-        """Flat-parameter index range for 'all', 'backbone' or 'heads'."""
-        nb = self.num_backbone_arrays
-        total = nb + 4
-        if subset == "all":
-            return range(total)
-        if subset == "backbone":
-            return range(nb)
-        if subset == "heads":
-            return range(nb, total)
-        raise ValueError(f"unknown parameter subset {subset!r}")
 
 
 def init_model(
@@ -311,6 +294,14 @@ def _model_batch(model: ModelParams, x) -> np.ndarray:
         raise ValueError(
             f"input dim {x.shape[1]} does not match model dim {model.input_dim}"
         )
+    return x
+
+
+def _loss_batch(model: ModelParams, x, name: str) -> np.ndarray:
+    """x checked by ``_model_batch`` and non-empty, or ValueError naming the loss."""
+    x = _model_batch(model, x)
+    if x.shape[0] == 0:
+        raise ValueError(f"{name} requires a non-empty batch")
     return x
 
 
@@ -408,14 +399,15 @@ def _backward(model: ModelParams, acts, dz, grads=None, heads=True, backbone=Tru
     ``heads`` computes the head weight/bias gradients; ``backbone``
     backprops d_hidden = sum_h dz_h W_h^T through the ReLU layers.  Each
     head's matmuls and column sums stay separate.  Arrays outside the
-    requested subset are not written: with ``grads`` None they are the
-    zeros of a fresh buffer, otherwise whatever ``grads`` held.
+    requested subset are not written: with ``grads`` None they stay zero
+    in views on a fresh buffer, otherwise they keep what ``grads`` held.
 
     The weight gradients a^T dz go through ``np.dot``, which gives
     ``np.matmul``'s bytes for a transposed operand at a fraction of its
     call cost on the one- and two-row batches that end an epoch.
     """
-    grads = model.zero_grads() if grads is None else grads
+    if grads is None:
+        grads = model._views(np.zeros(model.offsets[-1]), model.flat_params())
     layers = model.backbone
     if heads:
         nb = 2 * len(layers)
@@ -536,7 +528,7 @@ def edl_loss(
     label-masked evidence alpha~ = Y + (1 - Y) * alpha to the flat
     Dirichlet.  Returns (loss, flat gradient list over all parameters).
     """
-    x = _model_batch(model, x)
+    x = _loss_batch(model, x, "edl_loss")
     yy = _one_hot(y, model.num_classes, x.shape[0])
     alphas, grads = _edl_grads(model, x, yy)
     total = 0.0
@@ -573,7 +565,7 @@ def cross_entropy_loss(
 ) -> tuple[float, list[np.ndarray]]:
     """Plain softmax cross-entropy on both heads; the training-time
     substitute used by the ablation that drops the evidential objective."""
-    x = _model_batch(model, x)
+    x = _loss_batch(model, x, "cross_entropy_loss")
     yy = _one_hot(y, model.num_classes, x.shape[0])
     logps, grads = _cross_entropy_grads(model, x, yy)
     total = 0.0
@@ -644,13 +636,6 @@ def _dis_grads(model: ModelParams, x: np.ndarray, tau2: float, grads=None, weigh
     return (w, pq), _backward(model, acts, np.negative(dz, out=dz), grads, backbone=False)
 
 
-def _unlabeled_batch(model: ModelParams, x, name: str) -> np.ndarray:
-    x = _model_batch(model, x)
-    if x.shape[0] == 0:
-        raise ValueError(f"{name} requires a non-empty batch")
-    return x
-
-
 def close_loss(
     model: ModelParams,
     x: np.ndarray,
@@ -663,7 +648,7 @@ def close_loss(
     ``weights`` overrides the internally computed constants (useful for
     numerical gradient checking, where they must stay frozen).
     """
-    x = _unlabeled_batch(model, x, "close_loss")
+    x = _loss_batch(model, x, "close_loss")
     (w, (p, q)), grads = _close_grads(model, x, tau1, weights=weights)
     return float((w * np.atleast_1d(jsd(p, q))).sum()), grads
 
@@ -676,7 +661,7 @@ def dis_loss(
 ) -> tuple[float, list[np.ndarray]]:
     """Weighted (1 - JSD) between the heads, differentiated through the
     two heads only; backbone gradient entries are exactly zero."""
-    x = _unlabeled_batch(model, x, "dis_loss")
+    x = _loss_batch(model, x, "dis_loss")
     (w, (p, q)), grads = _dis_grads(model, x, tau2, weights=weights)
     return float((w * (1.0 - np.atleast_1d(jsd(p, q)))).sum()), grads
 

@@ -176,7 +176,7 @@ def reference_jsd_grads(model, x, tau, close):
 
 def reference_sgd_step(model, grads, epoch, cfg, trainable):
     lr = learning_rate_at(epoch, cfg)
-    idx = model.trainable_indices(trainable)
+    idx = model.subsets[trainable][0]
     g = np.concatenate(grads[idx.start : idx.stop], axis=None)
     if not np.isfinite(g).all():
         raise FloatingPointError("non-finite gradient")

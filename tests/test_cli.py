@@ -119,6 +119,11 @@ class TestCmdRun:
             ({"strategies": 5}, "'strategies'"),
             ({"query_size": "many"}, "'query_size'"),
             ({"train": {"hidden_widths": 5}}, "'train.hidden_widths'"),
+            # a JSON string or object is not an array, even where it iterates
+            ({"train": {"lr_milestones": ""}}, "'train.lr_milestones' must be a JSON array"),
+            ({"train": {"lr_milestones": {}}}, "'train.lr_milestones' must be a JSON array"),
+            ({"train": {"hidden_widths": ""}}, "'train.hidden_widths' must be a JSON array"),
+            ({"train": {"hidden_widths": "64"}}, "'train.hidden_widths' must be a JSON array"),
             ({"data": {"per_class": 0}}, "per_class"),
             ({"data": {"idx": {"images": "x"}}}, "'data.idx.labels'"),
             # checked against the type of the field's default, or its range

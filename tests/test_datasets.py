@@ -187,6 +187,22 @@ class TestBlobSpec:
         with pytest.raises(ValueError, match=field):
             BlobSpec(**{field: value}).validate()
 
+    @pytest.mark.parametrize("value", [2.5, 40.0, True])
+    @pytest.mark.parametrize("field", ["num_known", "num_unknown", "dim", "per_class", "seed"])
+    def test_non_integer_count_rejected(self, field, value):
+        """per_class 40.0 used to pass and then fail inside make_blobs, and
+        num_unknown True built one unknown class."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            BlobSpec(**{field: value}).validate()
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = BlobSpec(
+            num_known=np.int64(2), num_unknown=np.int32(1), dim=np.int64(3),
+            per_class=np.int64(10), seed=np.int64(4),
+        )
+        spec.validate()
+        assert make_blobs(spec, r=0.2).features.shape == (30, 3)
+
     def test_one_dimension_holds_two_classes(self):
         """The sphere in one dimension is two points: a third class would
         be drawn from the same mean as one of the first two."""

@@ -1,4 +1,5 @@
-"""Demo smoke tests: the fast walkthrough scripts run to completion.
+"""Demo smoke tests: the fast walkthrough scripts and README's Python
+examples run to completion.
 
 ``demos/04_active_learning_benchmark.py`` trains a full multi-cycle grid
 (several seconds), so it stays a manual acceptance check.
@@ -34,3 +35,14 @@ def test_demo_exits_zero(name, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run():
+    """README's Python blocks, run in order in one namespace, as a reader
+    pastes them: each later block reads names an earlier one made."""
+    readme = (REPO / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -507,6 +507,20 @@ class TestFirstCycle:
         assert (per_run[1] - per_run[0]) / 2 == 3
 
 
+class TestCycleSeeds:
+    def test_seed_plan(self):
+        """Per cycle, the (init, shuffle, select) children of the master
+        seed's child for that cycle: 0 and 1 in cycle 0, which makes no
+        query, and 3, 4 and 2 in each query cycle."""
+        cfg = quick_cfg(num_cycles=3, seed=9)
+        plan = harness._cycle_seeds(cfg)
+        keys = [tuple(s and s.spawn_key for s in seeds) for seeds in plan]
+        assert keys == [((0, 0), (0, 1), None)] + [
+            ((c, 3), (c, 4), (c, 2)) for c in (1, 2, 3)
+        ]
+        assert {s.entropy for seeds in plan for s in seeds if s} == {9}
+
+
 @pytest.fixture(scope="module")
 def wide_split():
     """A test set of 4,160 rows, above the gate for evaluating beside the

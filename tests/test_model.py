@@ -90,6 +90,38 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value}).validate()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            *[
+                (field, value)
+                for field in (
+                    "batch_size", "epochs", "query_size", "num_cycles", "seed",
+                    "discrepancy_epochs",
+                )
+                for value in (2.5, 40.0, True)
+            ],
+            ("lr_milestones", (2.5,)),
+            ("lr_milestones", (3.0,)),
+            ("lr_milestones", (True,)),
+            ("hidden_widths", (64.0,)),
+            ("hidden_widths", (8, True)),
+        ],
+    )
+    def test_non_integer_count_rejected(self, field, value):
+        """A count given as a float or a bool fails validation by name:
+        query_size 2.5 used to train cycle 0 and then fail in selection,
+        and milestone 2.5 dropped the rate at epoch 3."""
+        with pytest.raises(ValueError, match=f"{field} must"):
+            TrainConfig(**{field: value}).validate()
+
+    def test_numpy_integer_counts_accepted(self):
+        TrainConfig(
+            batch_size=np.int64(32), epochs=np.int32(20), query_size=np.int64(10),
+            num_cycles=np.int64(2), seed=np.uint8(3), discrepancy_epochs=np.int64(2),
+            lr_milestones=(np.int64(10),), hidden_widths=(np.int16(8),),
+        ).validate()
+
 
 class TestForward:
     def test_zeroed_heads_give_unit_evidence(self):
@@ -350,10 +382,6 @@ class TestCloseLoss:
         for g in grads[m.num_backbone_arrays :]:
             assert np.all(g == 0.0)
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            close_loss(tiny_model(), np.zeros((0, 5)))
-
 
 class TestDisLoss:
     def test_weights_in_range(self):
@@ -394,9 +422,22 @@ class TestDisLoss:
         for g in grads[: m.num_backbone_arrays]:
             assert np.all(g == 0.0)
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            dis_loss(tiny_model(), np.zeros((0, 5)))
+
+@pytest.mark.parametrize(
+    "loss, args",
+    [
+        (edl_loss, (np.zeros(0, dtype=int),)),
+        (cross_entropy_loss, (np.zeros(0, dtype=int),)),
+        (close_loss, ()),
+        (dis_loss, ()),
+    ],
+    ids=["edl_loss", "cross_entropy_loss", "close_loss", "dis_loss"],
+)
+def test_empty_batch_rejected(loss, args):
+    """Every public loss refuses an empty batch by name, where a mean over
+    no rows would return nan with a RuntimeWarning."""
+    with pytest.raises(ValueError, match=f"{loss.__name__} requires a non-empty batch"):
+        loss(tiny_model(), np.zeros((0, 5)), *args)
 
 
 class TestSgdStep:
@@ -444,7 +485,7 @@ class TestSgdStep:
         params = [p.copy() for p in flat(m)]
         velocity = [v.copy() for v in m.velocity]
         lr = learning_rate_at(0, cfg)
-        for i in m.trainable_indices(trainable):
+        for i in m.subsets[trainable][0]:
             velocity[i] *= cfg.momentum
             velocity[i] += grads[i] + cfg.weight_decay * params[i]
             params[i] -= lr * velocity[i]
@@ -477,6 +518,13 @@ class TestSgdStep:
         grads[1][0] = np.nan
         with pytest.raises(FloatingPointError, match="parameter 1 "):
             sgd_step(m, grads, 0, TrainConfig())
+
+    def test_unknown_subset_rejected(self):
+        m = tiny_model()
+        before = state_bytes(m)
+        with pytest.raises(ValueError, match="unknown parameter subset 'head'"):
+            sgd_step(m, [np.ones_like(p) for p in flat(m)], 0, TrainConfig(), trainable="head")
+        assert state_bytes(m) == before
 
     def test_mismatched_gradient_shapes_rejected(self):
         m = tiny_model()
