@@ -5,8 +5,11 @@ Three subcommands:
 * ``run --config cfg.json [--jobs N]``  executes the cross product of
   strategies x openness ratios x seeds, writing one metrics CSV and one
   JSON manifest per run into the configured output directory.  The runs
-  of one (ratio, seed) group share its split and its cycle-0 model, and
-  ``--jobs`` spreads the groups over processes.
+  of one (ratio, seed) group share its split and its cycle-0 model.  The
+  groups run in one process per CPU in the affinity mask, capped at the
+  number of groups; ``--jobs N`` sets that count instead, and ``--jobs
+  1``, like a one-CPU mask or a one-group grid, runs them in-process, in
+  order, where they can be traced and debugged.
 * ``report --dir results/``  aggregates run CSVs into a final-accuracy
   summary table and a per-cycle query-precision series, both plot-ready.
 * ``check [--config cfg.json]``  runs the fast invariant suite and prints
@@ -36,6 +39,7 @@ from functools import partial
 from itertools import product
 from pathlib import Path
 
+from . import selection
 from .checks import run_checks
 from .datasets import BlobSpec, _class_count, _unknown_count, load_idx, make_blobs
 from .harness import (
@@ -47,7 +51,6 @@ from .harness import (
     write_metrics_csv,
 )
 from .model import TrainConfig
-from .selection import _share_cpus
 
 __all__ = ["main", "resolve_config", "ConfigError"]
 
@@ -323,12 +326,13 @@ def run_tag(strategy: str, r: float, seed: int) -> str:
     return f"{strategy}_{_ratio_tag(r)}_s{seed}"
 
 
-def _execute_group(resolved: dict, r: float, seed: int) -> list[str]:
+def _execute_group(resolved: dict, jobs: int, r: float, seed: int) -> list[str]:
     """One (ratio, seed) group: builds the split and trains its cycle-0
     model once, then runs each configured strategy from them, in config
     order, writing its CSV + manifest.  Each manifest records the shared
-    training's seconds once, under ``first_cycle``.  Top-level so process
-    pools can pickle it."""
+    training's seconds once, under ``first_cycle``, and the ``jobs``
+    group processes that ran at once.  Top-level so process pools can
+    pickle it."""
     split = _build_split(resolved, r, seed)
     cfg = _train_config(resolved, seed)
     first = first_cycle(split, cfg)
@@ -340,12 +344,13 @@ def _execute_group(resolved: dict, r: float, seed: int) -> list[str]:
         metrics = run_experiment(split, cfg, strategy, first=first)
         write_metrics_csv(outdir / f"metrics_{tag}.csv", metrics, strategy, seed, r)
         write_manifest(
-            outdir / f"manifest_{tag}.json", resolved, metrics, strategy, seed, r, shared
+            outdir / f"manifest_{tag}.json", resolved, metrics, strategy, seed, r, shared,
+            jobs=jobs,
         )
     return tags
 
 
-def cmd_run(config_path: str, jobs: int = 1) -> int:
+def cmd_run(config_path: str, jobs: int | None = None) -> int:
     try:
         resolved = resolve_config(_load_config(config_path))
         Path(resolved["output_dir"]).mkdir(parents=True, exist_ok=True)
@@ -354,19 +359,22 @@ def cmd_run(config_path: str, jobs: int = 1) -> int:
         return 2
 
     groups = list(product(resolved["openness_ratios"], resolved["seeds"]))
-    # One job runs the groups in-process, in order, so they can be traced.
-    # With more, each group process narrows its pool passes to its share
-    # of the CPUs, shared among no more processes than there are groups.
-    jobs = min(jobs, len(groups))
+    # One group process per CPU unless --jobs says otherwise, and no more
+    # than there are groups; each narrows its pool passes to its share of
+    # the CPUs.  One job runs the groups in-process, in order, so they can
+    # be traced.
+    jobs = min(selection._cpu_count() if jobs is None else jobs, len(groups))
     try:
         pool = (
-            ProcessPoolExecutor(max_workers=jobs, initializer=_share_cpus, initargs=(jobs,))
+            ProcessPoolExecutor(
+                max_workers=jobs, initializer=selection._share_cpus, initargs=(jobs,)
+            )
             if jobs > 1
             else nullcontext()
         )
         with pool:
             run_map = pool.map if jobs > 1 else map
-            for tags in run_map(partial(_execute_group, resolved), *zip(*groups)):
+            for tags in run_map(partial(_execute_group, resolved, jobs), *zip(*groups)):
                 for tag in tags:
                     print(f"completed {tag}")
     except Exception as exc:
@@ -383,33 +391,39 @@ def _population_std(values) -> float:
 
 
 def _read_run_csv(path: Path):
-    """Parse one metrics CSV; malformed rows are skipped with a warning."""
+    """Parse one metrics CSV.  A file that cannot be read as UTF-8 text
+    (a directory, a binary file) or lacks the metrics header is skipped,
+    and so is each malformed row, each with a warning."""
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(METRICS_COLUMNS) - set(reader.fieldnames):
-            print(f"warning: {path} lacks the metrics header, skipped", file=sys.stderr)
-            return []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rows.append(
-                    {
-                        "cycle": int(row["cycle"]),
-                        "strategy": row["strategy"],
-                        "seed": int(row["seed"]),
-                        "r": float(row["r"]),
-                        "query_precision": (
-                            float(row["query_precision"])
-                            if row["query_precision"]
-                            else None
-                        ),
-                        "test_accuracy": float(row["test_accuracy"]),
-                    }
-                )
-            except (ValueError, KeyError, TypeError):
-                print(
-                    f"warning: {path}:{lineno}: malformed row skipped", file=sys.stderr
-                )
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or set(METRICS_COLUMNS) - set(reader.fieldnames):
+                print(f"warning: {path} lacks the metrics header, skipped", file=sys.stderr)
+                return []
+            for lineno, row in enumerate(reader, start=2):
+                try:
+                    rows.append(
+                        {
+                            "cycle": int(row["cycle"]),
+                            "strategy": row["strategy"],
+                            "seed": int(row["seed"]),
+                            "r": float(row["r"]),
+                            "query_precision": (
+                                float(row["query_precision"])
+                                if row["query_precision"]
+                                else None
+                            ),
+                            "test_accuracy": float(row["test_accuracy"]),
+                        }
+                    )
+                except (ValueError, KeyError, TypeError):
+                    print(
+                        f"warning: {path}:{lineno}: malformed row skipped", file=sys.stderr
+                    )
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        print(f"warning: {path} cannot be read ({exc}), skipped", file=sys.stderr)
+        return []
     return rows
 
 
@@ -515,7 +529,13 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="execute the configured experiment grid")
     p_run.add_argument("--config", required=True, help="path to a JSON config")
-    p_run.add_argument("--jobs", type=_positive_jobs, default=1, help="parallel runs (at least 1)")
+    p_run.add_argument(
+        "--jobs",
+        type=_positive_jobs,
+        default=None,
+        help="(ratio, seed) groups run at once, each in its own process (default: one "
+        "per CPU in the affinity mask, at most one per group; 1 runs in-process)",
+    )
 
     p_report = sub.add_parser("report", help="aggregate run CSVs")
     p_report.add_argument("--dir", required=True, help="directory with run CSVs")

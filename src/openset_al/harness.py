@@ -372,12 +372,15 @@ def write_manifest(
     seed: int,
     r: float,
     shared: dict | None = None,
+    jobs: int = 1,
 ) -> None:
     """Self-describing JSON record of one run: the fully resolved config
     plus per-cycle metrics including wall-clock timings.  ``shared``,
     when given, is recorded as is under ``first_cycle``: the seconds of a
     cycle-0 training that several runs share, which none of their cycles
-    count, and the runs' tags."""
+    count, and the runs' tags.  ``jobs`` records how many processes ran
+    runs at once, 1 meaning this one alone, since the CPUs they shared
+    set the timings."""
     payload = {
         "strategy": strategy,
         "seed": int(seed),
@@ -386,6 +389,7 @@ def write_manifest(
         "cycles": [asdict(m) for m in metrics],
         "total_wall_time": sum(m.wall_time for m in metrics),
         "truncated_final_query": any(m.truncated for m in metrics),
+        "jobs": jobs,
     }
     if shared is not None:
         payload["first_cycle"] = shared

@@ -94,7 +94,7 @@ def _cpu_count() -> int:
 
 
 # Workers a ``_run_tasks`` call may use; None means one per CPU in the
-# affinity mask.  ``openset-al run --jobs N`` sets it in each of its worker
+# affinity mask.  ``openset-al run`` sets it in each of its group
 # processes.
 _workers: int | None = None
 

@@ -3,6 +3,7 @@ outputs, aggregation arithmetic, and fault injection into the checker."""
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -21,6 +22,28 @@ from openset_al.model import TrainConfig
 
 # a well-formed IDX data section; the files need not exist to be rejected
 IDX = {"images": "images.idx", "labels": "labels.idx", "known_classes": [0, 1]}
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Each process pool ``run`` starts, as ``(max_workers, initargs)``;
+    the fake pool runs the groups in this process, in order."""
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            started.append((max_workers, initargs))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    return started
 
 
 def minimal_config(tmp_path, **overrides):
@@ -320,39 +343,69 @@ class TestCmdRun:
         assert cli.main(["run", "--config", str(path), "--jobs", "2"]) == 0
         assert len(list((tmp_path / "results").glob("metrics_*.csv"))) == 2
 
-    def test_jobs_capped_at_the_group_count(self, tmp_path, monkeypatch):
+    def test_jobs_capped_at_the_group_count(self, tmp_path, pools):
         """--jobs 4 on four cells in two groups starts two processes,
         each with half the CPUs."""
-        pools = []
-
-        class InProcessPool:
-            def __init__(self, max_workers, initializer, initargs):
-                pools.append((max_workers, initargs))
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
         path = minimal_config(tmp_path, strategies=["random", "margin"], seeds=[0, 1])
         assert cli.main(["run", "--config", str(path), "--jobs", "4"]) == 0
         assert pools == [(2, (2,))]
         assert len(list((tmp_path / "results").glob("metrics_*.csv"))) == 4
 
+    @pytest.mark.parametrize("cpus, started", [(1, []), (2, [(2, (2,))]), (4, [(3, (3,))])])
+    def test_default_jobs_one_per_cpu_capped_at_the_groups(
+        self, tmp_path, monkeypatch, pools, cpus, started
+    ):
+        """Without --jobs, three groups start one process per CPU in the
+        affinity mask, at most one per group, and run in-process on one
+        CPU.  Each manifest records the processes that ran at once."""
+        monkeypatch.setattr(selection, "_cpu_count", lambda: cpus)
+        path = minimal_config(tmp_path, seeds=[0, 1, 2])
+        assert cli.main(["run", "--config", str(path)]) == 0
+        assert pools == started
+        jobs = min(cpus, 3)
+        for seed in (0, 1, 2):
+            manifest = tmp_path / "results" / f"manifest_random_r0.5_s{seed}.json"
+            assert json.loads(manifest.read_text())["jobs"] == jobs
+
     def test_parallel_jobs_match_serial(self, tmp_path):
-        serial = minimal_config(tmp_path, seeds=[0, 1], output_dir=str(tmp_path / "s"))
-        assert cli.main(["run", "--config", str(serial)]) == 0
-        parallel = minimal_config(tmp_path, seeds=[0, 1], output_dir=str(tmp_path / "p"))
-        assert cli.main(["run", "--config", str(parallel), "--jobs", "2"]) == 0
+        """--jobs 2 and the default write the bytes of --jobs 1, and each
+        manifest records how many group processes ran at once."""
+        runs = {"s": ["--jobs", "1"], "p": ["--jobs", "2"], "d": []}
+        for out, flags in runs.items():
+            path = minimal_config(tmp_path, seeds=[0, 1], output_dir=str(tmp_path / out))
+            assert cli.main(["run", "--config", str(path), *flags]) == 0
         for seed in (0, 1):
             name = f"metrics_random_r0.5_s{seed}.csv"
-            assert (tmp_path / "s" / name).read_bytes() == (
-                tmp_path / "p" / name
-            ).read_bytes()
+            serial = (tmp_path / "s" / name).read_bytes()
+            assert (tmp_path / "p" / name).read_bytes() == serial
+            assert (tmp_path / "d" / name).read_bytes() == serial
+            for out, jobs in (("s", 1), ("p", 2)):
+                manifest = tmp_path / out / f"manifest_random_r0.5_s{seed}.json"
+                assert json.loads(manifest.read_text())["jobs"] == jobs
+
+    def test_default_run_leaves_no_process_running(self, tmp_path, monkeypatch, capsys):
+        """A default run of two groups on two CPUs forks two group
+        processes and joins them, when both groups finish and when the
+        second one raises."""
+        monkeypatch.setattr(selection, "_cpu_count", lambda: 2)
+        path = minimal_config(tmp_path, seeds=[0, 1])
+        assert cli.main(["run", "--config", str(path)]) == 0
+        assert multiprocessing.active_children() == []
+        manifests = sorted((tmp_path / "results").glob("manifest_*.json"))
+        assert [json.loads(m.read_text())["jobs"] for m in manifests] == [2, 2]
+
+        real = cli.run_experiment
+
+        def second_group_fails(split, cfg, *args, **kwargs):
+            if cfg.seed == 1:
+                raise RuntimeError("group s1 failed")
+            return real(split, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", second_group_fails)
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert "run failed: group s1 failed" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
 
 # 2 strategies x 2 ratios x 2 seeds: four (ratio, seed) groups of two runs
@@ -406,7 +459,8 @@ class TestGroups:
 
             monkeypatch.setattr(module, name, counted)
         path = minimal_config(tmp_path, **GROUP_GRID)
-        assert cli.main(["run", "--config", str(path)]) == 0
+        # in-process, so that this process counts every call
+        assert cli.main(["run", "--config", str(path), "--jobs", "1"]) == 0
         assert counts == {"make_blobs": 4, "train_cycle": 4 + 8 * 2}
 
     def test_each_second_counted_once(self, tmp_path, monkeypatch):
@@ -424,7 +478,8 @@ class TestGroups:
         monkeypatch.setattr(harness, "train_cycle", delayed)
         path = minimal_config(tmp_path, **GROUP_GRID)
         start = time.perf_counter()
-        assert cli.main(["run", "--config", str(path)]) == 0
+        # in-process: group processes running at once would overlap their seconds
+        assert cli.main(["run", "--config", str(path), "--jobs", "1"]) == 0
         outside = time.perf_counter() - start
         resolved = cli.resolve_config(json.loads(path.read_text()))
         shared, counted = {}, 0.0
@@ -523,6 +578,24 @@ class TestCmdReport:
         assert "aggregated 1 runs" in out
         row = (results / "summary_accuracy.csv").read_text().strip().splitlines()[1]
         assert float(row.split(",")[3]) == float(lines[-1].split(",")[5])
+
+    @pytest.mark.parametrize("kind", ["non-UTF-8 file", "directory"])
+    def test_unreadable_csv_skipped_with_warning(self, tmp_path, capsys, kind):
+        """A ``*.csv`` entry that cannot be read as text used to end the
+        report with a traceback; it is skipped with a warning naming it,
+        as a CSV without the metrics header is, and the other runs are
+        aggregated."""
+        results = self.run_grid(tmp_path, [0])
+        bad = results / "x.csv"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfecycle,strategy\n")
+        capsys.readouterr()
+        assert cli.main(["report", "--dir", str(results)]) == 0
+        out, err = capsys.readouterr()
+        assert f"warning: {bad} " in err
+        assert "aggregated 1 runs" in out
 
     def test_empty_directory_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -112,7 +112,8 @@ def test_traced_cli_grid_crosses_every_cli_span(tmp_path):
     tracer.install(spans.CLI_SITES)
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["run", "--config", str(config)]) == 0
+            # in-process, so that this process's tracer sees every span
+            assert cli.main(["run", "--config", str(config), "--jobs", "1"]) == 0
             assert cli.main(["report", "--dir", str(outdir)]) == 0
     finally:
         tracer.restore()
