@@ -9,7 +9,8 @@ Three subcommands:
   groups run in one process per CPU in the affinity mask, capped at the
   number of groups; ``--jobs N`` sets that count instead, and ``--jobs
   1``, like a one-CPU mask or a one-group grid, runs them in-process, in
-  order, where they can be traced and debugged.
+  order, where they can be traced and debugged.  A group that raises
+  ends the run with exit 1 and a message naming its ratio and seed.
 * ``report --dir results/``  aggregates run CSVs into a final-accuracy
   summary table and a per-cycle query-precision series, both plot-ready.
 * ``check [--config cfg.json]``  runs the fast invariant suite and prints
@@ -18,10 +19,12 @@ Three subcommands:
 Exit codes: 0 success, 1 runtime or property failure, 2 usage/config
 error.  A config file that cannot be read, holds no JSON object or fails
 validation exits 2 from ``run`` and ``check`` alike, before any run or
-check starts.  Every omitted config field takes its reference default,
-and the fully resolved config is echoed into each run manifest.  The
-environment variable OPENSET_AL_SEED, when set, overrides the configured
-seed list; like every seed, it must be a non-negative integer.
+check starts.  Each value is converted as JSON needs and then typed by
+the library's rule for its default's type (``datasets._check_field``);
+a blob field beside ``data.idx`` is an error.  Every omitted field takes
+its reference default, and the fully resolved config is echoed into each
+run manifest.  OPENSET_AL_SEED, when set, overrides the configured seed
+list; like every seed, it must be a non-negative integer.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -41,7 +43,7 @@ from pathlib import Path
 
 from . import selection
 from .checks import run_checks
-from .datasets import BlobSpec, _class_count, _unknown_count, load_idx, make_blobs
+from .datasets import BlobSpec, _check_field, _class_count, _unknown_count, load_idx, make_blobs
 from .harness import (
     METRICS_COLUMNS,
     STRATEGIES,
@@ -64,10 +66,10 @@ TRAIN_DEFAULTS = {
     if f.name not in ("seed", "query_size", "num_cycles")
 }
 
+FRACTION_DEFAULTS = {"init_labeled_fraction": 0.05, "test_fraction": 0.2}
 DATA_DEFAULTS = {
     **{name: getattr(BlobSpec, name) for name in BLOB_FIELDS},
-    "init_labeled_fraction": 0.05,
-    "test_fraction": 0.2,
+    **FRACTION_DEFAULTS,
     "idx": None,
 }
 IDX_DEFAULTS = {"images": "", "labels": "", "known_classes": ()}
@@ -96,18 +98,9 @@ def _array(field: str, value) -> list:
     return value
 
 
-def _as_int(field: str, value) -> int:
-    """An integer, or a float with an integral value; bools are rejected."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"field '{field}' must be an integer, got {value!r}")
-
-
 def _as_seed(field: str, value) -> int:
     """A non-negative integer, which numpy's generators accept as a seed."""
-    seed = _as_int(field, value)
+    seed = _typed(field, 0, value)
     if seed < 0:
         raise ConfigError(f"field '{field}' must hold non-negative integers, got {seed}")
     return seed
@@ -129,33 +122,20 @@ def _distinct(field: str, values, tag=repr) -> None:
         seen[key] = value
 
 
-def _as_float(field: str, value) -> float:
-    """Any finite int or float; bools, strings and the NaN and Infinity
-    that Python's json accepts are rejected."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if number and math.isfinite(value):
-        return float(value)
-    raise ConfigError(f"field '{field}' must be a finite number, got {value!r}")
-
-
 def _typed(field: str, default, value):
-    """``value`` checked against the type of the field's ``default``.
-
-    bool and str fields take only that type; int and float fields go
-    through ``_as_int`` / ``_as_float``; tuple fields take a JSON array of
-    integers.  Fields whose default is None are passed through.
-    """
-    if isinstance(default, (bool, str)):
-        if not isinstance(value, type(default)):
-            kind = "true or false" if isinstance(default, bool) else "a string"
-            raise ConfigError(f"field '{field}' must be {kind}, got {value!r}")
-        return value
-    if isinstance(default, int):
-        return _as_int(field, value)
-    if isinstance(default, float):
-        return _as_float(field, value)
+    """``value`` converted as JSON needs (an array to a tuple of integers,
+    a whole float to an int count, an int to a float), then checked by the
+    library's ``_check_field`` against the type of the field's ``default``."""
     if isinstance(default, tuple):
-        return tuple(_as_int(field, v) for v in _array(field, value))
+        return tuple(_typed(field, 0, v) for v in _array(field, value))
+    if type(default) is int and type(value) is float and value.is_integer():
+        value = int(value)
+    elif type(default) is float and type(value) is int:
+        value = float(value)
+    try:
+        _check_field(f"field '{field}'", default, value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     return value
 
 
@@ -198,7 +178,7 @@ def _as_strategy(field: str, value) -> str:
 
 def _as_ratio(field: str, value) -> float:
     """A ratio in [0, 1); + 0.0 makes -0.0 the ratio 0, which it equals."""
-    r = _as_float(field, value) + 0.0
+    r = _typed(field, 0.0, value) + 0.0
     if not 0 <= r < 1:
         raise ConfigError(f"field '{field}' value {r} outside [0, 1)")
     return r
@@ -235,8 +215,9 @@ def resolve_config(raw: dict) -> dict:
             )
         seeds = resolved["seeds"] = [int(env_seed)]
 
-    data = resolved["data"] = _fields(resolved["data"], "data", DATA_DEFAULTS)
-    for key in ("init_labeled_fraction", "test_fraction"):
+    raw_data = resolved["data"]
+    data = resolved["data"] = _fields(raw_data, "data", DATA_DEFAULTS)
+    for key in FRACTION_DEFAULTS:
         if not 0 <= data[key] < 1:
             raise ConfigError(f"field 'data.{key}' value {data[key]} outside [0, 1)")
     if data["idx"] is not None:
@@ -244,6 +225,10 @@ def resolve_config(raw: dict) -> dict:
         if len(idx["known_classes"]) < 2:
             raise ConfigError("field 'data.idx.known_classes' must list at least two classes")
         _distinct("data.idx.known_classes", idx["known_classes"])
+        for key in BLOB_FIELDS:
+            if key in raw_data:
+                raise ConfigError(f"field 'data.{key}' sets blob data beside 'data.idx'")
+        resolved["data"] = {key: data[key] for key in (*FRACTION_DEFAULTS, "idx")}
     else:
         try:
             _blob_spec(data, seed=seeds[0]).validate()
@@ -252,7 +237,7 @@ def resolve_config(raw: dict) -> dict:
         # the labeled and test pools must each get an example of every
         # class, and together fit in it, counted as _assemble_split counts
         taken = 0
-        for key in ("init_labeled_fraction", "test_fraction"):
+        for key in FRACTION_DEFAULTS:
             count = _class_count(data[key], data["per_class"])
             if count == 0:
                 raise ConfigError(
@@ -300,30 +285,22 @@ def _blob_spec(data: dict, seed: int) -> BlobSpec:
 def _build_split(resolved: dict, r: float, seed: int):
     data = resolved["data"]
     idx = data["idx"]
+    fractions = {key: data[key] for key in FRACTION_DEFAULTS}
     if idx is not None:
-        return load_idx(
-            idx["images"],
-            idx["labels"],
-            known_classes=idx["known_classes"],
-            r=r,
-            seed=seed,
-            init_labeled_fraction=data["init_labeled_fraction"],
-            test_fraction=data["test_fraction"],
-        )
-    return make_blobs(
-        _blob_spec(data, seed),
-        r,
-        init_labeled_fraction=data["init_labeled_fraction"],
-        test_fraction=data["test_fraction"],
-    )
+        return load_idx(idx["images"], idx["labels"], idx["known_classes"], r, seed, **fractions)
+    return make_blobs(_blob_spec(data, seed), r, **fractions)
 
 
 def _ratio_tag(r: float) -> str:
     return f"r{r:g}"
 
 
+def _group_tag(r: float, seed: int) -> str:
+    return f"{_ratio_tag(r)}_s{seed}"
+
+
 def run_tag(strategy: str, r: float, seed: int) -> str:
-    return f"{strategy}_{_ratio_tag(r)}_s{seed}"
+    return f"{strategy}_{_group_tag(r, seed)}"
 
 
 def _execute_group(resolved: dict, jobs: int, r: float, seed: int) -> list[str]:
@@ -364,6 +341,7 @@ def cmd_run(config_path: str, jobs: int | None = None) -> int:
     # the CPUs.  One job runs the groups in-process, in order, so they can
     # be traced.
     jobs = min(selection._cpu_count() if jobs is None else jobs, len(groups))
+    group = None  # the group whose results are awaited
     try:
         pool = (
             ProcessPoolExecutor(
@@ -374,11 +352,13 @@ def cmd_run(config_path: str, jobs: int | None = None) -> int:
         )
         with pool:
             run_map = pool.map if jobs > 1 else map
-            for tags in run_map(partial(_execute_group, resolved, jobs), *zip(*groups)):
-                for tag in tags:
+            results = run_map(partial(_execute_group, resolved, jobs), *zip(*groups))
+            for group in groups:
+                for tag in next(results):
                     print(f"completed {tag}")
     except Exception as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
+        where = f" (in group {_group_tag(*group)})" if group else ""
+        print(f"run failed: {exc}{where}", file=sys.stderr)
         return 1
     print(f"wrote {len(groups) * len(resolved['strategies'])} runs to {resolved['output_dir']}")
     return 0

@@ -11,7 +11,9 @@ openness ratio to within one example.
 ``make_blobs`` generates Gaussian clusters whose means sit on a
 hypersphere, giving a single separability knob (radius / cluster_std).
 ``load_idx`` reads the classic big-endian IDX image/label pair and builds
-the same split structure from real data.
+the same split structure from real data.  ``_check_field`` is the one
+statement of each config field's type rule: ``BlobSpec``, ``TrainConfig``
+and the CLI's config reader all apply it.
 """
 
 from __future__ import annotations
@@ -41,19 +43,35 @@ class IdxFormatError(ValueError):
     """Raised when an IDX file is malformed; messages carry byte offsets."""
 
 
+def _check_field(label: str, default, value) -> None:
+    """ValueError naming ``label`` unless ``value`` fits the type of the
+    field's ``default``, NumPy's scalars included: a bool field takes a
+    bool, a str field a str, an int field an integer (no float or bool), a
+    float field a finite number (no bool) and a tuple field integers.  Any
+    other default (None, a dict) takes any value."""
+    if isinstance(default, tuple):
+        for v in value:
+            _check_field(label, 0, v)
+        return
+    kind = np.dtype(type(value)).kind  # b bool, i/u integer, f float, U str
+    if isinstance(default, bool):
+        fits, want = kind == "b", "true or false"
+    elif isinstance(default, str):
+        fits, want = kind == "U", "a string"
+    elif isinstance(default, int):
+        fits, want = kind in "iu", "an integer"
+    elif isinstance(default, float):
+        fits, want = kind in "iuf" and np.isfinite(value), "a finite number"
+    else:
+        return
+    if not fits:
+        raise ValueError(f"{label} must be {want}, got {value!r}")
+
+
 def _check_field_types(config) -> None:
-    """ValueError naming the first field of the dataclass ``config`` whose
-    value does not fit its default: a float field takes a finite number,
-    an int field an integer (NumPy's too; no float or bool), a tuple field
-    integers."""
+    """``_check_field`` on each field of the dataclass ``config``, in order."""
     for f in fields(config):
-        value, kind = getattr(config, f.name), type(f.default)
-        if kind is float and not np.isfinite(value):
-            raise ValueError(f"{f.name} must be finite")
-        if kind is int and not np.issubdtype(type(value), np.integer):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        if kind is tuple and not all(np.issubdtype(type(v), np.integer) for v in value):
-            raise ValueError(f"{f.name} must hold integers, got {value!r}")
+        _check_field(f.name, f.default, getattr(config, f.name))
 
 
 @dataclass(frozen=True)

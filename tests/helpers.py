@@ -276,8 +276,15 @@ def count_started_threads(monkeypatch):
 def load_perfbench(name):
     """``perfbench/<name>.py`` as a module, as it stands, read from its file
     without putting ``perfbench`` on the import path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    return load_repo_file("perfbench", name)
+
+
+def load_repo_file(directory, name):
+    """``<directory>/<name>.py`` of this checkout as a module named
+    ``<directory>_<name>``, read from its file without putting
+    ``directory`` on the import path."""
+    path = Path(__file__).resolve().parents[1] / directory / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{directory}_{name}", path)
     module = importlib.util.module_from_spec(spec)
     # dataclasses looks the defining module up while building its classes
     sys.modules[spec.name] = module

@@ -407,6 +407,26 @@ class TestCmdRun:
         assert "run failed: group s1 failed" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_run_names_its_group(self, tmp_path, monkeypatch, capsys, jobs):
+        """A group that raises is named by its ratio and seed, in-process and
+        in a group process, though its exception names neither; at one job
+        the group after it never starts."""
+        real = cli.run_experiment
+
+        def first_group_fails(split, cfg, *args, **kwargs):
+            if cfg.seed == 0:
+                raise RuntimeError("boom")
+            return real(split, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", first_group_fails)
+        path = minimal_config(tmp_path, seeds=[0, 1])
+        assert cli.main(["run", "--config", str(path), "--jobs", jobs]) == 1
+        assert "run failed: boom (in group r0.5_s0)" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+        if jobs == "1":
+            assert list((tmp_path / "results").iterdir()) == []
+
 
 # 2 strategies x 2 ratios x 2 seeds: four (ratio, seed) groups of two runs
 GROUP_GRID = dict(
@@ -892,6 +912,26 @@ class TestResolveConfig:
         monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
         resolved = cli.resolve_config(grid_fields(data=data, train={"lr_milestones": [3]}))
         assert cli.resolve_config(json.loads(json.dumps(resolved))) == resolved
+
+    @pytest.mark.parametrize("field", ["radius", "per_class", "num_unknown", "dim"])
+    @pytest.mark.parametrize("value", ["invalid", "valid"])
+    def test_blob_field_beside_idx_rejected(self, field, value):
+        """No IDX run reads a blob field, so setting one beside ``idx`` is
+        an error, whatever its value; it used to be echoed into every
+        manifest."""
+        values = {"radius": -3, "per_class": 0, "num_unknown": -2, "dim": 0}
+        data = {"idx": IDX, field: values[field] if value == "invalid" else DATA_OVERRIDES[field]}
+        with pytest.raises(cli.ConfigError, match=f"'data.{field}'"):
+            cli.resolve_config(grid_fields(data=data))
+
+    def test_idx_data_resolves_to_its_fractions_and_idx(self, monkeypatch):
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        resolved = cli.resolve_config(grid_fields(data={"idx": IDX, "test_fraction": 0.25}))
+        assert resolved["data"] == {
+            "init_labeled_fraction": 0.05,
+            "test_fraction": 0.25,
+            "idx": {**IDX, "known_classes": (0, 1)},
+        }
 
 
 def grid_fields(**extra):

@@ -203,6 +203,19 @@ class TestBlobSpec:
         spec.validate()
         assert make_blobs(spec, r=0.2).features.shape == (30, 3)
 
+    @pytest.mark.parametrize("value", [True, np.True_, "6.0"])
+    @pytest.mark.parametrize("field", ["radius", "cluster_std"])
+    def test_non_number_rejected(self, field, value):
+        """radius True used to pass as 1.0."""
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            BlobSpec(**{field: value}).validate()
+
+    def test_numpy_floats_accepted(self):
+        spec = BlobSpec(num_known=2, num_unknown=1, dim=3, per_class=10,
+                        radius=np.float32(5.0), cluster_std=np.float64(0.5))
+        spec.validate()
+        assert make_blobs(spec, r=0.2).features.shape == (30, 3)
+
     def test_one_dimension_holds_two_classes(self):
         """The sphere in one dimension is two points: a third class would
         be drawn from the same mean as one of the first two."""

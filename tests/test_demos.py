@@ -1,9 +1,5 @@
-"""Demo smoke tests: the fast walkthrough scripts and README's Python
-examples run to completion.
-
-``demos/04_active_learning_benchmark.py`` trains a full multi-cycle grid
-(several seconds), so it stays a manual acceptance check.
-"""
+"""Demo smoke tests: the walkthrough scripts and README's Python examples
+run to completion."""
 
 import os
 import subprocess
@@ -17,12 +13,14 @@ FAST_DEMOS = (
     "01_uncertainty_decomposition.py",
     "02_dual_head_training.py",
     "03_coarse_to_fine_selection.py",
+    "04_active_learning_benchmark.py",
 )
 
 
 @pytest.mark.parametrize("name", FAST_DEMOS)
 def test_demo_exits_zero(name, tmp_path):
-    env = dict(os.environ)
+    # a demo's temporary files land in tmp_path, which pytest removes
+    env = dict(os.environ, TMPDIR=str(tmp_path))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
     )

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from helpers import (
     finite_difference_grads,
+    load_repo_file,
     max_rel_err,
     reference_forward,
     reference_train_cycle,
@@ -120,6 +121,29 @@ class TestTrainConfig:
             batch_size=np.int64(32), epochs=np.int32(20), query_size=np.int64(10),
             num_cycles=np.int64(2), seed=np.uint8(3), discrepancy_epochs=np.int64(2),
             lr_milestones=(np.int64(10),), hidden_widths=(np.int16(8),),
+        ).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("use_discrepancy", "false"),
+            ("use_discrepancy", 0),
+            ("lr", True),
+            ("tau1", False),
+            ("train_loss", 5),
+        ],
+    )
+    def test_value_of_another_type_rejected(self, field, value):
+        """A switch or rate of the wrong type fails validation by name:
+        use_discrepancy "false" is truthy and ran the full method in the
+        "no discrepancy" ablation, and lr True trained at rate 1."""
+        with pytest.raises(ValueError, match=f"{field} must"):
+            TrainConfig(**{field: value}).validate()
+
+    def test_numpy_bools_and_floats_accepted(self):
+        TrainConfig(
+            use_discrepancy=np.False_, lr=np.float32(0.01), tau1=np.float64(3.0),
+            momentum=np.int64(0),
         ).validate()
 
 
@@ -872,6 +896,18 @@ class TestStepOverhead:
         # the builtin count includes the setprofile(None) call itself
         calls, c_calls = counts["call"], counts["c_call"] - 1
         assert calls <= self.CALLS and c_calls <= self.C_CALLS, (calls, c_calls)
+
+    def test_step_cost_tool_runs_every_step_kind(self):
+        """``tools/step_cost.py`` looks the gradient helpers and
+        ``grad_views`` up by name, so a rename would break it without a
+        failing import; each of its step kinds must run and be counted."""
+        tool = load_repo_file("tools", "step_cost")
+        params = init_model(16, 4, hidden_widths=(64, 64), seed=0, head_init_scale=1.0)
+        steps = tool.step_fns(params, TrainConfig(), 1)
+        assert sorted(steps) == ["CE", "EDL", "close", "dis"]
+        for kind, step in steps.items():
+            calls, c_calls = tool.count_calls(step)
+            assert calls > 0 and c_calls > 0, kind
 
 
 class TestModelParams:

@@ -437,21 +437,22 @@ def fit_fields(model, x):
 GATE = 2 * selection.FORWARD_MIN_BLOCK
 
 
-class TestThreadedEm:
-    """gmm_fit once ran each EM iteration on two threads from
-    2 * FORWARD_MIN_BLOCK points on; it now runs on the calling thread
-    alone, at any width and worker count, and its fits share no state."""
+class TestGmmFitAtAnyWorkerCount:
+    """gmm_fit runs on the calling thread at any pool width and worker
+    count: its fit of a pool at one worker has the same bytes as its fit
+    of the reversed pool at two, neither starts a thread, and concurrent
+    fits share no state."""
 
     @pytest.mark.parametrize("n", [GATE - 1, GATE, GATE + 1, 47_700])
     @pytest.mark.parametrize(
         "kind, scaled", [("mixture", False), ("mixture", True), ("lognormal", False)]
     )
     def test_bitwise_equal_at_widths_one_and_two(self, monkeypatch, n, kind, scaled):
-        """Pools around the old gate and at wide_pool's width; scores near
-        the top of the range; log-normal scores with points far from both
-        components; and a posterior on points at the limit.  The fit on
-        one worker and the fit of the reversed pool on two are the same
-        bytes, and neither starts a thread."""
+        """Pools around 2 * FORWARD_MIN_BLOCK points and at wide_pool's
+        width; scores near the top of the range; log-normal scores with
+        points far from both components; and a posterior on points at the
+        limit.  The fit on one worker and the fit of the reversed pool on
+        two are the same bytes, and neither starts a thread."""
         x = em_sample(n, kind, n, scaled)
         lim = selection.SCORE_LIMIT
         probe = np.concatenate([x, [lim, -lim, 1e50]])
