@@ -11,20 +11,25 @@ Three subcommands:
   1``, like a one-CPU mask or a one-group grid, runs them in-process, in
   order, where they can be traced and debugged.  A group that raises
   ends the run with exit 1 and a message naming its ratio and seed.
+  Each group process keeps its environment's BLAS thread count, so set
+  OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 or pass ``--jobs 1`` to keep
+  the processes' BLAS threads from oversubscribing the CPUs.
 * ``report --dir results/``  aggregates run CSVs into a final-accuracy
   summary table and a per-cycle query-precision series, both plot-ready.
 * ``check [--config cfg.json]``  runs the fast invariant suite and prints
   one pass/fail line per property.
 
 Exit codes: 0 success, 1 runtime or property failure, 2 usage/config
-error.  A config file that cannot be read, holds no JSON object or fails
-validation exits 2 from ``run`` and ``check`` alike, before any run or
-check starts.  Each value is converted as JSON needs and then typed by
-the library's rule for its default's type (``datasets._check_field``);
-a blob field beside ``data.idx`` is an error.  Every omitted field takes
-its reference default, and the fully resolved config is echoed into each
-run manifest.  OPENSET_AL_SEED, when set, overrides the configured seed
-list; like every seed, it must be a non-negative integer.
+error.  A config file that cannot be read or holds no JSON object exits
+2 from ``run`` and ``check`` alike, before any run or check starts, and
+so does a bad ``seeds``; ``check`` reads no other field, while ``run``
+exits 2 on any field that fails validation.  Each value is converted as
+JSON needs and then typed by the library's rule for its default's type
+(``datasets._check_field``); a blob field beside ``data.idx`` is an
+error.  Every omitted field takes its reference default, and the fully
+resolved config is echoed into each run manifest.  OPENSET_AL_SEED, when
+set, overrides the configured seed list of ``run`` and ``check`` alike;
+like every seed, it must be a non-negative integer.
 """
 
 from __future__ import annotations
@@ -124,19 +129,19 @@ def _distinct(field: str, values, tag=repr) -> None:
 
 def _typed(field: str, default, value):
     """``value`` converted as JSON needs (an array to a tuple of integers,
-    a whole float to an int count, an int to a float), then checked by the
-    library's ``_check_field`` against the type of the field's ``default``."""
+    a whole float to an int count) and checked by the library's
+    ``_check_field`` against the type of the field's ``default``; an int
+    that passes as a float field's value then becomes a float, so one too
+    large for a float fails the check by name."""
     if isinstance(default, tuple):
         return tuple(_typed(field, 0, v) for v in _array(field, value))
     if type(default) is int and type(value) is float and value.is_integer():
         value = int(value)
-    elif type(default) is float and type(value) is int:
-        value = float(value)
     try:
         _check_field(f"field '{field}'", default, value)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return value
+    return float(value) if type(default) is float and type(value) is int else value
 
 
 def _fields(obj, name: str, defaults: dict, required=()) -> dict:
@@ -199,21 +204,27 @@ def _load_config(path: str) -> dict:
     return raw
 
 
+def _seeds(seeds: list) -> list:
+    """The seed list a run takes: ``[OPENSET_AL_SEED]`` when that is set,
+    else ``seeds``.  The one reader of the variable."""
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    if not env_seed:
+        return seeds
+    if not env_seed.strip().isdecimal():
+        raise ConfigError(
+            f"environment variable {SEED_ENV_VAR} must be a non-negative integer, "
+            f"got {env_seed!r}"
+        )
+    return [int(env_seed)]
+
+
 def resolve_config(raw: dict) -> dict:
     """Fill defaults, validate field by field, honor the seed override."""
     resolved = _fields(raw, "", ROOT_DEFAULTS, REQUIRED_FIELDS)
     resolved["strategies"] = _grid(resolved, "strategies", "strategy", _as_strategy)
     ratios = _grid(resolved, "openness_ratios", "ratio", _as_ratio, tag=_ratio_tag)
     resolved["openness_ratios"] = ratios
-    seeds = resolved["seeds"] = _grid(resolved, "seeds", "seed", _as_seed)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed:
-        if not env_seed.strip().isdecimal():
-            raise ConfigError(
-                f"environment variable {SEED_ENV_VAR} must be a non-negative integer, "
-                f"got {env_seed!r}"
-            )
-        seeds = resolved["seeds"] = [int(env_seed)]
+    seeds = resolved["seeds"] = _seeds(_grid(resolved, "seeds", "seed", _as_seed))
 
     raw_data = resolved["data"]
     data = resolved["data"] = _fields(raw_data, "data", DATA_DEFAULTS)
@@ -467,15 +478,15 @@ def cmd_report(results_dir: str) -> int:
 
 
 def cmd_check(config_path: str | None = None) -> int:
-    seed = 0
-    if config_path is not None:
-        try:
-            raw = _load_config(config_path)
-            if "seeds" in raw:
-                seed = _grid(raw, "seeds", "seed", _as_seed)[0]
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
+    """The invariant suite at the seed ``run`` would start with: the
+    override, else the config's first seed, else 0."""
+    try:
+        raw = {} if config_path is None else _load_config(config_path)
+        seeds = _grid(raw, "seeds", "seed", _as_seed) if "seeds" in raw else [0]
+        seed = _seeds(seeds)[0]
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     results = run_checks(seed=seed)
     failures = []
     for name, passed, detail in results:

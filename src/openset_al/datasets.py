@@ -19,6 +19,7 @@ and the CLI's config reader all apply it.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass, fields
 from enum import IntEnum
 from pathlib import Path
@@ -61,7 +62,11 @@ def _check_field(label: str, default, value) -> None:
     elif isinstance(default, int):
         fits, want = kind in "iu", "an integer"
     elif isinstance(default, float):
-        fits, want = kind in "iuf" and np.isfinite(value), "a finite number"
+        # an int compares to a float exactly, so one past a float's range fails
+        fits = (kind == "f" and np.isfinite(value)) or (
+            kind in "iu" and abs(int(value)) <= sys.float_info.max
+        )
+        want = "a finite number"
     else:
         return
     if not fits:

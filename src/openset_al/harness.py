@@ -341,27 +341,15 @@ def run_experiment(
 
 
 def write_metrics_csv(path, metrics, strategy: str, seed: int, r: float) -> None:
-    """One row per cycle in the fixed column order.  The wall_time column
-    is left empty so identical seeds yield byte-identical files; measured
-    timings are reported in the run manifest."""
+    """One row per cycle, its columns in ``METRICS_COLUMNS`` order.  The
+    wall_time column is left empty so identical seeds yield byte-identical
+    files; measured timings are reported in the run manifest."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
         for m in metrics:
-            writer.writerow(
-                [
-                    m.cycle,
-                    strategy,
-                    seed,
-                    float(r),
-                    m.query_precision,
-                    m.test_accuracy,
-                    m.labeled_size,
-                    m.unlabeled_size,
-                    m.discarded_unknown,
-                    "",
-                ]
-            )
+            row = {**asdict(m), "strategy": strategy, "seed": seed, "r": float(r), "wall_time": ""}
+            writer.writerow([row[column] for column in METRICS_COLUMNS])
 
 
 def write_manifest(

@@ -58,6 +58,7 @@ __all__ = [
     "coarse_to_fine_select",
     "baseline_select",
     "baseline_rank",
+    "averaged_probs",
     "BASELINE_STRATEGIES",
 ]
 

@@ -211,6 +211,10 @@ class TestCmdRun:
             ({"data": {"idx": {**IDX, "imagez": "x"}}}, "'data.idx.imagez'"),
             # no epochs, not a milestone outside them
             ({"train": {"epochs": 0}}, "epochs must be positive"),
+            # json reads an integer of any size; past a float's range it is no number
+            ({"train": {"lr": 10**400}}, "field 'train.lr' must be a finite number"),
+            ({"openness_ratios": [10**400]}, "field 'openness_ratios' must be a finite"),
+            ({"data": {"radius": 10**400}}, "field 'data.radius' must be a finite number"),
         ],
     )
     def test_config_error_exits_2_before_any_cell(
@@ -809,14 +813,38 @@ class TestCmdCheck:
         path.write_text(json.dumps({"seeds": [5]}))
         assert cli.main(["check", "--config", str(path)]) == 0
 
-    @pytest.mark.parametrize("raw, seed", [({"seeds": [5]}, 5), ({}, 0)])
-    def test_config_seed_reaches_the_checks(self, tmp_path, monkeypatch, raw, seed):
+    @pytest.mark.parametrize(
+        "env, raw, seed",
+        [
+            (None, {"seeds": [5]}, 5),
+            (None, {}, 0),
+            # the seed run would start with: the override, seeds or none
+            ("7", {"seeds": [5]}, 7),
+            ("7", {}, 7),
+        ],
+    )
+    def test_config_seed_reaches_the_checks(self, tmp_path, monkeypatch, env, raw, seed):
+        if env is None:
+            monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(cli.SEED_ENV_VAR, env)
         seen = []
         monkeypatch.setattr(cli, "run_checks", lambda seed: seen.append(seed) or [])
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(raw))
         assert cli.main(["check", "--config", str(path)]) == 0
         assert seen == [seed]
+
+    @pytest.mark.parametrize("config", [False, True])
+    def test_bad_seed_env_exits_two(self, tmp_path, capsys, monkeypatch, config):
+        """check reads OPENSET_AL_SEED as run does, with or without a config."""
+        monkeypatch.setenv(cli.SEED_ENV_VAR, "x")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seeds": [5]}))
+        argv = ["check", "--config", str(path)] if config else ["check"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and cli.SEED_ENV_VAR in err
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

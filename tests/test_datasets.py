@@ -181,7 +181,9 @@ class TestBlobStorage:
 
 
 class TestBlobSpec:
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+    @pytest.mark.parametrize(
+        "value", [np.nan, np.inf, -np.inf, 0.0, pytest.param(10**400, id="int_past_float")]
+    )
     @pytest.mark.parametrize("field", ["radius", "cluster_std"])
     def test_non_finite_or_non_positive_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -209,6 +211,12 @@ class TestBlobSpec:
         """radius True used to pass as 1.0."""
         with pytest.raises(ValueError, match=f"{field} must be a finite number"):
             BlobSpec(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["radius", "cluster_std"])
+    def test_int_past_int64_accepted(self, field):
+        """10**30 used to raise TypeError from np.isfinite, which takes no
+        int past int64."""
+        BlobSpec(**{field: 10**30}).validate()
 
     def test_numpy_floats_accepted(self):
         spec = BlobSpec(num_known=2, num_unknown=1, dim=3, per_class=10,

@@ -14,6 +14,7 @@ import pytest
 from helpers import load_perfbench
 
 ROOT = Path(__file__).resolve().parents[1]
+PUBLIC_MODULES = ("datasets", "evidential", "harness", "model", "selection")
 MODULES = sorted(p for p in (ROOT / "src" / "openset_al").glob("*.py") if p.name != "__init__.py")
 
 
@@ -64,3 +65,18 @@ def test_an_unused_import_is_caught():
     tree = ast.parse("import os\nfrom json import dumps, loads\n__all__ = ['dumps']\n")
     names = [name for name, _ in imported_names(tree)]
     assert [n for n in names if n not in used_names(tree)] == ["os", "loads"]
+
+
+def test_package_exports_each_module_all_once():
+    """The package lists no name itself: its ``__all__`` joins the
+    modules' lists, each name once, and each resolves to its module's."""
+    import openset_al
+    from openset_al import averaged_probs, baseline_rank  # noqa: F401
+
+    modules = [getattr(openset_al, m) for m in PUBLIC_MODULES]
+    joined = [name for module in modules for name in module.__all__]
+    assert openset_al.__all__ == joined
+    assert len(set(joined)) == len(joined)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(openset_al, name) is getattr(module, name)

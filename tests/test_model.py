@@ -77,7 +77,9 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=message):
             TrainConfig(**overrides).validate()
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int_past_float")]
+    )
     @pytest.mark.parametrize(
         "field",
         [
@@ -139,6 +141,12 @@ class TestTrainConfig:
         "no discrepancy" ablation, and lr True trained at rate 1."""
         with pytest.raises(ValueError, match=f"{field} must"):
             TrainConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field", ["lr", "tau1", "head_init_scale"])
+    def test_int_past_int64_accepted(self, field):
+        """10**30 is a finite number, as the CLI's 1e30 is; it used to raise
+        TypeError from np.isfinite, which takes no int past int64."""
+        TrainConfig(**{field: 10**30}).validate()
 
     def test_numpy_bools_and_floats_accepted(self):
         TrainConfig(
