@@ -74,31 +74,30 @@ def _check_gradients(rng):
     """Spot-check each public loss's gradient against central differences.
 
     ``close_loss`` and ``dis_loss`` run with frozen weights and are checked
-    on the parameters they train (backbone and heads respectively)."""
+    on the ``ModelParams.subsets`` they train, "backbone" and "heads"."""
     m = model.init_model(
         4, 3, hidden_widths=(6,), seed=int(rng.integers(1 << 31)), head_init_scale=1.0
     )
     x = rng.normal(size=(3, 4))
     y = rng.integers(0, 3, size=3)
     alphas = model.forward(m, x)
-    w_close = model.close_weights(alphas, tau1=0.5)
-    w_dis = model.dis_weights(alphas, tau2=0.2)
-    nb = m.num_backbone_arrays
+    w_close = model.discrepancy_weights(alphas, 0.5, "backbone")
+    w_dis = model.discrepancy_weights(alphas, 0.2, "heads")
     losses = {
-        "edl": (lambda: model.edl_loss(m, x, y), slice(None)),
-        "cross_entropy": (lambda: model.cross_entropy_loss(m, x, y), slice(None)),
-        "close": (lambda: model.close_loss(m, x, weights=w_close), slice(nb)),
-        "dis": (lambda: model.dis_loss(m, x, weights=w_dis), slice(nb, None)),
+        "edl": (lambda: model.edl_loss(m, x, y), "all"),
+        "cross_entropy": (lambda: model.cross_entropy_loss(m, x, y), "all"),
+        "close": (lambda: model.close_loss(m, x, weights=w_close), "backbone"),
+        "dis": (lambda: model.dis_loss(m, x, weights=w_dis), "heads"),
     }
     h = 1e-5
     worst = {}
-    for name, (loss, part) in losses.items():
+    for name, (loss, subset) in losses.items():
         _, grads = loss()
         worst[name] = 0.0
         # spot-check a handful of coordinates per array
-        for arr, g in zip(m.flat_params()[part], grads[part]):
-            flat = arr.reshape(-1)
-            gflat = g.reshape(-1)
+        for i in m.subsets[subset][0]:
+            flat = m.flat_params()[i].reshape(-1)
+            gflat = grads[i].reshape(-1)
             for idx in rng.choice(flat.size, size=min(4, flat.size), replace=False):
                 orig = flat[idx]
                 flat[idx] = orig + h

@@ -18,6 +18,7 @@ and the CLI's config reader all apply it.
 
 from __future__ import annotations
 
+import math
 import struct
 import sys
 from dataclasses import dataclass, fields
@@ -62,8 +63,8 @@ def _check_field(label: str, default, value) -> None:
     elif isinstance(default, int):
         fits, want = kind in "iu", "an integer"
     elif isinstance(default, float):
-        # an int compares to a float exactly, so one past a float's range fails
-        fits = (kind == "f" and np.isfinite(value)) or (
+        # an int compares exactly; math.isfinite reads any float as a float64
+        fits = (kind == "f" and math.isfinite(value)) or (
             kind in "iu" and abs(int(value)) <= sys.float_info.max
         )
         want = "a finite number"

@@ -15,9 +15,10 @@ objectives drive training:
   the heads only, weighted toward examples with high mutual information.
   Minimizing it amplifies head disagreement where evidence is scarce.
 
-The per-example weights in the last two losses are treated as constants
-(no gradient flows through them); they are computed from the element-wise
-average of the two heads' evidence.
+The last two are one step, ``_jsd_grads``, keyed by the ``sgd_step``
+subset it trains ("backbone" agrees; "heads" disagrees, its gradient
+negated).  Its per-example weights, ``discrepancy_weights``, are constants
+computed from the element-wise average of the two heads' evidence.
 
 Everything is plain numpy and deterministic given a seed.  Gradients are
 exact and verified against central finite differences in the test suite.
@@ -391,16 +392,16 @@ def forward(
     return alphas[0], alphas[1]
 
 
-def _backward(model: ModelParams, acts, dz, grads=None, heads=True, backbone=True):
-    """The flat gradient for the heads' (2, n, C) logit gradient ``dz``,
-    written into ``grads`` (views shaped like ``flat_params()``) and
-    returned.
+def _backward(model: ModelParams, acts, dz, grads=None, *, subset="all"):
+    """The flat gradient for the heads' (2, n, C) logit gradient ``dz``
+    over the ``ModelParams.subsets`` name ``subset``, written into
+    ``grads`` (views shaped like ``flat_params()``) and returned.
 
-    ``heads`` computes the head weight/bias gradients; ``backbone``
-    backprops d_hidden = sum_h dz_h W_h^T through the ReLU layers.  Each
-    head's matmuls and column sums stay separate.  Arrays outside the
-    requested subset are not written: with ``grads`` None they stay zero
-    in views on a fresh buffer, otherwise they keep what ``grads`` held.
+    "heads" computes the head weight/bias gradients; "backbone" backprops
+    d_hidden = sum_h dz_h W_h^T through the ReLU layers; "all" does both.
+    Each head's matmuls and column sums stay separate.  Arrays outside the
+    subset are not written: with ``grads`` None they stay zero in views
+    on a fresh buffer, otherwise they keep what ``grads`` held.
 
     The weight gradients a^T dz go through ``np.dot``, which gives
     ``np.matmul``'s bytes for a transposed operand at a fraction of its
@@ -409,12 +410,12 @@ def _backward(model: ModelParams, acts, dz, grads=None, heads=True, backbone=Tru
     if grads is None:
         grads = model._views(np.zeros(model.offsets[-1]), model.flat_params())
     layers = model.backbone
-    if heads:
+    if subset != "backbone":
         nb = 2 * len(layers)
         for i in range(2):
             np.dot(acts[-1].T, dz[i], out=grads[nb + 2 * i])
             np.add.reduce(dz[i], axis=0, out=grads[nb + 2 * i + 1])
-    if backbone:
+    if subset != "heads":
         (w1, _), (w2, _) = model.heads
         dh = dz[0] @ w1.T
         dh += dz[1] @ w2.T
@@ -574,40 +575,34 @@ def cross_entropy_loss(
     return total / 2.0, grads
 
 
-def close_weights(alphas, tau1: float) -> np.ndarray:
-    """Constant per-example weights (1/N)(1 - sigmoid(u_data - tau1))
-    computed from the averaged evidence of the two heads ``alphas``, a
-    pair of (N, C) evidence arrays as the forward passes make them.
-    Unchecked: ``data_uncertainty``'s kernel reads the average directly."""
+def discrepancy_weights(alphas, tau: float, subset: str) -> np.ndarray:
+    """Constant per-example weights of the discrepancy step that trains
+    ``subset``, from the average of the two heads' (N, C) evidence
+    ``alphas``: (1/N)(1 - sigmoid(u_data - tau)) for "backbone", the
+    agreement step, and (1/N) sigmoid(u_dist - tau) for "heads".
+    Unchecked: the uncertainty kernel reads the average directly."""
+    if subset not in ("backbone", "heads"):
+        raise ValueError(f"no discrepancy step trains subset {subset!r}")
+    agree = subset == "backbone"
     a = np.add(alphas[0], alphas[1])
     a *= 0.5
-    w = _uncertainties(a, psi=a, mutual=False)[0]
-    w -= tau1
+    w = _uncertainties(a, psi=a, mutual=not agree)[0 if agree else 1]
+    w -= tau
     special.expit(w, out=w)
-    np.subtract(1.0, w, out=w)
+    if agree:
+        np.subtract(1.0, w, out=w)
     w /= a.shape[0]
     return w
 
 
-def dis_weights(alphas, tau2: float) -> np.ndarray:
-    """Constant per-example weights (1/N) sigmoid(u_dist - tau2), from
-    ``distribution_uncertainty``'s kernel as ``close_weights`` does."""
-    a = np.add(alphas[0], alphas[1])
-    a *= 0.5
-    w = _uncertainties(a, psi=a)[1]
-    w -= tau2
-    special.expit(w, out=w)
-    w /= a.shape[0]
-    return w
-
-
-def _weighted_jsd(model: ModelParams, x: np.ndarray, weights, weight_fn, tau):
-    """One forward pass over an unlabeled batch.  Returns the backprop
-    cache, the per-example weights (``weights`` if given, else
-    ``weight_fn(alphas, tau)``), the heads' normalized evidence as one
-    (2, n, C) array and its weighted logit gradient of JSD(p, q)."""
+def _jsd_grads(model: ModelParams, x: np.ndarray, tau, subset, grads=None, weights=None):
+    """One forward pass over an unlabeled batch and the flat gradient of
+    the discrepancy step that trains ``subset``, written into ``grads`` as
+    ``_backward`` does: "backbone" is ``close_loss``'s, "heads" is
+    ``dis_loss``'s, the weighted JSD gradient negated.  Returns ((weights,
+    the heads' normalized evidence as one (2, n, C) array), gradients)."""
     acts, _, alphas, mask = _forward_cached(model, x)
-    w = weight_fn(alphas, tau) if weights is None else np.asarray(weights)
+    w = discrepancy_weights(alphas, tau, subset) if weights is None else np.asarray(weights)
     pq = _dirichlet_mean(alphas, out=alphas)[0]
     m = pq[0] + pq[1]
     m *= 0.5
@@ -619,21 +614,9 @@ def _weighted_jsd(model: ModelParams, x: np.ndarray, weights, weight_fn, tau):
     g *= pq
     g *= mask
     g *= w[:, None]
-    return acts, w, pq, g
-
-
-def _close_grads(model: ModelParams, x: np.ndarray, tau1: float, grads=None, weights=None):
-    """Flat gradient of ``close_loss``, written into ``grads`` as
-    ``_backward`` does; returns ((weights, (p, q)), gradients)."""
-    acts, w, pq, dz = _weighted_jsd(model, x, weights, close_weights, tau1)
-    return (w, pq), _backward(model, acts, dz, grads, heads=False)
-
-
-def _dis_grads(model: ModelParams, x: np.ndarray, tau2: float, grads=None, weights=None):
-    """Flat gradient of ``dis_loss``, written into ``grads`` as
-    ``_backward`` does; returns ((weights, (p, q)), gradients)."""
-    acts, w, pq, dz = _weighted_jsd(model, x, weights, dis_weights, tau2)
-    return (w, pq), _backward(model, acts, np.negative(dz, out=dz), grads, backbone=False)
+    if subset == "heads":
+        np.negative(g, out=g)
+    return (w, pq), _backward(model, acts, g, grads, subset=subset)
 
 
 def close_loss(
@@ -643,13 +626,14 @@ def close_loss(
     weights: np.ndarray | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Weighted JSD between the heads, differentiated through the backbone
-    only; head gradient entries are exactly zero.
+    only (``_jsd_grads`` for "backbone"); head gradient entries are
+    exactly zero.
 
     ``weights`` overrides the internally computed constants (useful for
     numerical gradient checking, where they must stay frozen).
     """
     x = _loss_batch(model, x, "close_loss")
-    (w, (p, q)), grads = _close_grads(model, x, tau1, weights=weights)
+    (w, (p, q)), grads = _jsd_grads(model, x, tau1, "backbone", weights=weights)
     return float((w * np.atleast_1d(jsd(p, q))).sum()), grads
 
 
@@ -660,9 +644,10 @@ def dis_loss(
     weights: np.ndarray | None = None,
 ) -> tuple[float, list[np.ndarray]]:
     """Weighted (1 - JSD) between the heads, differentiated through the
-    two heads only; backbone gradient entries are exactly zero."""
+    two heads only (``_jsd_grads`` for "heads"); backbone gradient
+    entries are exactly zero."""
     x = _loss_batch(model, x, "dis_loss")
-    (w, (p, q)), grads = _dis_grads(model, x, tau2, weights=weights)
+    (w, (p, q)), grads = _jsd_grads(model, x, tau2, "heads", weights=weights)
     return float((w * (1.0 - np.atleast_1d(jsd(p, q)))).sum()), grads
 
 
@@ -768,12 +753,9 @@ def train_cycle(
         return model
     ubatch = min(cfg.batch_size, max(x_unlabeled.shape[0], 1))
     for k in range(cfg.discrepancy_epochs):
-        if k % 2 == 0:
-            grad_fn, tau, trainable = _close_grads, cfg.tau1, "backbone"
-        else:
-            grad_fn, tau, trainable = _dis_grads, cfg.tau2, "heads"
+        tau, trainable = (cfg.tau2, "heads") if k % 2 else (cfg.tau1, "backbone")
         for idx in _epoch_batches(x_unlabeled.shape[0], ubatch, rng):
-            _, grads = grad_fn(model, x_unlabeled.take(idx, 0), tau, buffer)
+            _, grads = _jsd_grads(model, x_unlabeled.take(idx, 0), tau, trainable, buffer)
             sgd_step(model, grads, cfg.epochs + k, cfg, trainable=trainable)
     return model
 

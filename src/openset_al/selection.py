@@ -64,7 +64,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-BASELINE_STRATEGIES = ("random", "entropy", "least_confidence", "margin")
+# the baselines that query by a per-row rank, each with a rule in ``_rank_rows``
+RANKED_STRATEGIES = ("entropy", "least_confidence", "margin")
+BASELINE_STRATEGIES = ("random", *RANKED_STRATEGIES)
 
 VARIANCE_FLOOR = 1e-6
 
@@ -548,19 +550,18 @@ def coarse_to_fine_select(
     return query
 
 
-RANKED_STRATEGIES = BASELINE_STRATEGIES[1:]
-
-
 def _rank_rows(strategy: str, p: np.ndarray) -> np.ndarray:
     """``baseline_rank``'s block kernel: the per-row rank of averaged
     expected probabilities p (m, C) under a ranked baseline; the highest
     is queried first.  entropy: prediction entropy; least_confidence:
     1 - max p; margin: minus the gap between the two largest
-    probabilities."""
+    probabilities.  Any other name raises ValueError."""
     if strategy == "entropy":
         return entropy(p)
     if strategy == "least_confidence":
         return 1.0 - p.max(axis=1)
+    if strategy != "margin":
+        raise ValueError(f"no rank rule for strategy {strategy!r}")
     part = np.sort(p, axis=1)
     return -(part[:, -1] - part[:, -2])
 

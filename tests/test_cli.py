@@ -699,7 +699,7 @@ class TestCmdCheck:
         assert failed == {"trigamma_kernel"}
 
     @pytest.mark.parametrize(
-        "helper", ["_edl_grads", "_cross_entropy_grads", "_close_grads", "_dis_grads"]
+        "helper", ["_edl_grads", "_cross_entropy_grads", "_jsd_grads"]
     )
     def test_wrong_loss_gradient_fails_spot_check(self, monkeypatch, helper):
         """Fault injection: doubling one loss's gradient (its value is

@@ -182,7 +182,11 @@ class TestBlobStorage:
 
 class TestBlobSpec:
     @pytest.mark.parametrize(
-        "value", [np.nan, np.inf, -np.inf, 0.0, pytest.param(10**400, id="int_past_float")]
+        "value",
+        [
+            np.nan, np.inf, -np.inf, 0.0, pytest.param(10**400, id="int_past_float"),
+            pytest.param(np.longdouble("1e400"), id="longdouble_past_float"),
+        ],
     )
     @pytest.mark.parametrize("field", ["radius", "cluster_std"])
     def test_non_finite_or_non_positive_rejected(self, field, value):

@@ -5,6 +5,7 @@ import copy
 import math
 import pickle
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,10 +29,9 @@ from openset_al.model import (
     _forward_cached,
     _trigamma,
     close_loss,
-    close_weights,
     cross_entropy_loss,
     dis_loss,
-    dis_weights,
+    discrepancy_weights,
     edl_loss,
     forward,
     init_model,
@@ -78,7 +78,11 @@ class TestTrainConfig:
             TrainConfig(**overrides).validate()
 
     @pytest.mark.parametrize(
-        "value", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="int_past_float")]
+        "value",
+        [
+            math.nan, math.inf, -math.inf, pytest.param(10**400, id="int_past_float"),
+            pytest.param(np.longdouble("1e400"), id="longdouble_past_float"),
+        ],
     )
     @pytest.mark.parametrize(
         "field",
@@ -384,7 +388,7 @@ class TestCloseLoss:
         """tau1 far above the entropy range makes every weight ~ 1/N."""
         m = tiny_model()
         x, _ = random_batch()
-        w = close_weights(forward(m, x), tau1=7.0)
+        w = discrepancy_weights(forward(m, x), 7.0, "backbone")
         np.testing.assert_allclose(w, 1.0 / len(x), rtol=1e-2)
         assert np.all(w > 0) and np.all(w < 1.0 / len(x))
 
@@ -392,13 +396,13 @@ class TestCloseLoss:
         """The sigmoid gate closes as u_data - tau1 grows large."""
         m = tiny_model()
         x, _ = random_batch()
-        w = close_weights(forward(m, x), tau1=-50.0)
+        w = discrepancy_weights(forward(m, x), -50.0, "backbone")
         np.testing.assert_allclose(w, 0.0, atol=1e-12)
 
     def test_backbone_gradients_match_finite_differences(self):
         m = tiny_model(seed=11)
         x, _ = random_batch(seed=12)
-        w = close_weights(forward(m, x), tau1=0.5)
+        w = discrepancy_weights(forward(m, x), 0.5, "backbone")
         _, grads = close_loss(m, x, weights=w)
         nb = m.num_backbone_arrays
         backbone_arrays = flat(m)[:nb]
@@ -416,10 +420,17 @@ class TestCloseLoss:
 
 
 class TestDisLoss:
+    @pytest.mark.parametrize("subset", ["all", "head"])
+    def test_weights_reject_a_subset_no_discrepancy_step_trains(self, subset):
+        m = tiny_model()
+        x, _ = random_batch()
+        with pytest.raises(ValueError, match="no discrepancy step"):
+            discrepancy_weights(forward(m, x), -5.0, subset)
+
     def test_weights_in_range(self):
         m = tiny_model()
         x, _ = random_batch()
-        w = dis_weights(forward(m, x), tau2=-5.0)
+        w = discrepancy_weights(forward(m, x), -5.0, "heads")
         assert np.all(w > 0) and np.all(w <= 1.0 / len(x))
 
     def test_loss_zero_at_maximal_divergence(self):
@@ -438,7 +449,7 @@ class TestDisLoss:
     def test_head_gradients_match_finite_differences(self):
         m = tiny_model(seed=13)
         x, _ = random_batch(seed=14)
-        w = dis_weights(forward(m, x), tau2=0.1)
+        w = discrepancy_weights(forward(m, x), 0.1, "heads")
         _, grads = dis_loss(m, x, weights=w)
         nb = m.num_backbone_arrays
         head_arrays = flat(m)[nb:]
@@ -875,8 +886,9 @@ class TestStepOverhead:
     fails here without a timer."""
 
     # Python and builtin calls of the mini-cycle below on numpy 2.4 and
-    # Python 3.11; the step before this budget read 946 and 695
-    CALLS = 368
+    # Python 3.11; the step before this budget read 946 and 695, and 368
+    # Python calls before one helper served both discrepancy steps
+    CALLS = 366
     C_CALLS = 366
 
     def test_call_budget_of_a_mini_cycle(self):
@@ -916,6 +928,23 @@ class TestStepOverhead:
         for kind, step in steps.items():
             calls, c_calls = tool.count_calls(step)
             assert calls > 0 and c_calls > 0, kind
+
+    def test_readme_calls_per_step_match_the_tool(self):
+        """README's "calls per step" row states, in each "now" cell, what
+        ``tools/step_cost.py`` counts for that step kind at 64 rows."""
+        tool = load_repo_file("tools", "step_cost")
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = [
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in readme.splitlines()
+            if line.startswith(("| rows | EDL before", "| calls per step |"))
+        ]
+        assert len(rows) == 2, rows
+        stated = dict(zip(*rows))
+        params = init_model(16, 4, hidden_widths=(64, 64), seed=0, head_init_scale=1.0)
+        for kind, step in tool.step_fns(params, TrainConfig(), 64).items():
+            step()  # as the tool counts: after the step has run
+            assert stated[f"{kind} now"] == "%d + %d" % tool.count_calls(step), kind
 
 
 class TestModelParams:

@@ -770,6 +770,13 @@ class TestBaselineSelect:
         expected = [i for _, i in sorted(zip(-key, ids))][:7]
         np.testing.assert_array_equal(out, expected)
 
+    @pytest.mark.parametrize("strategy", ["random", "max_logit_gmm"])
+    def test_rank_rows_rejects_a_strategy_without_a_rule(self, strategy):
+        """No name falls through to the margin rule: random ranks nothing,
+        and a baseline added later must state its own rule."""
+        with pytest.raises(ValueError, match="no rank rule"):
+            selection._rank_rows(strategy, self.probs())
+
     def test_random_without_replacement_and_seeded(self):
         ids = np.arange(40)
         out1 = baseline_select("random", ids, 10, seed=3)

@@ -4,7 +4,9 @@ Times one gradient helper plus ``sgd_step`` (what ``train_cycle`` runs per
 batch) for the EDL, cross-entropy, close and dis steps on the desk
 acceptance model (16 -> 64 -> 64 -> 2 x 4) at 1, 32, 64 and 128 rows, and
 counts the Python function calls and builtin calls one step makes, as
-``sys.setprofile`` sees them.  Run from a source checkout:
+``sys.setprofile`` sees them.  The close and dis steps are one helper,
+``_jsd_grads``, on the "backbone" and "heads" subsets.  Run from a source
+checkout:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/step_cost.py
 
@@ -39,16 +41,16 @@ def step_fns(params, cfg, rows):
             m.sgd_step(params, grads, 0, cfg, "all")
         return step
 
-    def unlabeled(helper, tau, subset):
+    def unlabeled(tau, subset):
         def step():
-            helper(params, x, tau, grads)
+            m._jsd_grads(params, x, tau, subset, grads)
             m.sgd_step(params, grads, cfg.epochs, cfg, subset)
         return step
 
     return {
         "EDL": labeled(m._edl_grads),
-        "close": unlabeled(m._close_grads, cfg.tau1, "backbone"),
-        "dis": unlabeled(m._dis_grads, cfg.tau2, "heads"),
+        "close": unlabeled(cfg.tau1, "backbone"),
+        "dis": unlabeled(cfg.tau2, "heads"),
         "CE": labeled(m._cross_entropy_grads),
     }
 
